@@ -138,8 +138,12 @@ func TestFullSystemOverTCP(t *testing.T) {
 	graph := pisd.NewSocialGraph()
 	graph.AddFriendship(1, 2)
 	graph.AddFriendship(2, matches[0].ID)
-	if _, err := sf.DiscoverFoF(client, graph, 1, ds.Profiles[0], 5); err != nil {
+	wide, err := sf.Discover(client, ds.Profiles[0], 10, 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if boosted := pisd.BoostFoF(graph, 1, wide, 5); len(boosted) == 0 || boosted[0].ID != matches[0].ID {
+		t.Fatalf("FoF boost over remote matches: %v", boosted)
 	}
 	batch, err := sf.DiscoverWithDecoys(client, [][]float64{ds.Profiles[0], ds.Profiles[1]}, 5, 3,
 		rand.New(rand.NewSource(1)))

@@ -143,6 +143,26 @@ func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, vec
 	}
 }
 
+// lookup is the one cache protocol every cached route runs: a hit replays
+// the stored candidates; a miss runs fill and stores its answer under key
+// with refs as the read set — unless partial: a recovered shard must not
+// be masked by a degraded cached result. A nil cache always misses.
+func (c *ResultCache) lookup(key CacheKey, refs []core.BucketRef, fill func() (candidates, error)) (candidates, error) {
+	if ids, vecs, ok := c.Get(key); ok {
+		fmet.cacheHits.Inc()
+		return candidates{ids: ids, vecs: vecs}, nil
+	}
+	fmet.cacheMisses.Inc()
+	cands, err := fill()
+	if err != nil {
+		return candidates{}, err
+	}
+	if !cands.partial {
+		c.Put(key, refs, cands.ids, cands.vecs)
+	}
+	return cands, nil
+}
+
 // InvalidateRefs drops every entry whose read set intersects refs and
 // returns how many were dropped.
 func (c *ResultCache) InvalidateRefs(refs []core.BucketRef) int {

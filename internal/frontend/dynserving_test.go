@@ -5,9 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pisd/internal/cloud"
 	"pisd/internal/core"
-	"pisd/internal/shard"
 )
 
 // countingNode counts the bucket fetches a dynamic search issues against
@@ -27,30 +25,12 @@ func (n *countingNode) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, er
 // nodes and the cached serving path over it.
 func dynServingFixture(t *testing.T, n int) (*Frontend, []Upload, []DynShard, []DynNode, []*countingNode, *DynServing) {
 	t.Helper()
-	f, err := New(testConfig())
+	d := newDynDeployment(t, n, 2)
+	serv, err := d.f.NewDynServing(d.shards, d.nodes, nil, ServingConfig{CacheEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := testPopulation(t, n)
-	ups := uploadsFrom(ds, f)
-	shards, err := f.BuildShardedDynamicIndex(ups, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]DynNode, len(shards))
-	counters := make([]*countingNode, len(shards))
-	for s, sh := range shards {
-		cs := cloud.New()
-		cs.SetDynIndex(sh.Index)
-		cs.PutProfiles(sh.EncProfiles)
-		counters[s] = &countingNode{DynNode: shard.NewLocal(cs)}
-		nodes[s] = counters[s]
-	}
-	serv, err := f.NewDynServing(shards, nodes, nil, ServingConfig{CacheEntries: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, ups, shards, nodes, counters, serv
+	return d.f, d.uploads, d.shards, d.nodes, d.counters, serv
 }
 
 func totalFetches(counters []*countingNode) int64 {

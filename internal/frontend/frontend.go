@@ -11,10 +11,7 @@ import (
 
 	"pisd/internal/core"
 	"pisd/internal/crypt"
-	"pisd/internal/fof"
 	"pisd/internal/lsh"
-	"pisd/internal/obs"
-	"pisd/internal/vec"
 )
 
 // Config parameterizes a front end.
@@ -312,31 +309,19 @@ func (f *Frontend) BuildIndex(uploads []Upload) (*core.Index, map[uint64][]byte,
 	f.params = p
 	f.built = true
 
-	encProfiles, err := f.encryptProfiles(uploads)
-	if err != nil {
-		return nil, nil, err
-	}
-	return idx, encProfiles, nil
-}
-
-// encryptProfiles produces {S*} for a batch of uploads. Each profile's
-// encryption is independent (fresh IV, shared key), so the batch fans out
-// across CPUs; the map is assembled serially afterwards (maps are not
-// concurrent-write safe).
-func (f *Frontend) encryptProfiles(uploads []Upload) (map[uint64][]byte, error) {
 	cts, err := f.encryptProfileSlice(uploads)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	encProfiles := make(map[uint64][]byte, len(uploads))
 	for i, u := range uploads {
 		encProfiles[u.ID] = cts[i]
 	}
-	return encProfiles, nil
+	return idx, encProfiles, nil
 }
 
-// encryptProfileSlice encrypts each upload's profile in parallel and
-// returns the ciphertexts aligned with uploads.
+// encryptProfileSlice produces {S*} aligned with uploads; each encryption
+// is independent (fresh IV, shared key), so the batch fans out across CPUs.
 func (f *Frontend) encryptProfileSlice(uploads []Upload) ([][]byte, error) {
 	cts := make([][]byte, len(uploads))
 	err := parallelFor(len(uploads), func(i int) error {
@@ -354,33 +339,19 @@ func (f *Frontend) encryptProfileSlice(uploads []Upload) ([][]byte, error) {
 }
 
 // BuildDynamicIndex builds the updatable index variant plus its front-end
-// client (Sec. III-D).
+// client (Sec. III-D): the 1-shard case of BuildShardedDynamicIndex.
 func (f *Frontend) BuildDynamicIndex(uploads []Upload) (*core.DynIndex, *core.DynClient, map[uint64][]byte, error) {
-	items, p, err := f.prepare(uploads, false)
+	shards, err := f.BuildShardedDynamicIndex(uploads, 1, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	idx, client, err := core.BuildDynamic(f.keys, items, p)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("frontend: build dynamic index: %w", err)
-	}
-	f.params = p
-	f.built = true
-	f.rehashed = false
-	encProfiles, err := f.encryptProfiles(uploads)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return idx, client, encProfiles, nil
+	return shards[0].Index, shards[0].Client, shards[0].EncProfiles, nil
 }
 
 // Trapdoor issues the secure discovery trapdoor t = GenTpdr(K, V) for a
 // target profile.
 func (f *Frontend) Trapdoor(profile []float64) (*core.Trapdoor, error) {
-	if !f.built {
-		return nil, errors.New("frontend: no index built yet")
-	}
-	return core.GenTpdr(f.keys, f.family.Hash(profile), f.params)
+	return f.TrapdoorForMeta(f.family.Hash(profile))
 }
 
 // TrapdoorForMeta issues a trapdoor from precomputed metadata.
@@ -391,199 +362,20 @@ func (f *Frontend) TrapdoorForMeta(meta lsh.Metadata) (*core.Trapdoor, error) {
 	return core.GenTpdr(f.keys, meta, f.params)
 }
 
-// Discover runs the full privacy-preserving discovery flow for a target
-// profile: trapdoor → SecRec at the cloud → decrypt matches → exact
-// distance ranking → top-k recommendations (GetRec). excludeID removes the
-// target's own identifier from the results (pass 0 to keep everything).
-func (f *Frontend) Discover(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
-	return f.discover(server, targetProfile, k, excludeID, nil)
-}
-
-// DiscoverTraced is Discover returning, alongside the matches, a per-query
-// trace with the latency of each stage (trapdoor, fanout, decrypt, rank).
-// The same stage durations feed the frontend.* histograms on every
-// discovery; the trace is the single-query view of that breakdown.
-func (f *Frontend) DiscoverTraced(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64) ([]Match, *obs.Trace, error) {
-	tr := obs.NewTrace("discover")
-	matches, err := f.discover(server, targetProfile, k, excludeID, tr)
-	return matches, tr, err
-}
-
-func (f *Frontend) discover(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64, tr *obs.Trace) ([]Match, error) {
-	var sp obs.Span
-	sp.StartTraced(tr)
-	td, err := f.Trapdoor(targetProfile)
-	if err != nil {
-		return nil, err
-	}
-	sp.Mark("trapdoor", fmet.trapdoorNs)
-	ids, encProfiles, err := server.SecRec(td)
-	if err != nil {
-		return nil, fmt.Errorf("frontend: discovery request: %w", err)
-	}
-	sp.Mark("fanout", fmet.fanoutNs)
-	matches, err := f.rankSpanned(targetProfile, ids, encProfiles, k, excludeID, &sp)
-	if err != nil {
-		return nil, err
-	}
-	sp.Finish(fmet.discoverNs)
-	fmet.discoveries.Inc()
-	return matches, nil
-}
-
-// rank implements GetRec(K, M): decrypt the matched profiles and order by
-// Euclidean distance to the target.
-//
-// Decryption and distance evaluation — the expensive part — run in
-// parallel into a distance array aligned with ids; the top-k heap is then
-// fed serially in the original id order. Feeding the heap in order (rather
-// than merging per-worker heaps) keeps the output byte-identical to the
-// serial implementation even when candidates tie in distance.
-func (f *Frontend) rank(target []float64, ids []uint64, encProfiles [][]byte, k int, excludeID uint64) ([]Match, error) {
-	return f.rankSpanned(target, ids, encProfiles, k, excludeID, nil)
-}
-
-// rankSpanned is rank with an optional in-progress discovery span: the
-// decrypt+distance phase and the top-k phase are marked as separate
-// stages (sp may be nil).
-func (f *Frontend) rankSpanned(target []float64, ids []uint64, encProfiles [][]byte, k int, excludeID uint64, sp *obs.Span) ([]Match, error) {
-	if len(ids) != len(encProfiles) {
-		return nil, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(encProfiles))
-	}
-	dists := make([]float64, len(ids))
-	skip := make([]bool, len(ids))
-	err := parallelFor(len(ids), func(i int) error {
-		if excludeID != 0 && ids[i] == excludeID {
-			skip[i] = true
-			return nil
+// Trapdoors issues one discovery trapdoor per target profile, hashing and
+// PRF evaluation fanned out across CPUs (lsh.Family.Hash is stateless and
+// the PRF pools its scratch, so the fan-out is safe). Trapdoor generation
+// is deterministic, so the result is identical to calling Trapdoor per
+// profile.
+func (f *Frontend) Trapdoors(profiles [][]float64) ([]*core.Trapdoor, error) {
+	tds := make([]*core.Trapdoor, len(profiles))
+	err := parallelFor(len(profiles), func(i int) (err error) {
+		if tds[i], err = f.Trapdoor(profiles[i]); err != nil {
+			err = fmt.Errorf("frontend: trapdoor %d: %w", i, err)
 		}
-		s, err := crypt.DecProfile(f.keys.KS, encProfiles[i])
-		if err != nil {
-			return fmt.Errorf("frontend: decrypt match %d: %w", ids[i], err)
-		}
-		dists[i] = vec.Distance(target, s)
-		return nil
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	sp.Mark("decrypt", fmet.decryptNs)
-	tk := vec.NewTopK(k)
-	for i := range ids {
-		if !skip[i] {
-			tk.Offer(ids[i], dists[i])
-		}
-	}
-	scored := tk.Sorted()
-	out := make([]Match, len(scored))
-	for i, s := range scored {
-		out[i] = Match{ID: s.ID, Distance: s.Score}
-	}
-	sp.Mark("rank", fmet.rankNs)
-	return out, nil
-}
-
-// decryptProfiles decrypts a full candidate set into plaintext profile
-// vectors (parallel across candidates). The serving path decrypts once
-// on a cache miss and caches the plaintext: the frontend is trusted and
-// holds KS, so plaintext in frontend memory adds no leakage, and cache
-// hits skip the per-candidate MAC + AES work entirely.
-func (f *Frontend) decryptProfiles(ids []uint64, encProfiles [][]byte) ([][]float64, error) {
-	if len(ids) != len(encProfiles) {
-		return nil, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(encProfiles))
-	}
-	vecs := make([][]float64, len(ids))
-	err := parallelFor(len(ids), func(i int) error {
-		s, err := crypt.DecProfile(f.keys.KS, encProfiles[i])
-		if err != nil {
-			return fmt.Errorf("frontend: decrypt match %d: %w", ids[i], err)
-		}
-		vecs[i] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return vecs, nil
-}
-
-// rankPlain is rankSpanned over already-decrypted candidate vectors:
-// identical distance evaluation and in-order top-k feeding, so the
-// output is byte-identical to ranking the matching ciphertexts.
-func (f *Frontend) rankPlain(target []float64, ids []uint64, vecs [][]float64, k int, excludeID uint64, sp *obs.Span) ([]Match, error) {
-	if len(ids) != len(vecs) {
-		return nil, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(vecs))
-	}
-	dists := make([]float64, len(ids))
-	skip := make([]bool, len(ids))
-	for i := range ids {
-		if excludeID != 0 && ids[i] == excludeID {
-			skip[i] = true
-			continue
-		}
-		dists[i] = vec.Distance(target, vecs[i])
-	}
-	sp.Mark("decrypt", fmet.decryptNs)
-	tk := vec.NewTopK(k)
-	for i := range ids {
-		if !skip[i] {
-			tk.Offer(ids[i], dists[i])
-		}
-	}
-	scored := tk.Sorted()
-	out := make([]Match, len(scored))
-	for i, s := range scored {
-		out[i] = Match{ID: s.ID, Distance: s.Score}
-	}
-	sp.Mark("rank", fmet.rankNs)
-	return out, nil
-}
-
-// DiscoverFoF is Discover followed by friend-of-friend boosting: among the
-// distance-ranked candidates, friends-of-friends of the target user are
-// promoted (Sec. III-C).
-func (f *Frontend) DiscoverFoF(server DiscoveryServer, graph *fof.Graph, targetID uint64, targetProfile []float64, k int) ([]Match, error) {
-	matches, err := f.Discover(server, targetProfile, k*2, targetID)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]uint64, len(matches))
-	byID := make(map[uint64]Match, len(matches))
-	for i, m := range matches {
-		ids[i] = m.ID
-		byID[m.ID] = m
-	}
-	boosted := graph.Boost(targetID, ids)
-	if len(boosted) > k {
-		boosted = boosted[:k]
-	}
-	out := make([]Match, len(boosted))
-	for i, id := range boosted {
-		out[i] = byID[id]
-	}
-	return out, nil
-}
-
-// DynSearch runs discovery against a dynamic index: the client recovers
-// candidate ids from the bucket store, then fetches and ranks their
-// encrypted profiles.
-func (f *Frontend) DynSearch(client *core.DynClient, store core.BucketStore, fetch ProfileFetcher, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
-	var sp obs.Span
-	sp.Start()
-	ids, err := client.Search(store, f.family.Hash(targetProfile))
-	if err != nil {
-		return nil, fmt.Errorf("frontend: dynamic search: %w", err)
-	}
-	encProfiles, err := fetch.FetchProfiles(ids)
-	if err != nil {
-		return nil, fmt.Errorf("frontend: fetch profiles: %w", err)
-	}
-	matches, err := f.rank(targetProfile, ids, encProfiles, k, excludeID)
-	if err != nil {
-		return nil, err
-	}
-	sp.Finish(fmet.dynNs)
-	return matches, nil
+	return tds, err
 }
 
 // ProfileFetcher is the cloud surface returning encrypted profiles by id.

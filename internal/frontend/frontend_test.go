@@ -1,7 +1,9 @@
 package frontend
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pisd/internal/cloud"
@@ -227,16 +229,31 @@ func TestDiscoverFoFBoostsSocialties(t *testing.T) {
 	g.AddFriendship(target, bridge)
 	g.AddFriendship(bridge, plain[len(plain)-1].ID)
 
-	boosted, err := f.DiscoverFoF(cs, g, target, ds.Profiles[9], len(plain))
+	wide, err := f.Discover(cs, ds.Profiles[9], 2*len(plain), target)
 	if err != nil {
 		t.Fatal(err)
 	}
+	boosted := BoostFoF(g, target, wide, len(plain))
 	if len(boosted) == 0 {
 		t.Fatal("no boosted results")
 	}
 	if boosted[0].ID != plain[len(plain)-1].ID {
 		t.Errorf("FoF candidate not promoted: first is %d, want %d",
 			boosted[0].ID, plain[len(plain)-1].ID)
+	}
+
+	// The stage owns no cloud call, so it composes with any route: the
+	// cached, coalesced serving path feeds it the same matches.
+	serving, err := f.NewServing(SingleFanout{S: cs}, DefaultServingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _, err := serving.Discover(context.Background(), ds.Profiles[9], 2*len(plain), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := BoostFoF(g, target, served, len(plain)); !reflect.DeepEqual(got, boosted) {
+		t.Errorf("FoF over the serving path: %v, want %v", got, boosted)
 	}
 }
 
@@ -395,55 +412,146 @@ func TestDiscoverBatchWithDecoys(t *testing.T) {
 	if _, err := f.DiscoverWithDecoys(cs, targets, 5, -1, rng); err == nil {
 		t.Error("negative decoys accepted")
 	}
-	// Nil rng uses a default.
-	if _, err := f.DiscoverWithDecoys(cs, targets[:1], 3, 2, nil); err != nil {
-		t.Errorf("nil rng: %v", err)
+	// Nil rng draws fresh decoys every round: a cloud intersecting two
+	// rounds over the same targets must not be able to strip the decoys.
+	isReal := make(map[CacheKey]bool)
+	for _, target := range targets {
+		td, err := f.Trapdoor(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isReal[trapdoorKey(td)] = true
+	}
+	rec := &recordingServer{inner: cs}
+	var rounds [2]map[CacheKey]bool // decoy trapdoors the cloud saw per round
+	for r := range rounds {
+		rec.seen = nil
+		results, err := f.DiscoverWithDecoys(rec, targets, 5, 6, nil)
+		if err != nil {
+			t.Fatalf("nil rng round %d: %v", r, err)
+		}
+		for i, target := range targets {
+			plain, err := f.Discover(cs, target, 5, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := EqualMatches(results[i], plain); err != nil {
+				t.Fatalf("nil rng round %d target %d: %v", r, i, err)
+			}
+		}
+		rounds[r] = make(map[CacheKey]bool)
+		for _, key := range rec.seen {
+			if !isReal[key] {
+				rounds[r][key] = true
+			}
+		}
+		if len(rounds[r]) != 6 {
+			t.Fatalf("nil rng round %d: cloud saw %d decoy trapdoors, want 6", r, len(rounds[r]))
+		}
+	}
+	for key := range rounds[0] {
+		if rounds[1][key] {
+			t.Fatal("nil rng repeated a decoy trapdoor across rounds")
+		}
 	}
 }
 
-func TestDiscoverMultiProbeImprovesRecall(t *testing.T) {
-	const n = 500
-	f, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := testPopulation(t, n)
-	idx, encProfiles, err := f.BuildIndex(uploadsFrom(ds, f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := cloud.New()
-	cs.SetIndex(idx)
-	cs.PutProfiles(encProfiles)
+// recordingServer records the search pattern (trapdoor digest) of every
+// SecRec it forwards.
+type recordingServer struct {
+	inner DiscoveryServer
+	seen  []CacheKey
+}
 
+func (r *recordingServer) SecRec(t *core.Trapdoor) ([]uint64, [][]byte, error) {
+	r.seen = append(r.seen, trapdoorKey(t))
+	return r.inner.SecRec(t)
+}
+
+func TestDiscoverMultiProbeImprovesRecall(t *testing.T) {
+	ds := testPopulation(t, 500)
 	queries, _ := ds.Queries(15, 42)
-	var plainSum, mpSum float64
-	for _, q := range queries {
-		plain, err := f.Discover(cs, q, 10, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mp, err := f.DiscoverMultiProbe(cs, q, 10, 0, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range plain {
-			plainSum += m.Distance
-		}
-		for _, m := range mp {
-			mpSum += m.Distance
-		}
-		if len(mp) < len(plain) {
-			t.Fatalf("multi-probe returned fewer results (%d) than plain (%d)", len(mp), len(plain))
-		}
+	// The second population holds every profile three times over: tied
+	// distances everywhere, so the k-cut regularly splits a run of equal
+	// candidates and the ranking is only stable if candidates reach the
+	// top-k in a deterministic order.
+	var tripled [][]float64
+	for _, p := range ds.Profiles[:120] {
+		tripled = append(tripled, p, p, p)
 	}
-	// Multi-probe sees a superset of candidates, so its summed top-10
-	// distances cannot be worse.
-	if mpSum > plainSum+1e-9 {
-		t.Errorf("multi-probe distances %.4f worse than plain %.4f", mpSum, plainSum)
-	}
-	if _, err := f.DiscoverMultiProbe(cs, queries[0], 5, 0, -1); err == nil {
-		t.Error("negative variants accepted")
+	for _, pop := range []struct {
+		name     string
+		profiles [][]float64
+		queries  [][]float64
+		k        int
+	}{
+		{"topics", ds.Profiles, queries, 10},
+		{"duplicated", tripled, ds.Profiles[:15], 4},
+	} {
+		t.Run(pop.name, func(t *testing.T) {
+			f, err := New(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ups := make([]Upload, len(pop.profiles))
+			for i, p := range pop.profiles {
+				ups[i] = Upload{ID: uint64(i + 1), Profile: p}
+			}
+			idx, encProfiles, err := f.BuildIndex(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := cloud.New()
+			cs.SetIndex(idx)
+			cs.PutProfiles(encProfiles)
+
+			var plainSum, mpSum float64
+			for _, q := range pop.queries {
+				plain, err := f.Discover(cs, q, pop.k, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mp, err := f.DiscoverMultiProbe(cs, q, pop.k, 0, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range plain {
+					plainSum += m.Distance
+				}
+				for _, m := range mp {
+					mpSum += m.Distance
+				}
+				if len(mp) < len(plain) {
+					t.Fatalf("multi-probe returned fewer results (%d) than plain (%d)", len(mp), len(plain))
+				}
+				// No variants is exactly Discover, ties included.
+				mp0, err := f.DiscoverMultiProbe(cs, q, pop.k, 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := EqualMatches(mp0, plain); err != nil {
+					t.Fatalf("variants=0 differs from Discover: %v", err)
+				}
+				// The same query ranks the same way every time.
+				for rep := 0; rep < 20; rep++ {
+					again, err := f.DiscoverMultiProbe(cs, q, pop.k, 0, 8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(again, mp) {
+						t.Fatalf("repeat %d of the same multi-probe query ranked differently:\n got %v\nwant %v", rep, again, mp)
+					}
+				}
+			}
+			// Multi-probe sees a superset of candidates, so its summed
+			// top-k distances cannot be worse.
+			if mpSum > plainSum+1e-9 {
+				t.Errorf("multi-probe distances %.4f worse than plain %.4f", mpSum, plainSum)
+			}
+			if _, err := f.DiscoverMultiProbe(cs, pop.queries[0], 5, 0, -1); err == nil {
+				t.Error("negative variants accepted")
+			}
+		})
 	}
 }
 

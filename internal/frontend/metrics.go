@@ -19,7 +19,7 @@ var fmet struct {
 	rankNs     *obs.Histogram // stage: top-k selection
 	dynNs      *obs.Histogram // end-to-end dynamic search
 
-	discoveries *obs.Counter // single discoveries completed
+	discoveries *obs.Counter // discoveries completed (a batch of q counts q)
 	batches     *obs.Counter // batched discoveries completed
 	partials    *obs.Counter // sharded discoveries degraded to partial results
 
@@ -40,15 +40,6 @@ func init() { SetRegistry(obs.Default) }
 // Intended for process setup and test isolation; not safe to call
 // concurrently with in-flight discoveries.
 func SetRegistry(r *obs.Registry) {
-	if r == nil {
-		fmet.discoverNs, fmet.batchNs = nil, nil
-		fmet.trapdoorNs, fmet.fanoutNs, fmet.decryptNs, fmet.rankNs, fmet.dynNs = nil, nil, nil, nil, nil
-		fmet.discoveries, fmet.batches, fmet.partials = nil, nil, nil
-		fmet.cacheHits, fmet.cacheMisses, fmet.cacheInvalids = nil, nil, nil
-		fmet.coalesceBatch, fmet.coalesceFlushes, fmet.coalesceQueue = nil, nil, nil
-		fmet.admitRejected, fmet.admitInflight = nil, nil
-		return
-	}
 	fmet.discoverNs = r.Histogram("frontend.discover")
 	fmet.batchNs = r.Histogram("frontend.discover_batch")
 	fmet.trapdoorNs = r.Histogram("frontend.trapdoor")

@@ -51,3 +51,20 @@ func parallelFor(n int, fn func(i int) error) error {
 	wg.Wait()
 	return retErr
 }
+
+// perShard runs fn(s) for every shard in [0, n) on its own goroutine (slow
+// shards overlap) and returns the per-shard errors. fn writes only to
+// per-shard slots.
+func perShard(n int, fn func(s int) error) []error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for s := 0; s < n; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			errs[s] = fn(s)
+		}(s)
+	}
+	wg.Wait()
+	return errs
+}

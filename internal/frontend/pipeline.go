@@ -1,0 +1,203 @@
+package frontend
+
+import (
+	"context"
+	"fmt"
+
+	"pisd/internal/core"
+	"pisd/internal/crypt"
+	"pisd/internal/lsh"
+	"pisd/internal/obs"
+	"pisd/internal/vec"
+)
+
+// The one discovery pipeline (DESIGN.md §19): candidate source
+// (fetchStatic | fetchDynamic) → decrypt once → rank. Every entry point
+// composes these stages; deployments differ only in the fan-out the source
+// is handed and whether the result cache sits in front of it.
+
+// candidates is the pipeline's unit of work and the result cache's unit
+// of storage: one query's recovered identifiers, their profiles decrypted
+// once, and whether a shard was missing. Pre-rank, so it serves every k.
+type candidates struct {
+	ids     []uint64
+	vecs    [][]float64
+	partial bool
+}
+
+// singleNode is one cloud node as a never-partial 1-shard fan-out.
+type singleNode struct{ s DiscoveryServer }
+
+func (n singleNode) SecRec(_ context.Context, t *core.Trapdoor) ([]uint64, [][]byte, bool, error) {
+	ids, profiles, err := n.s.SecRec(t)
+	return ids, profiles, false, err
+}
+
+// perQuery adapts a single-query fan-out (shard pool, Coalescer,
+// singleNode) to the batch surface the static source drives: one SecRec per
+// trapdoor, in order, exactly as a loop of single discoveries would issue.
+type perQuery struct{ s FanoutServer }
+
+func (p perQuery) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	ids := make([][]uint64, len(ts))
+	profiles := make([][][]byte, len(ts))
+	partial := false
+	for i, t := range ts {
+		var part bool
+		var err error
+		if ids[i], profiles[i], part, err = p.s.SecRec(ctx, t); err != nil {
+			return nil, nil, false, err
+		}
+		partial = partial || part
+	}
+	return ids, profiles, partial, nil
+}
+
+// fetchStatic is the static candidate source: one SecRecBatch exchange
+// resolving every trapdoor, then each answer decrypted. It closes the
+// span's fanout stage; the caller closes decrypt.
+func (f *Frontend) fetchStatic(ctx context.Context, pool FanoutBatchServer, tds []*core.Trapdoor, sp *obs.Span) ([]candidates, error) {
+	ids, encProfiles, partial, err := pool.SecRecBatch(ctx, tds)
+	if err != nil {
+		return nil, fmt.Errorf("frontend: discovery request: %w", err)
+	}
+	if len(ids) != len(tds) || len(encProfiles) != len(tds) {
+		return nil, fmt.Errorf("frontend: %d trapdoors answered with %d results", len(tds), len(ids))
+	}
+	sp.Mark("fanout", fmet.fanoutNs)
+	out := make([]candidates, len(tds))
+	err = parallelFor(len(tds), func(q int) error {
+		vecs, err := f.decryptProfiles(ids[q], encProfiles[q])
+		out[q] = candidates{ids: ids[q], vecs: vecs, partial: partial}
+		return err
+	})
+	return out, err
+}
+
+// dynLeg is one shard's read surface for a dynamic search.
+type dynLeg struct {
+	client *core.DynClient
+	store  core.BucketStore
+	fetch  ProfileFetcher
+}
+
+// dynLegs pairs shards[s] with nodes[s].
+func dynLegs(shards []DynShard, nodes []DynNode) ([]dynLeg, error) {
+	if len(shards) == 0 || len(shards) != len(nodes) {
+		return nil, fmt.Errorf("frontend: %d shards but %d nodes", len(shards), len(nodes))
+	}
+	legs := make([]dynLeg, len(shards))
+	for s := range shards {
+		legs[s] = dynLeg{client: shards[s].Client, store: nodes[s], fetch: nodes[s]}
+	}
+	return legs, nil
+}
+
+// fetchDynamic is the dynamic candidate source: every shard's client
+// searches its own bucket store and fetches the matching profiles there,
+// concurrently; answers merge in shard order and are decrypted. Failed
+// shards are skipped (partial); only all shards failing is an error. It
+// closes the span's fanout stage; the caller closes decrypt.
+func (f *Frontend) fetchDynamic(legs []dynLeg, meta lsh.Metadata, sp *obs.Span) (candidates, error) {
+	shardIDs := make([][]uint64, len(legs))
+	shardProfiles := make([][][]byte, len(legs))
+	errs := perShard(len(legs), func(s int) (err error) {
+		if shardIDs[s], err = legs[s].client.Search(legs[s].store, meta); err == nil {
+			shardProfiles[s], err = legs[s].fetch.FetchProfiles(shardIDs[s])
+		}
+		return err
+	})
+	var ids []uint64
+	var encProfiles [][]byte
+	var firstErr error
+	failed := 0
+	for s, err := range errs {
+		if err != nil {
+			failed++
+			if firstErr == nil {
+				firstErr = fmt.Errorf("shard %d: %w", s, err)
+			}
+			continue
+		}
+		ids = append(ids, shardIDs[s]...)
+		encProfiles = append(encProfiles, shardProfiles[s]...)
+	}
+	if failed == len(legs) {
+		return candidates{}, fmt.Errorf("frontend: dynamic search: all %d shards failed: %w", len(legs), firstErr)
+	}
+	sp.Mark("fanout", fmet.fanoutNs)
+	vecs, err := f.decryptProfiles(ids, encProfiles)
+	return candidates{ids: ids, vecs: vecs, partial: failed > 0}, err
+}
+
+// decryptProfiles is the pipeline's one decrypt step, parallel across
+// candidates. The frontend is trusted and holds KS, so plaintext in its
+// memory adds no leakage — which lets the result cache store the output
+// and spare every hit the per-candidate MAC + AES work.
+func (f *Frontend) decryptProfiles(ids []uint64, encProfiles [][]byte) ([][]float64, error) {
+	if len(ids) != len(encProfiles) {
+		return nil, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(encProfiles))
+	}
+	vecs := make([][]float64, len(ids))
+	err := parallelFor(len(ids), func(i int) error {
+		s, err := crypt.DecProfile(f.keys.KS, encProfiles[i])
+		if err != nil {
+			return fmt.Errorf("frontend: decrypt match %d: %w", ids[i], err)
+		}
+		vecs[i] = s
+		return nil
+	})
+	return vecs, err
+}
+
+// rank is GetRec's ordering step: exact Euclidean distance to the target,
+// top-k. Candidates reach the heap in candidate order, so the output is
+// deterministic — and identical across routes — even when distances tie.
+func rank(target []float64, c candidates, k int, excludeID uint64) []Match {
+	tk := vec.NewTopK(k)
+	for i, id := range c.ids {
+		if excludeID != 0 && id == excludeID {
+			continue
+		}
+		tk.Offer(id, vec.Distance(target, c.vecs[i]))
+	}
+	scored := tk.Sorted()
+	out := make([]Match, len(scored))
+	for i, s := range scored {
+		out[i] = Match{ID: s.ID, Distance: s.Score}
+	}
+	return out
+}
+
+// finish is the tail every route shares: close the decrypt stage, rank
+// each query (across CPUs when there are several), close the span into
+// the route's end-to-end histogram, count. excludeIDs may be nil.
+func finish(sp *obs.Span, total *obs.Histogram, targets [][]float64, cands []candidates, k int, excludeIDs []uint64) (matches [][]Match, partial bool) {
+	sp.Mark("decrypt", fmet.decryptNs)
+	matches = make([][]Match, len(targets))
+	// rank cannot fail, so neither can the fan-out over it.
+	_ = parallelFor(len(targets), func(q int) error {
+		var exclude uint64
+		if excludeIDs != nil {
+			exclude = excludeIDs[q]
+		}
+		matches[q] = rank(targets[q], cands[q], k, exclude)
+		return nil
+	})
+	sp.Mark("rank", fmet.rankNs)
+	sp.Finish(total)
+	fmet.discoveries.Add(int64(len(targets)))
+	for _, c := range cands {
+		partial = partial || c.partial
+	}
+	if partial {
+		fmet.partials.Inc()
+	}
+	return matches, partial
+}
+
+// finishOne is finish for a single query.
+func finishOne(sp *obs.Span, total *obs.Histogram, target []float64, c candidates, k int, excludeID uint64) ([]Match, bool) {
+	matches, partial := finish(sp, total, [][]float64{target}, []candidates{c}, k, []uint64{excludeID})
+	return matches[0], partial
+}

@@ -84,16 +84,9 @@ func (sb *SegmentBuilder) AddUploads(uploads []Upload) ([][]byte, error) {
 	if len(uploads) == 0 {
 		return nil, nil
 	}
-	items := make([]core.Item, len(uploads))
-	for i, u := range uploads {
-		meta := u.Meta
-		if meta == nil {
-			if len(u.Profile) != sb.f.cfg.LSH.Dim {
-				return nil, fmt.Errorf("frontend: upload %d profile dim %d, want %d", u.ID, len(u.Profile), sb.f.cfg.LSH.Dim)
-			}
-			meta = sb.f.family.Hash(u.Profile)
-		}
-		items[i] = core.Item{ID: u.ID, Meta: meta}
+	items, _, err := sb.f.prepare(uploads, false)
+	if err != nil {
+		return nil, err
 	}
 	if err := sb.b.Add(items); err != nil {
 		if errors.Is(err, core.ErrNeedRehash) {

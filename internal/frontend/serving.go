@@ -48,7 +48,7 @@ func DefaultServingConfig() ServingConfig {
 // §15). Safe for concurrent use.
 type Serving struct {
 	f     *Frontend
-	co    *Coalescer
+	fan   FanoutServer // NewServing: the Coalescer; DiscoverSharded: the bare fan-out
 	cache *ResultCache
 	gate  *AdmissionGate
 }
@@ -62,7 +62,7 @@ func (f *Frontend) NewServing(pool FanoutBatchServer, cfg ServingConfig) (*Servi
 	}
 	return &Serving{
 		f:     f,
-		co:    NewCoalescer(pool, cfg.MaxBatch, cfg.Window),
+		fan:   NewCoalescer(pool, cfg.MaxBatch, cfg.Window),
 		cache: NewResultCache(cfg.CacheEntries),
 		gate:  NewAdmissionGate(cfg.MaxInflight),
 	}, nil
@@ -83,47 +83,23 @@ func (s *Serving) Discover(ctx context.Context, targetProfile []float64, k int, 
 	}
 	defer s.gate.Release()
 	var sp obs.Span
-	sp.Start()
+	sp.StartTraced(obs.TraceFrom(ctx))
 	td, err := s.f.Trapdoor(targetProfile)
 	if err != nil {
 		return nil, false, err
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
-	key := trapdoorKey(td)
-	if ids, vecs, ok := s.cache.Get(key); ok {
-		fmet.cacheHits.Inc()
-		matches, err := s.f.rankPlain(targetProfile, ids, vecs, k, excludeID, &sp)
+	c, err := s.cache.lookup(trapdoorKey(td), nil, func() (candidates, error) {
+		cands, err := s.f.fetchStatic(ctx, perQuery{s.fan}, []*core.Trapdoor{td}, &sp)
 		if err != nil {
-			return nil, false, err
+			return candidates{}, err
 		}
-		sp.Finish(fmet.discoverNs)
-		fmet.discoveries.Inc()
-		return matches, false, nil
-	}
-	fmet.cacheMisses.Inc()
-	ids, encProfiles, partial, err := s.co.SecRec(ctx, td)
-	if err != nil {
-		return nil, false, fmt.Errorf("frontend: serving discovery request: %w", err)
-	}
-	sp.Mark("fanout", fmet.fanoutNs)
-	vecs, err := s.f.decryptProfiles(ids, encProfiles)
+		return cands[0], nil
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	if !partial {
-		// Partial answers are never cached: a recovered shard must not be
-		// masked by a degraded cached result.
-		s.cache.Put(key, nil, ids, vecs)
-	}
-	matches, err := s.f.rankPlain(targetProfile, ids, vecs, k, excludeID, &sp)
-	if err != nil {
-		return nil, false, err
-	}
-	sp.Finish(fmet.discoverNs)
-	fmet.discoveries.Inc()
-	if partial {
-		fmet.partials.Inc()
-	}
+	matches, partial := finishOne(&sp, fmet.discoverNs, targetProfile, c, k, excludeID)
 	return matches, partial, nil
 }
 
@@ -153,6 +129,8 @@ type DynServing struct {
 	f      *Frontend
 	shards []DynShard
 	nodes  []DynNode
+	legs   []dynLeg  // shards[s] paired with nodes[s]: the search fan-out
+	writes []DynNode // nodes behind the cache-invalidation hook: the update path
 	owner  func(uint64) int
 	cache  *ResultCache
 	gate   *AdmissionGate
@@ -172,18 +150,26 @@ type DynServing struct {
 // NewDynServing builds the cached dynamic serving path. shards[s] must
 // pair with nodes[s]; a nil owner means core.DefaultOwner.
 func (f *Frontend) NewDynServing(shards []DynShard, nodes []DynNode, owner func(uint64) int, cfg ServingConfig) (*DynServing, error) {
-	if len(shards) == 0 || len(shards) != len(nodes) {
-		return nil, fmt.Errorf("frontend: %d shards but %d nodes", len(shards), len(nodes))
+	legs, err := dynLegs(shards, nodes)
+	if err != nil {
+		return nil, err
 	}
 	if owner == nil {
 		owner = core.DefaultOwner(len(shards))
+	}
+	cache := NewResultCache(cfg.CacheEntries)
+	writes := make([]DynNode, len(nodes))
+	for i, n := range nodes {
+		writes[i] = invalidatingNode{DynNode: n, cache: cache}
 	}
 	return &DynServing{
 		f:      f,
 		shards: shards,
 		nodes:  nodes,
+		legs:   legs,
+		writes: writes,
 		owner:  owner,
-		cache:  NewResultCache(cfg.CacheEntries),
+		cache:  cache,
 		gate:   NewAdmissionGate(cfg.MaxInflight),
 	}, nil
 }
@@ -204,37 +190,28 @@ func (s *DynServing) Search(targetProfile []float64, k int, excludeID uint64) ([
 	defer s.gate.Release()
 	s.churn.RLock()
 	defer s.churn.RUnlock()
-	meta := s.f.family.Hash(targetProfile)
-	refs, err := s.shards[0].Client.Refs(meta)
+	var sp obs.Span
+	sp.Start()
+	c, err := s.candidates(s.f.family.Hash(targetProfile), &sp)
 	if err != nil {
 		return nil, false, err
 	}
-	key := refsKey(refs)
-	if ids, vecs, ok := s.cache.Get(key); ok {
-		fmet.cacheHits.Inc()
-		matches, err := s.f.rankPlain(targetProfile, ids, vecs, k, excludeID, nil)
-		return matches, false, err
-	}
-	fmet.cacheMisses.Inc()
-	ids, encProfiles, partial, err := s.f.dynSearchMerged(s.shards, s.nodes, meta)
-	if err != nil {
-		return nil, false, err
-	}
-	vecs, err := s.f.decryptProfiles(ids, encProfiles)
-	if err != nil {
-		return nil, false, err
-	}
-	if !partial {
-		s.cache.Put(key, refs, ids, vecs)
-	}
-	matches, err := s.f.rankPlain(targetProfile, ids, vecs, k, excludeID, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if partial {
-		fmet.partials.Inc()
-	}
+	matches, partial := finishOne(&sp, fmet.dynNs, targetProfile, c, k, excludeID)
 	return matches, partial, nil
+}
+
+// candidates is the cache-integrated candidate fetch shared by Search and
+// subscription seeding, keyed on the bucket references the cloud would
+// observe: a hit costs zero cloud traffic. Callers hold churn.
+func (s *DynServing) candidates(meta lsh.Metadata, sp *obs.Span) (candidates, error) {
+	refs, err := s.legs[0].client.Refs(meta)
+	if err != nil {
+		return candidates{}, err
+	}
+	sp.Mark("trapdoor", fmet.trapdoorNs)
+	return s.cache.lookup(refsKey(refs), refs, func() (candidates, error) {
+		return s.f.fetchDynamic(s.legs, meta, sp)
+	})
 }
 
 // Insert routes a dynamic insertion to the owning shard with the cache
@@ -244,7 +221,7 @@ func (s *DynServing) Search(targetProfile []float64, k int, excludeID uint64) ([
 func (s *DynServing) Insert(id uint64, profile []float64) error {
 	s.churn.Lock()
 	defer s.churn.Unlock()
-	if err := s.f.DynInsertSharded(s.shards, s.invalidatingNodes(), s.owner, id, profile); err != nil {
+	if err := s.f.DynInsertSharded(s.shards, s.writes, s.owner, id, profile); err != nil {
 		return err
 	}
 	s.notifyInsert(id, profile)
@@ -258,21 +235,11 @@ func (s *DynServing) Insert(id uint64, profile []float64) error {
 func (s *DynServing) Delete(id uint64, profile []float64) error {
 	s.churn.Lock()
 	defer s.churn.Unlock()
-	if err := s.f.DynDeleteSharded(s.shards, s.invalidatingNodes(), s.owner, id, profile); err != nil {
+	if err := s.f.DynDeleteSharded(s.shards, s.writes, s.owner, id, profile); err != nil {
 		return err
 	}
 	s.notifyDelete(id)
 	return nil
-}
-
-// invalidatingNodes wraps every node so StoreBuckets invalidates the
-// cache entries whose read set intersects the written refs.
-func (s *DynServing) invalidatingNodes() []DynNode {
-	out := make([]DynNode, len(s.nodes))
-	for i, n := range s.nodes {
-		out[i] = invalidatingNode{DynNode: n, cache: s.cache}
-	}
-	return out
 }
 
 // invalidatingNode decorates a DynNode: every bucket write first drops
@@ -285,50 +252,4 @@ type invalidatingNode struct {
 func (n invalidatingNode) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
 	n.cache.InvalidateRefs(refs)
 	return n.DynNode.StoreBuckets(refs, buckets)
-}
-
-// dynSearchMerged is DynSearchSharded up to (but not including) ranking:
-// it returns the merged candidate ids and encrypted profiles, which is
-// the cacheable unit (one entry serves every k and excludeID).
-func (f *Frontend) dynSearchMerged(shards []DynShard, nodes []DynNode, meta lsh.Metadata) (ids []uint64, encProfiles [][]byte, partial bool, err error) {
-	type result struct {
-		ids      []uint64
-		profiles [][]byte
-		err      error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	for s := range shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := &results[s]
-			sids, err := shards[s].Client.Search(nodes[s], meta)
-			if err != nil {
-				r.err = err
-				return
-			}
-			r.ids = sids
-			r.profiles, r.err = nodes[s].FetchProfiles(sids)
-		}(s)
-	}
-	wg.Wait()
-
-	var firstErr error
-	failed := 0
-	for s, r := range results {
-		if r.err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", s, r.err)
-			}
-			continue
-		}
-		ids = append(ids, r.ids...)
-		encProfiles = append(encProfiles, r.profiles...)
-	}
-	if failed == len(shards) {
-		return nil, nil, false, fmt.Errorf("frontend: sharded dynamic search: all %d shards failed: %w", len(shards), firstErr)
-	}
-	return ids, encProfiles, failed > 0, nil
 }

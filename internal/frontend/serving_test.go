@@ -19,33 +19,11 @@ import (
 )
 
 // servingFixture builds a 2-shard local deployment and returns the
-// frontend, dataset, uploads and the shard pool.
-func servingFixture(t *testing.T, n int) (*Frontend, []Upload, *shard.Pool, [][]float64) {
+// frontend, the shard pool and the population's profiles.
+func servingFixture(t *testing.T, n int) (*Frontend, *shard.Pool, [][]float64) {
 	t.Helper()
-	f, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := testPopulation(t, n)
-	ups := uploadsFrom(ds, f)
-	shards, err := f.BuildShardedIndex(ups, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]shard.Node, len(shards))
-	for s := range nodes {
-		nodes[s] = shard.NewLocal(cloud.New())
-	}
-	pool, err := shard.NewPool(shard.DefaultConfig(), nodes...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, sh := range shards {
-		if err := pool.InstallShard(s, sh.Index, sh.EncProfiles); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return f, ups, pool, ds.Profiles
+	d := newStaticDeployment(t, n, 2)
+	return d.f, d.pool, d.profiles
 }
 
 // TestServingCoalescerEquivalence is the coalescer's headline contract:
@@ -55,7 +33,7 @@ func servingFixture(t *testing.T, n int) (*Frontend, []Upload, *shard.Pool, [][]
 // this double as the coalescer's concurrency check.
 func TestServingCoalescerEquivalence(t *testing.T) {
 	const n, k, queries = 400, 7, 24
-	f, _, pool, profiles := servingFixture(t, n)
+	f, pool, profiles := servingFixture(t, n)
 
 	targets := make([][]float64, queries)
 	excludes := make([]uint64, queries)
@@ -217,7 +195,7 @@ func (c *countingFanout) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (
 // and byte-identical matches.
 func TestServingCacheSkipsCloud(t *testing.T) {
 	const n, k = 400, 5
-	f, _, pool, profiles := servingFixture(t, n)
+	f, pool, profiles := servingFixture(t, n)
 	cf := &countingFanout{inner: pool}
 	serving, err := f.NewServing(cf, ServingConfig{CacheEntries: 16})
 	if err != nil {

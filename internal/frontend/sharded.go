@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"pisd/internal/core"
-	"pisd/internal/obs"
 )
 
 // Shard is one cloud shard's installable state: the partitioned secure
@@ -96,22 +94,11 @@ func (f *Frontend) BuildShardedDynamicIndex(uploads []Upload, shards int, owner 
 	}
 
 	out := make([]DynShard, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			idx, client, err := core.BuildDynamic(f.keys, parts[s], p)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			out[s] = DynShard{Index: idx, Client: client, EncProfiles: make(map[uint64][]byte)}
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
+	for s, err := range perShard(shards, func(s int) error {
+		idx, client, err := core.BuildDynamic(f.keys, parts[s], p)
+		out[s] = DynShard{Index: idx, Client: client, EncProfiles: make(map[uint64][]byte)}
+		return err
+	}) {
 		if err != nil {
 			return nil, fmt.Errorf("frontend: build dynamic shard %d: %w", s, err)
 		}
@@ -137,94 +124,11 @@ type FanoutServer interface {
 	SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, partial bool, err error)
 }
 
-// DiscoverSharded runs the discovery flow against a sharded cloud tier:
-// trapdoor → concurrent SecRec fan-out → decrypt → exact distance ranking.
-// partial reports that one or more shards were unreachable and the
-// recommendations cover only the surviving shards' users. For the same
-// dataset and keys the non-partial result is identical to Discover against
-// a single cloud node.
-func (f *Frontend) DiscoverSharded(ctx context.Context, pool FanoutServer, targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
-	matches, partial, _, err := f.discoverSharded(ctx, pool, targetProfile, k, excludeID, nil)
-	return matches, partial, err
-}
-
-// DiscoverShardedTraced is DiscoverSharded returning a per-query trace
-// with the latency of each stage (trapdoor, fanout, decrypt, rank).
-func (f *Frontend) DiscoverShardedTraced(ctx context.Context, pool FanoutServer, targetProfile []float64, k int, excludeID uint64) ([]Match, bool, *obs.Trace, error) {
-	return f.discoverSharded(ctx, pool, targetProfile, k, excludeID, obs.NewTrace("discover_sharded"))
-}
-
-func (f *Frontend) discoverSharded(ctx context.Context, pool FanoutServer, targetProfile []float64, k int, excludeID uint64, tr *obs.Trace) ([]Match, bool, *obs.Trace, error) {
-	var sp obs.Span
-	sp.StartTraced(tr)
-	td, err := f.Trapdoor(targetProfile)
-	if err != nil {
-		return nil, false, tr, err
-	}
-	sp.Mark("trapdoor", fmet.trapdoorNs)
-	ids, encProfiles, partial, err := pool.SecRec(ctx, td)
-	if err != nil {
-		return nil, false, tr, fmt.Errorf("frontend: sharded discovery request: %w", err)
-	}
-	sp.Mark("fanout", fmet.fanoutNs)
-	matches, err := f.rankSpanned(targetProfile, ids, encProfiles, k, excludeID, &sp)
-	if err != nil {
-		return nil, false, tr, err
-	}
-	sp.Finish(fmet.discoverNs)
-	fmet.discoveries.Inc()
-	if partial {
-		fmet.partials.Inc()
-	}
-	return matches, partial, tr, nil
-}
-
 // FanoutBatchServer is the sharded cloud surface for batched static
 // discovery: one fan-out resolving q trapdoors with a single call per
 // shard, partial when some shards are down. shard.Pool implements it.
 type FanoutBatchServer interface {
 	SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, partial bool, err error)
-}
-
-// DiscoverShardedBatch runs batched discovery against a sharded cloud
-// tier: parallel trapdoor generation → one SecRecBatch call per shard →
-// per-query decrypt/rank fanned out across CPUs. Result q is byte-identical
-// to DiscoverSharded(ctx, pool, targets[q], k, excludeIDs[q]) over the same
-// set of healthy shards; partial reports that one or more shards were
-// skipped for the whole batch. excludeIDs may be nil, or aligned with
-// targets (0 = no exclusion).
-func (f *Frontend) DiscoverShardedBatch(ctx context.Context, pool FanoutBatchServer, targets [][]float64, k int, excludeIDs []uint64) ([][]Match, bool, error) {
-	if len(targets) == 0 {
-		return nil, false, fmt.Errorf("frontend: no targets")
-	}
-	if excludeIDs != nil && len(excludeIDs) != len(targets) {
-		return nil, false, fmt.Errorf("frontend: %d targets but %d exclude ids", len(targets), len(excludeIDs))
-	}
-	var sp obs.Span
-	sp.Start()
-	tds, err := f.Trapdoors(targets)
-	if err != nil {
-		return nil, false, err
-	}
-	sp.Mark("trapdoor", fmet.trapdoorNs)
-	ids, encProfiles, partial, err := pool.SecRecBatch(ctx, tds)
-	if err != nil {
-		return nil, false, fmt.Errorf("frontend: sharded batched discovery request: %w", err)
-	}
-	if len(ids) != len(targets) || len(encProfiles) != len(targets) {
-		return nil, false, fmt.Errorf("frontend: batch of %d queries answered with %d results", len(targets), len(ids))
-	}
-	sp.Mark("fanout", fmet.fanoutNs)
-	matches, err := f.rankBatch(targets, ids, encProfiles, k, excludeIDs)
-	if err != nil {
-		return nil, false, err
-	}
-	sp.Finish(fmet.batchNs)
-	fmet.batches.Inc()
-	if partial {
-		fmet.partials.Inc()
-	}
-	return matches, partial, nil
 }
 
 // DynNode is the per-shard cloud surface sharded dynamic operations
@@ -235,71 +139,6 @@ type DynNode interface {
 	ProfileFetcher
 	PutProfiles(profiles map[uint64][]byte) error
 	DeleteProfile(id uint64) error
-}
-
-// DynSearchSharded fans a dynamic search across all shards concurrently:
-// every shard's client searches its own bucket store, the matching
-// encrypted profiles are fetched from that shard, and the merged
-// candidates are distance-ranked. Shards that fail are skipped and the
-// result is flagged partial; an error is returned only when every shard
-// fails. shards[s] must pair with nodes[s].
-func (f *Frontend) DynSearchSharded(shards []DynShard, nodes []DynNode, targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
-	if len(shards) == 0 || len(shards) != len(nodes) {
-		return nil, false, fmt.Errorf("frontend: %d shards but %d nodes", len(shards), len(nodes))
-	}
-	var sp obs.Span
-	sp.Start()
-	meta := f.family.Hash(targetProfile)
-	type result struct {
-		ids      []uint64
-		profiles [][]byte
-		err      error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	for s := range shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := &results[s]
-			ids, err := shards[s].Client.Search(nodes[s], meta)
-			if err != nil {
-				r.err = err
-				return
-			}
-			r.ids = ids
-			r.profiles, r.err = nodes[s].FetchProfiles(ids)
-		}(s)
-	}
-	wg.Wait()
-
-	var ids []uint64
-	var encProfiles [][]byte
-	var firstErr error
-	failed := 0
-	for s, r := range results {
-		if r.err != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", s, r.err)
-			}
-			continue
-		}
-		ids = append(ids, r.ids...)
-		encProfiles = append(encProfiles, r.profiles...)
-	}
-	if failed == len(shards) {
-		return nil, false, fmt.Errorf("frontend: sharded dynamic search: all %d shards failed: %w", len(shards), firstErr)
-	}
-	matches, err := f.rank(targetProfile, ids, encProfiles, k, excludeID)
-	if err != nil {
-		return nil, false, err
-	}
-	sp.Finish(fmet.dynNs)
-	if failed > 0 {
-		fmet.partials.Inc()
-	}
-	return matches, failed > 0, nil
 }
 
 // DynInsertSharded routes a dynamic insertion to the owning shard: the

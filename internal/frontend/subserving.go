@@ -1,8 +1,8 @@
 package frontend
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"pisd/internal/core"
 	"pisd/internal/lsh"
@@ -49,13 +49,16 @@ func (s *DynServing) Subscribe(subID uint64, profile []float64, k int) ([]subs.E
 	if err != nil {
 		return nil, err
 	}
-	ids, vecs, err := s.seedSearch(profile, meta)
+	c, err := s.candidates(meta, nil)
+	if err == nil && c.partial {
+		err = errors.New("frontend: degraded to partial view")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("frontend: subscription %d seed search: %w", subID, err)
 	}
-	seed := make(map[uint64]float64, len(ids))
-	for i, id := range ids {
-		seed[id] = vec.Distance(profile, vecs[i])
+	seed := make(map[uint64]float64, len(c.ids))
+	for i, id := range c.ids {
+		seed[id] = vec.Distance(profile, c.vecs[i])
 	}
 	return s.subsm.Register(subID, k, profile, subID, refs, seed)
 }
@@ -66,35 +69,6 @@ func (s *DynServing) Unsubscribe(subID uint64) bool {
 		return false
 	}
 	return s.subsm.Unsubscribe(subID)
-}
-
-// seedSearch is the cache-integrated candidate fetch of Search, pre-rank:
-// a hit replays the cached plaintext candidates with zero cloud traffic,
-// a miss runs the sharded search and fills the cache. Callers hold churn.
-func (s *DynServing) seedSearch(profile []float64, meta lsh.Metadata) ([]uint64, [][]float64, error) {
-	refs0, err := s.shards[0].Client.Refs(meta)
-	if err != nil {
-		return nil, nil, err
-	}
-	key := refsKey(refs0)
-	if ids, vecs, ok := s.cache.Get(key); ok {
-		fmet.cacheHits.Inc()
-		return ids, vecs, nil
-	}
-	fmet.cacheMisses.Inc()
-	ids, encProfiles, partial, err := s.f.dynSearchMerged(s.shards, s.nodes, meta)
-	if err != nil {
-		return nil, nil, err
-	}
-	if partial {
-		return nil, nil, fmt.Errorf("frontend: degraded to partial view")
-	}
-	vecs, err := s.f.decryptProfiles(ids, encProfiles)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.cache.Put(key, refs0, ids, vecs)
-	return ids, vecs, nil
 }
 
 // subRefs computes meta's standing read set on every shard: each shard's
@@ -170,7 +144,7 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	byShard := make(map[int][]uint64)
+	byShard := make([][]uint64, len(s.nodes))
 	for _, id := range ids {
 		sh, err := routeShard(s.shards, s.nodes, s.owner, id)
 		if err != nil {
@@ -178,42 +152,35 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 		}
 		byShard[sh] = append(byShard[sh], id)
 	}
-	var mu sync.Mutex
-	profiles := make(map[uint64][]float64, len(ids))
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.nodes))
-	for sh, shardIDs := range byShard {
-		wg.Add(1)
-		go func(sh int, shardIDs []uint64) {
-			defer wg.Done()
-			cts, err := fetchProfilesSparse(s.nodes[sh], shardIDs)
-			if err != nil {
-				errs[sh] = fmt.Errorf("frontend: rescore fetch shard %d: %w", sh, err)
-				return
-			}
-			for i, ct := range cts {
-				if i >= len(shardIDs) {
-					break
-				}
-				if len(ct) == 0 {
-					continue // deleted group-wide: drop below
-				}
-				p, err := s.f.DecryptProfile(ct)
-				if err != nil {
-					errs[sh] = fmt.Errorf("frontend: rescore decrypt %d: %w", shardIDs[i], err)
-					return
-				}
-				mu.Lock()
-				profiles[shardIDs[i]] = p
-				mu.Unlock()
-			}
-		}(sh, shardIDs)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
+	cts := make([][][]byte, len(s.nodes))
+	for sh, err := range perShard(len(s.nodes), func(sh int) (err error) {
+		if len(byShard[sh]) > 0 {
+			cts[sh], err = fetchProfilesSparse(s.nodes[sh], byShard[sh])
 		}
+		return err
+	}) {
+		if err != nil {
+			return 0, fmt.Errorf("frontend: rescore fetch shard %d: %w", sh, err)
+		}
+	}
+	var live []uint64
+	var liveCts [][]byte
+	for sh, shardIDs := range byShard {
+		for i, ct := range cts[sh] {
+			// An empty slot is a profile deleted group-wide: dropped below.
+			if i < len(shardIDs) && len(ct) > 0 {
+				live = append(live, shardIDs[i])
+				liveCts = append(liveCts, ct)
+			}
+		}
+	}
+	vecs, err := s.f.decryptProfiles(live, liveCts)
+	if err != nil {
+		return 0, fmt.Errorf("frontend: rescore: %w", err)
+	}
+	profiles := make(map[uint64][]float64, len(live))
+	for i, id := range live {
+		profiles[id] = vecs[i]
 	}
 	return s.subsm.Rescore(profiles), nil
 }

@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -570,6 +571,22 @@ type Trace struct {
 
 // NewTrace returns an empty trace for the named operation.
 func NewTrace(op string) *Trace { return &Trace{Op: op} }
+
+type traceKey struct{}
+
+// WithTrace returns a context carrying tr: any instrumented operation run
+// under it records its stages into tr (sp.StartTraced(TraceFrom(ctx))).
+// One trace follows one operation — it is single-goroutine state.
+func WithTrace(ctx context.Context, tr *Trace) context.Context {
+	return context.WithValue(ctx, traceKey{}, tr)
+}
+
+// TraceFrom returns the trace ctx carries, or nil (the no-op trace) when
+// it carries none. The lookup does not allocate.
+func TraceFrom(ctx context.Context) *Trace {
+	tr, _ := ctx.Value(traceKey{}).(*Trace)
+	return tr
+}
 
 func (t *Trace) add(name string, d time.Duration) {
 	if t != nil {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -203,9 +204,22 @@ func TestSpanAndTrace(t *testing.T) {
 	hB := r.Histogram("stage_b")
 	hT := r.Histogram("total")
 
+	// The trace rides a context; a context without one yields the nil
+	// (no-op) trace without allocating.
 	tr := NewTrace("discover")
+	ctx := WithTrace(context.Background(), tr)
+	if TraceFrom(ctx) != tr {
+		t.Fatal("TraceFrom did not return the carried trace")
+	}
+	bare := context.Background()
+	if TraceFrom(bare) != nil {
+		t.Fatal("TraceFrom invented a trace")
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = TraceFrom(bare) }); a != 0 {
+		t.Fatalf("TraceFrom allocates %v times without a trace", a)
+	}
 	var sp Span
-	sp.StartTraced(tr)
+	sp.StartTraced(TraceFrom(ctx))
 	time.Sleep(2 * time.Millisecond)
 	sp.Mark("a", hA)
 	time.Sleep(1 * time.Millisecond)

@@ -96,8 +96,8 @@ func TestStageLatencyReport(t *testing.T) {
 		{"trapdoor generation", "frontend.trapdoor"},
 		{"cloud exchange (fan-out)", "frontend.fanout"},
 		{"— of which server SecRec", "cloud.secrec"},
-		{"profile decrypt + distances", "frontend.decrypt"},
-		{"top-k ranking", "frontend.rank"},
+		{"profile decrypt", "frontend.decrypt"},
+		{"distances + top-k ranking", "frontend.rank"},
 		{"end-to-end discovery", "frontend.discover"},
 	}
 	t.Logf("per-stage latency over %d discoveries (n=%d, dim=%d, TCP loopback):", nQueries, nUsers, dim)

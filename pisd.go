@@ -198,7 +198,8 @@ type (
 	MetricsRegistry = obs.Registry
 	// MetricsSnapshot is a point-in-time metrics capture with Diff/Flatten.
 	MetricsSnapshot = obs.Snapshot
-	// QueryTrace is one discovery's per-stage latency breakdown.
+	// QueryTrace is one discovery's per-stage latency breakdown; attach
+	// one to a query with WithQueryTrace.
 	QueryTrace = obs.Trace
 )
 
@@ -215,6 +216,10 @@ var (
 	DialCloud = transport.Dial
 	// NewSocialGraph returns an empty friendship graph.
 	NewSocialGraph = fof.NewGraph
+	// BoostFoF is the friend-of-friend stage (Sec. III-C): it re-orders
+	// the matches of any discovery route, promoting friends-of-friends of
+	// the target user, and cuts to k. It makes no cloud call.
+	BoostFoF = frontend.BoostFoF
 	// NewSharingAuthority creates a per-user sharing authority.
 	NewSharingAuthority = sharing.NewAuthority
 	// RenderTopicImage procedurally renders one image of a topic class.
@@ -273,6 +278,13 @@ var (
 	// MetricsHandler builds the observability http.Handler without
 	// binding a listener.
 	MetricsHandler = obs.Handler
+	// NewQueryTrace returns an empty trace for the named operation.
+	NewQueryTrace = obs.NewTrace
+	// WithQueryTrace returns a context carrying a trace: the discovery
+	// run under it (DiscoverSharded, DiscoverShardedBatch,
+	// Serving.Discover) records its trapdoor / fanout / decrypt / rank
+	// stages and total into the trace. One trace follows one query.
+	WithQueryTrace = obs.WithTrace
 	// DefaultServingConfig is the standard serving-path operating point
 	// (16-query flushes, 200µs window, 256 inflight, 4096-entry cache).
 	DefaultServingConfig = frontend.DefaultServingConfig

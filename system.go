@@ -66,9 +66,14 @@ func (s *System) DiscoverFor(userID uint64, targetProfile []float64, k int) ([]M
 }
 
 // DiscoverFoF composes discovery with friend-of-friend boosting over a
-// social graph.
+// social graph: 2k distance-ranked matches re-ordered by BoostFoF and cut
+// to k.
 func (s *System) DiscoverFoF(graph *SocialGraph, userID uint64, targetProfile []float64, k int) ([]Match, error) {
-	return s.SF.DiscoverFoF(s.CS, graph, userID, targetProfile, k)
+	matches, err := s.DiscoverFor(userID, targetProfile, 2*k)
+	if err != nil {
+		return nil, err
+	}
+	return BoostFoF(graph, userID, matches, k), nil
 }
 
 // DiscoverGroups implements the paper's group-discovery application: it
