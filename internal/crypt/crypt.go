@@ -283,8 +283,26 @@ func EncFrom(key EncKey, plaintext []byte, random io.Reader) ([]byte, error) {
 	return out, nil
 }
 
+// Tag returns the encrypt-then-MAC tag that ends a ciphertext produced by
+// Enc. It authenticates IV‖C under the key-derived MAC key, so two
+// ciphertexts of one key that verify and carry equal tags are the same
+// ciphertext. ok is false when ct is too short to carry a tag.
+func Tag(ct []byte) (tag [MACSize]byte, ok bool) {
+	if len(ct) < Overhead {
+		return tag, false
+	}
+	copy(tag[:], ct[len(ct)-MACSize:])
+	return tag, true
+}
+
 // Dec decrypts a ciphertext produced by Enc, verifying its tag first.
 func Dec(key EncKey, ciphertext []byte) ([]byte, error) {
+	return decInto(nil, key, ciphertext)
+}
+
+// decInto is Dec writing the plaintext into buf's storage when it has the
+// capacity (a fresh allocation otherwise); the result aliases buf.
+func decInto(buf []byte, key EncKey, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < Overhead {
 		return nil, ErrCiphertextTooShort
 	}
@@ -301,7 +319,11 @@ func Dec(key EncKey, ciphertext []byte) ([]byte, error) {
 		mDecAuthFail.Inc()
 		return nil, ErrAuthentication
 	}
-	plaintext := make([]byte, len(body)-ivSize)
+	n := len(body) - ivSize
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	plaintext := buf[:n]
 	cipher.NewCTR(st.block, body[:ivSize]).XORKeyStream(plaintext, body[ivSize:])
 	return plaintext, nil
 }

@@ -277,6 +277,56 @@ func TestEncDecProfile(t *testing.T) {
 	}
 }
 
+// TestDecProfileScratchReuse decrypts profiles of shrinking and growing
+// sizes back to back: the pooled plaintext scratch must never leak one
+// profile's bytes into the next.
+func TestDecProfileScratchReuse(t *testing.T) {
+	ks := testKeys(t, 1)
+	for _, dim := range []int{64, 3, 0, 200, 1} {
+		s := make([]float64, dim)
+		for i := range s {
+			s[i] = float64(dim*1000 + i)
+		}
+		for _, enc := range []func(EncKey, []float64) ([]byte, error){EncProfile, EncProfileCompact} {
+			ct, err := enc(ks.KS, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecProfile(ks.KS, ct)
+			if err != nil || len(got) != dim {
+				t.Fatalf("dim %d: got %d entries, err %v", dim, len(got), err)
+			}
+			for i := range s {
+				if got[i] != s[i] {
+					t.Fatalf("dim %d entry %d: %v, want %v", dim, i, got[i], s[i])
+				}
+			}
+		}
+	}
+}
+
+func TestTag(t *testing.T) {
+	ks := testKeys(t, 1)
+	ct, err := Enc(ks.KS, []byte("profile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag, ok := Tag(ct)
+	if !ok || !bytes.Equal(tag[:], ct[len(ct)-MACSize:]) {
+		t.Fatalf("Tag = %x, %v; want the ciphertext's last %d bytes", tag, ok, MACSize)
+	}
+	again, err := Enc(ks.KS, []byte("profile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, _ := Tag(again); other == tag {
+		t.Fatal("two encryptions of one plaintext share a tag")
+	}
+	if _, ok := Tag(ct[:Overhead-1]); ok {
+		t.Fatal("Tag accepted a ciphertext too short to carry one")
+	}
+}
+
 // Property: Enc/Dec round-trips arbitrary payloads.
 func TestEncDecRoundTripProperty(t *testing.T) {
 	ks := testKeys(t, 1)

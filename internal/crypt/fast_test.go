@@ -2,6 +2,7 @@ package crypt
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -161,6 +162,25 @@ func TestFastPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// DecProfile allocates the returned vector (8 KB at dim 1000) but stages
+	// the equally large plaintext encoding in a pooled scratch. Gated in
+	// bytes, with headroom for the pool misses the race detector injects.
+	profCt, err := EncProfile(keys.KS, make([]float64, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := DecProfile(keys.KS, profCt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 12<<10 {
+		t.Errorf("DecProfile: %d bytes/op, want one 8 KB vector, not vector plus plaintext", got)
+	}
 	assertAllocs("DRBG.Fill", 0, func() { drbg.Fill(buf) })
 }
 

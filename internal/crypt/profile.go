@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // compactFlag marks a profile encoded with float32 entries. Profile
@@ -74,11 +75,19 @@ func EncProfileCompact(key EncKey, s []float64) ([]byte, error) {
 	return Enc(key, EncodeProfileCompact(s))
 }
 
+// plainScratchPool holds the plaintext staging buffers of DecProfile: the
+// decrypted encoding is decoded and dropped within the call, so only the
+// returned vector is allocated per profile.
+var plainScratchPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+
 // DecProfile decrypts and decodes a ciphertext produced by EncProfile.
 func DecProfile(key EncKey, ct []byte) ([]float64, error) {
-	pt, err := Dec(key, ct)
+	buf := plainScratchPool.Get().(*[]byte)
+	defer plainScratchPool.Put(buf)
+	pt, err := decInto(*buf, key, ct)
 	if err != nil {
 		return nil, err
 	}
+	*buf = pt
 	return DecodeProfile(pt)
 }

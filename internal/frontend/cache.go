@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"pisd/internal/core"
+	"pisd/internal/crypt"
 )
 
 // CacheKey identifies one result-cache entry: a digest of the exact bytes
@@ -52,17 +53,35 @@ func refsKey(refs []core.BucketRef) CacheKey {
 	return k
 }
 
+// profileTag addresses one plaintext profile by the encrypt-then-MAC tag
+// that ends its ciphertext S*. The tag authenticates IV‖C under the
+// k_s-derived MAC key, so equal tags mean the same ciphertext the frontend
+// already verified; a re-insert of an id under a new profile is a new
+// ciphertext and hence a new tag (DESIGN.md §15.1).
+type profileTag = [crypt.MACSize]byte
+
+// heldProfile is one profile-table slot: the vector decrypted and
+// authenticated the first time its tag was seen, and how many cache-entry
+// candidates list it.
+type heldProfile struct {
+	vec  []float64
+	refs int
+}
+
 // cacheEntry is one cached cloud answer: the candidate identifiers the
-// cloud returned and their profiles decrypted ONCE at fill time
-// (pre-rank, so one entry serves every k and excludeID), plus the bucket
-// references the answer was read from, for exact invalidation under
-// dynamic churn. Plaintext profiles live only in trusted-frontend
-// memory — the same trust domain as the keys — so caching them adds no
-// leakage while sparing every hit the per-candidate MAC + AES work.
+// cloud returned (pre-rank, so one entry serves every k and excludeID),
+// their profiles as references into the cache's profile table — tags[i]
+// names the slot, vecs[i] is that slot's vector, never a private copy —
+// plus the bucket references the answer was read from, for exact
+// invalidation under dynamic churn. Plaintext profiles live only in
+// trusted-frontend memory — the same trust domain as the keys — so caching
+// them adds no leakage while sparing every hit the per-candidate MAC + AES
+// work.
 type cacheEntry struct {
 	key  CacheKey
 	refs []core.BucketRef
 	ids  []uint64
+	tags []profileTag
 	vecs [][]float64
 }
 
@@ -72,14 +91,23 @@ type cacheEntry struct {
 // intersects a written batch, which the dynamic protocols make exact:
 // every mutation round (including each kick of an insert chain) re-seals
 // its full fetched batch through StoreBuckets, so hooking that call
-// covers every bucket a mutation can touch. A nil *ResultCache is the
-// disabled cache: Get always misses and Put is a no-op.
+// covers every bucket a mutation can touch.
+//
+// Under the entries sits one content-addressed plaintext profile table:
+// every distinct profile the live entries list is held once, keyed by its
+// ciphertext's tag and reference-counted by the candidates that list it. A
+// vector leaves the table with its last entry, so the table never holds
+// more than the entries pin and its bound is the entry bound.
+//
+// A nil *ResultCache is the disabled cache: Get always misses, Put is a
+// no-op and no profile is ever held.
 type ResultCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[CacheKey]*list.Element // values are *cacheEntry
-	lru     *list.List                 // front = most recently used
-	byRef   map[core.BucketRef]map[*cacheEntry]struct{}
+	mu       sync.Mutex
+	cap      int
+	entries  map[CacheKey]*list.Element // values are *cacheEntry
+	lru      *list.List                 // front = most recently used
+	byRef    map[core.BucketRef]map[*cacheEntry]struct{}
+	profiles map[profileTag]*heldProfile
 }
 
 // NewResultCache returns a cache bounded to max entries; max <= 0 returns
@@ -89,10 +117,11 @@ func NewResultCache(max int) *ResultCache {
 		return nil
 	}
 	return &ResultCache{
-		cap:     max,
-		entries: make(map[CacheKey]*list.Element),
-		lru:     list.New(),
-		byRef:   make(map[core.BucketRef]map[*cacheEntry]struct{}),
+		cap:      max,
+		entries:  make(map[CacheKey]*list.Element),
+		lru:      list.New(),
+		byRef:    make(map[core.BucketRef]map[*cacheEntry]struct{}),
+		profiles: make(map[profileTag]*heldProfile),
 	}
 }
 
@@ -114,12 +143,41 @@ func (c *ResultCache) Get(key CacheKey) (ids []uint64, vecs [][]float64, ok bool
 	return e.ids, e.vecs, true
 }
 
+// held resolves a cloud answer's ciphertexts against the profile table:
+// tags[i] is profile i's tag and vecs[i] is set to the vector already held
+// under it; reused counts the slots filled. An unseen tag, or a ciphertext
+// too short to carry one, leaves vecs[i] nil for the decrypt step. A nil
+// cache holds nothing and returns nil tags.
+func (c *ResultCache) held(encProfiles [][]byte, vecs [][]float64) (tags []profileTag, reused int) {
+	if c == nil {
+		return nil, 0
+	}
+	tags = make([]profileTag, len(encProfiles))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, ct := range encProfiles {
+		var ok bool
+		if tags[i], ok = crypt.Tag(ct); !ok {
+			continue
+		}
+		if h := c.profiles[tags[i]]; h != nil {
+			vecs[i] = h.vec
+			reused++
+		}
+	}
+	return tags, reused
+}
+
 // Put stores one decrypted cloud answer under key, recording refs as its
 // read set (nil refs means the entry never self-invalidates — correct
-// for the static index, which is immutable). Evicts least-recently-used
-// entries beyond the bound.
-func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, vecs [][]float64) {
-	if c == nil {
+// for the static index, which is immutable). tags[i] is the tag of the
+// ciphertext vecs[i] was decrypted from: a profile the table already holds
+// is adopted — vecs[i] is repointed at the table's vector and the caller's
+// copy dropped — so every entry references the one held copy. Evicts
+// least-recently-used entries beyond the bound. An answer whose slices
+// disagree in length is not stored.
+func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, tags []profileTag, vecs [][]float64) {
+	if c == nil || len(tags) != len(vecs) || len(ids) != len(vecs) {
 		return
 	}
 	c.mu.Lock()
@@ -128,7 +186,17 @@ func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, vec
 		// Refreshed answer for a key already present: replace in place.
 		c.remove(el.Value.(*cacheEntry))
 	}
-	e := &cacheEntry{key: key, refs: refs, ids: ids, vecs: vecs}
+	for i, tag := range tags {
+		h := c.profiles[tag]
+		if h == nil {
+			h = &heldProfile{vec: vecs[i]}
+			c.profiles[tag] = h
+			fmet.profHeld.Add(1)
+		}
+		h.refs++
+		vecs[i] = h.vec
+	}
+	e := &cacheEntry{key: key, refs: refs, ids: ids, tags: tags, vecs: vecs}
 	c.entries[key] = c.lru.PushFront(e)
 	for _, r := range refs {
 		set := c.byRef[r]
@@ -158,7 +226,7 @@ func (c *ResultCache) lookup(key CacheKey, refs []core.BucketRef, fill func() (c
 		return candidates{}, err
 	}
 	if !cands.partial {
-		c.Put(key, refs, cands.ids, cands.vecs)
+		c.Put(key, refs, cands.ids, cands.tags, cands.vecs)
 	}
 	return cands, nil
 }
@@ -184,8 +252,9 @@ func (c *ResultCache) InvalidateRefs(refs []core.BucketRef) int {
 	return dropped
 }
 
-// remove unlinks e from the LRU, the key map and the reverse ref index.
-// Callers hold c.mu.
+// remove unlinks e from the LRU, the key map and the reverse ref index,
+// and releases its profile references: a profile leaves the table with the
+// last entry listing it. Callers hold c.mu.
 func (c *ResultCache) remove(e *cacheEntry) {
 	el, ok := c.entries[e.key]
 	if !ok || el.Value.(*cacheEntry) != e {
@@ -201,6 +270,13 @@ func (c *ResultCache) remove(e *cacheEntry) {
 			}
 		}
 	}
+	for _, tag := range e.tags {
+		h := c.profiles[tag]
+		if h.refs--; h.refs == 0 {
+			delete(c.profiles, tag)
+			fmet.profHeld.Add(-1)
+		}
+	}
 }
 
 // Len returns the live entry count.
@@ -213,7 +289,7 @@ func (c *ResultCache) Len() int {
 	return c.lru.Len()
 }
 
-// Flush empties the cache.
+// Flush empties the cache and, with it, the profile table.
 func (c *ResultCache) Flush() {
 	if c == nil {
 		return
@@ -223,4 +299,6 @@ func (c *ResultCache) Flush() {
 	c.entries = make(map[CacheKey]*list.Element)
 	c.byRef = make(map[core.BucketRef]map[*cacheEntry]struct{})
 	c.lru.Init()
+	fmet.profHeld.Add(-int64(len(c.profiles)))
+	c.profiles = make(map[profileTag]*heldProfile)
 }

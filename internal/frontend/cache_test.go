@@ -1,0 +1,511 @@
+package frontend
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"pisd/internal/core"
+	"pisd/internal/crypt"
+	"pisd/internal/obs"
+)
+
+// The plaintext profile table under the result cache (DESIGN.md §15.1): one
+// vector per distinct ciphertext tag, reference-counted by the entries that
+// list it. These tests pin the table's invariants under every way an entry
+// comes and goes, and the decrypt step's accounting over it.
+
+func counter(name string) int64 { return obs.Default.Counter(name).Load() }
+
+// checkProfileTable asserts the table invariants on c: its keys are exactly
+// the tags live entries reference, each refcount is the number of
+// references, every entry vector is pointer-identical to the table's, and
+// the entry maps agree with the LRU. It returns the live key set.
+func checkProfileTable(t *testing.T, c *ResultCache) map[CacheKey]bool {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lru.Len() != len(c.entries) || c.lru.Len() > c.cap {
+		t.Fatalf("lru holds %d entries, key map %d, bound %d", c.lru.Len(), len(c.entries), c.cap)
+	}
+	live := make(map[CacheKey]bool)
+	refs := make(map[profileTag]int)
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		live[e.key] = true
+		if len(e.tags) != len(e.vecs) || len(e.ids) != len(e.vecs) {
+			t.Fatalf("entry %x: %d ids, %d tags, %d vecs", e.key[:4], len(e.ids), len(e.tags), len(e.vecs))
+		}
+		for i, tag := range e.tags {
+			refs[tag]++
+			h := c.profiles[tag]
+			if h == nil {
+				t.Fatalf("entry %x candidate %d: tag %x not in the table", e.key[:4], i, tag[:4])
+			}
+			if len(h.vec) == 0 || &e.vecs[i][0] != &h.vec[0] {
+				t.Fatalf("entry %x candidate %d: private copy, not the table's vector", e.key[:4], i)
+			}
+		}
+	}
+	if len(c.profiles) != len(refs) {
+		t.Fatalf("table holds %d profiles, live entries reference %d", len(c.profiles), len(refs))
+	}
+	for tag, h := range c.profiles {
+		if h.refs != refs[tag] {
+			t.Fatalf("tag %x: refcount %d, referenced %d times", tag[:4], h.refs, refs[tag])
+		}
+	}
+	return live
+}
+
+// modelEntry is the reference model's view of one cache entry.
+type modelEntry struct {
+	key  CacheKey
+	refs []core.BucketRef
+}
+
+// profileTableModel drives one seeded sequence of Put (fresh key, replace
+// in place, LRU eviction), Get, InvalidateRefs and Flush against a small
+// cache and a slice-backed reference LRU, checking the table invariants
+// and the live key set after every operation.
+func profileTableModel(t *testing.T, seed int64, ops int) {
+	const bound, keys, pool, buckets = 6, 14, 12, 9
+	rng := rand.New(rand.NewSource(seed))
+	c := NewResultCache(bound)
+	heldBase := fmet.profHeld.Load()
+	var model []modelEntry // front = most recently used
+
+	// Ciphertext p is all padding but its tag, which is all the table reads.
+	cts := make([][]byte, pool)
+	for p := range cts {
+		cts[p] = make([]byte, crypt.Overhead+8)
+		cts[p][len(cts[p])-1] = byte(p + 1)
+	}
+	drop := func(keep func(modelEntry) bool) {
+		kept := model[:0]
+		for _, m := range model {
+			if keep(m) {
+				kept = append(kept, m)
+			}
+		}
+		model = kept
+	}
+
+	for op := 0; op < ops; op++ {
+		var key CacheKey
+		key[0] = byte(rng.Intn(keys))
+		switch u := rng.Intn(100); {
+		case u < 60: // Put: one answer of 1..5 candidates, some repeated
+			n := 1 + rng.Intn(5)
+			ids := make([]uint64, n)
+			enc := make([][]byte, n)
+			for i := range enc {
+				p := rng.Intn(pool)
+				ids[i], enc[i] = uint64(p+1), cts[p]
+			}
+			vecs := make([][]float64, n)
+			tags, reused := c.held(enc, vecs)
+			for i := range vecs {
+				known := c.profiles[tags[i]] != nil
+				if (vecs[i] != nil) != known {
+					t.Fatalf("op %d: held filled=%v for a tag the table holds=%v", op, vecs[i] != nil, known)
+				}
+				if known {
+					reused--
+				}
+				if !known || rng.Intn(4) == 0 {
+					// An unseen tag, or a racing decrypt of a seen one: Put
+					// must adopt the table's copy over this private one.
+					vecs[i] = []float64{float64(ids[i])}
+				}
+			}
+			if reused != 0 {
+				t.Fatalf("op %d: held miscounted its reuses by %d", op, reused)
+			}
+			var refs []core.BucketRef
+			for r := rng.Intn(3); r > 0; r-- {
+				refs = append(refs, core.BucketRef{Table: 0, Pos: uint64(rng.Intn(buckets))})
+			}
+			c.Put(key, refs, ids, tags, vecs)
+			drop(func(m modelEntry) bool { return m.key != key })
+			model = append([]modelEntry{{key: key, refs: refs}}, model...)
+			if len(model) > bound {
+				model = model[:bound]
+			}
+		case u < 80: // Get promotes
+			_, _, ok := c.Get(key)
+			at := -1
+			for i, m := range model {
+				if m.key == key {
+					at = i
+				}
+			}
+			if ok != (at >= 0) {
+				t.Fatalf("op %d: Get hit=%v, model holds the key=%v", op, ok, at >= 0)
+			}
+			if at >= 0 {
+				m := model[at]
+				copy(model[1:at+1], model[:at])
+				model[0] = m
+			}
+		case u < 97: // InvalidateRefs over 1..2 written buckets
+			written := []core.BucketRef{{Table: 0, Pos: uint64(rng.Intn(buckets))}}
+			if rng.Intn(2) == 0 {
+				written = append(written, core.BucketRef{Table: 0, Pos: uint64(rng.Intn(buckets))})
+			}
+			before := len(model)
+			drop(func(m modelEntry) bool {
+				for _, r := range m.refs {
+					for _, w := range written {
+						if r == w {
+							return false
+						}
+					}
+				}
+				return true
+			})
+			if got := c.InvalidateRefs(written); got != before-len(model) {
+				t.Fatalf("op %d: InvalidateRefs dropped %d entries, model %d", op, got, before-len(model))
+			}
+		default:
+			c.Flush()
+			model = nil
+		}
+
+		live := checkProfileTable(t, c)
+		if len(live) != len(model) {
+			t.Fatalf("op %d: cache holds %d entries, model %d", op, len(live), len(model))
+		}
+		for _, m := range model {
+			if !live[m.key] {
+				t.Fatalf("op %d: key %d live in the model, absent from the cache", op, m.key[0])
+			}
+		}
+		if got := fmet.profHeld.Load() - heldBase; got != int64(len(c.profiles)) {
+			t.Fatalf("op %d: frontend.profiles_held moved by %d, table holds %d", op, got, len(c.profiles))
+		}
+	}
+	c.Flush()
+	checkProfileTable(t, c)
+	if len(c.profiles) != 0 || fmet.profHeld.Load() != heldBase {
+		t.Fatalf("emptied cache still holds %d profiles", len(c.profiles))
+	}
+}
+
+// TestProfileTableModel runs the model-based sequence over a fixed seed
+// set; each failure names its one-line repro.
+func TestProfileTableModel(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 7, 13, 21, 42, 99} {
+		name := fmt.Sprintf("seed=%d", seed)
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if t.Failed() {
+					t.Logf("repro: go test ./internal/frontend -run 'TestProfileTableModel/%s'", name)
+				}
+			}()
+			profileTableModel(t, seed, 1200)
+		})
+	}
+}
+
+// auditDecrypts runs one cached discovery (op) whose cache entry lands
+// under key, and checks the decrypt step's accounting against the table:
+// exactly the candidates whose tag the table did not hold beforehand were
+// decrypted, the rest reused — and a cache hit touched neither. It returns
+// the tags decrypted.
+func auditDecrypts(t *testing.T, c *ResultCache, key CacheKey, op func()) []profileTag {
+	t.Helper()
+	c.mu.Lock()
+	heldBefore := make(map[profileTag]bool, len(c.profiles))
+	for tag := range c.profiles {
+		heldBefore[tag] = true
+	}
+	c.mu.Unlock()
+	decrypted, reused := counter("frontend.profiles_decrypted"), counter("frontend.profiles_reused")
+	hits := counter("frontend.cache_hits")
+	op()
+	decrypted, reused = counter("frontend.profiles_decrypted")-decrypted, counter("frontend.profiles_reused")-reused
+	if counter("frontend.cache_hits") != hits {
+		if decrypted != 0 || reused != 0 {
+			t.Fatalf("cache hit decrypted %d and reused %d profiles", decrypted, reused)
+		}
+		return nil
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.entries[key]
+	if el == nil {
+		t.Fatalf("discovery left no cache entry under its key")
+	}
+	tags := el.Value.(*cacheEntry).tags
+	var fresh []profileTag
+	for _, tag := range tags {
+		if !heldBefore[tag] {
+			fresh = append(fresh, tag)
+		}
+	}
+	if int(decrypted) != len(fresh) || int(reused) != len(tags)-len(fresh) {
+		t.Fatalf("%d candidates, %d unseen: decrypted %d, reused %d", len(tags), len(fresh), decrypted, reused)
+	}
+	return fresh
+}
+
+// TestServingSweepDecryptsOnce sweeps a Serving whose cache is a third of
+// the target set, twice: every discovery is a cache miss, every answer must
+// equal the cache-less DiscoverSharded, and each miss decrypts exactly the
+// profiles no live entry pins. The population is small enough that the
+// live entries pin all of it once warm (static-sweep's steady state in
+// miniature: 4096 entries × 28 candidates over 10 000 members), so the
+// second sweep — all misses still — decrypts nothing.
+func TestServingSweepDecryptsOnce(t *testing.T) {
+	const n, k, entries = 40, 5, 8
+	d := newStaticDeployment(t, n, 2)
+	cf := &countingFanout{inner: d.pool}
+	serving, err := d.f.NewServing(cf, ServingConfig{CacheEntries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3×entries targets with pairwise distinct trapdoors, so no target hits
+	// another's entry.
+	var targets []uint64
+	patterns := make(map[CacheKey]bool)
+	for id := uint64(1); id <= n && len(targets) < 3*entries; id++ {
+		td, err := d.f.Trapdoor(d.profiles[id-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key := trapdoorKey(td); !patterns[key] {
+			patterns[key] = true
+			targets = append(targets, id)
+		}
+	}
+	if len(targets) != 3*entries {
+		t.Fatalf("population has %d distinct search patterns, want %d", len(targets), 3*entries)
+	}
+
+	for sweep := 0; sweep < 2; sweep++ {
+		decrypted := 0
+		for _, id := range targets {
+			profile := d.profiles[id-1]
+			want, _, err := d.f.DiscoverSharded(context.Background(), d.pool, profile, k, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			td, err := d.f.Trapdoor(profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := cf.queries.Load()
+			decrypted += len(auditDecrypts(t, serving.Cache(), trapdoorKey(td), func() {
+				got, partial, err := serving.Discover(context.Background(), profile, k, id)
+				if err != nil || partial {
+					t.Fatalf("sweep %d target %d: partial=%v err=%v", sweep, id, partial, err)
+				}
+				if err := EqualMatches(got, want); err != nil {
+					t.Fatalf("sweep %d target %d: %v", sweep, id, err)
+				}
+			}))
+			if cf.queries.Load() != queries+1 {
+				t.Fatalf("sweep %d target %d: a sweep over 3× the cache must miss", sweep, id)
+			}
+			checkProfileTable(t, serving.Cache())
+		}
+		t.Logf("sweep %d: %d profiles decrypted by the serving path, %d held", sweep, decrypted, len(serving.Cache().profiles))
+		if sweep == 1 && decrypted != 0 {
+			t.Fatalf("second sweep decrypted %d profiles the live entries already held", decrypted)
+		}
+	}
+}
+
+// TestDynServingReinsertNewTag is the stale-reuse test: delete an id, then
+// re-insert the same id under a different profile. The re-insert is a new
+// ciphertext and hence a new tag, so the old vector can never be served for
+// it: every search equals the plaintext oracle, the old tag leaves the
+// table, and the new tag is decrypted exactly once however many later
+// misses list it.
+func TestDynServingReinsertNewTag(t *testing.T) {
+	const n, k = 300, 5
+	f, ups, _, nodes, _, serv := dynServingFixture(t, n)
+	oracle := f.NewDynOracle(ups)
+	victim, donor := ups[12], ups[7]
+
+	tagOf := func(id uint64) profileTag {
+		t.Helper()
+		for _, node := range nodes {
+			if cts, err := node.FetchProfiles([]uint64{id}); err == nil {
+				tag, ok := crypt.Tag(cts[0])
+				if !ok {
+					t.Fatalf("profile %d: ciphertext carries no tag", id)
+				}
+				return tag
+			}
+		}
+		t.Fatalf("profile %d stored on no shard", id)
+		return profileTag{}
+	}
+	search := func(target []float64, exclude uint64) []profileTag {
+		t.Helper()
+		refs, err := serv.legs[0].client.Refs(f.family.Hash(target))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return auditDecrypts(t, serv.Cache(), refsKey(refs), func() {
+			got, partial, err := serv.Search(target, k, exclude)
+			if err != nil || partial {
+				t.Fatalf("search: partial=%v err=%v", partial, err)
+			}
+			ids := make([]uint64, len(got))
+			for i, m := range got {
+				ids[i] = m.ID
+			}
+			want, err := oracle.RankCandidates(target, ids, len(got), exclude)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := EqualMatches(got, want); err != nil {
+				t.Fatalf("search disagrees with the oracle: %v", err)
+			}
+		})
+	}
+
+	search(victim.Profile, 0) // holds the victim's old vector
+	oldTag := tagOf(victim.ID)
+	if serv.Cache().profiles[oldTag] == nil {
+		t.Fatal("victim's profile not held after a search for it")
+	}
+	if err := serv.Delete(victim.ID, victim.Profile); err != nil {
+		t.Fatal(err)
+	}
+	if err := serv.Insert(victim.ID, donor.Profile); err != nil {
+		t.Fatal(err)
+	}
+	oracle.PutProfile(victim.ID, donor.Profile)
+	newTag := tagOf(victim.ID)
+	if newTag == oldTag {
+		t.Fatal("re-insert under a new profile kept its tag")
+	}
+	if serv.Cache().profiles[oldTag] != nil {
+		t.Fatal("deleted profile's vector still held")
+	}
+
+	// Every member searches: distinct read sets, so all miss; the ones near
+	// the donor list the re-inserted id.
+	listed, newTagDecrypts := 0, 0
+	for _, u := range ups[:64] {
+		fresh := search(u.Profile, u.ID)
+		for _, tag := range fresh {
+			if tag == newTag {
+				newTagDecrypts++
+			}
+		}
+		refs, _ := serv.legs[0].client.Refs(f.family.Hash(u.Profile))
+		for _, tag := range serv.Cache().entries[refsKey(refs)].Value.(*cacheEntry).tags {
+			if tag == newTag {
+				listed++
+			}
+		}
+	}
+	if listed < 2 || newTagDecrypts != 1 {
+		t.Fatalf("re-inserted profile listed by %d misses, decrypted %d times, want >=2 and exactly 1", listed, newTagDecrypts)
+	}
+	if h := serv.Cache().profiles[newTag]; h == nil || h.refs != listed {
+		t.Fatalf("new tag held %v, want %d references", h, listed)
+	}
+	checkProfileTable(t, serv.Cache())
+}
+
+// tamperingFanout records the tag of every ciphertext it relays and, once
+// armed, flips one body byte of the answers it returns: of every
+// ciphertext whose tag it relayed before (flipSeen) or of the first whose
+// tag it did not (flipUnseen). Tags are left intact either way.
+type tamperingFanout struct {
+	inner                FanoutBatchServer
+	mu                   sync.Mutex
+	seen                 map[profileTag]bool
+	flipSeen, flipUnseen bool
+	flipped              int
+}
+
+func (f *tamperingFanout) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	ids, profiles, partial, err := f.inner.SecRecBatch(ctx, ts)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for q := range profiles {
+		for i, ct := range profiles[q] {
+			tag, _ := crypt.Tag(ct)
+			if (f.seen[tag] && f.flipSeen) || (!f.seen[tag] && f.flipUnseen && f.flipped == 0) {
+				ct = append([]byte(nil), ct...)
+				ct[len(ct)/2] ^= 0x40
+				profiles[q][i] = ct
+				f.flipped++
+			}
+			f.seen[tag] = true
+		}
+	}
+	return ids, profiles, partial, err
+}
+
+// TestProfileTableTamper pins what tag-keyed reuse does with a cloud that
+// tampers. A seen tag over a flipped body is answered from the plaintext
+// the frontend authenticated when it first saw that tag — the forged body
+// is never read, so the result is the honest one (documented, DESIGN.md
+// §15.1). An unseen tag over a flipped body takes the full decrypt path and
+// fails authentication.
+func TestProfileTableTamper(t *testing.T) {
+	const n, k = 400, 5
+	d := newStaticDeployment(t, n, 2)
+	tf := &tamperingFanout{inner: d.pool, seen: make(map[profileTag]bool)}
+	serving, err := d.f.NewServing(tf, ServingConfig{CacheEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first, _, err := serving.Discover(ctx, d.profiles[0], k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A neighbour's discovery misses the cache over largely the same
+	// candidates: their tags are held, their bodies now arrive flipped.
+	neighbour := first[0].ID
+	want, _, err := d.f.DiscoverSharded(ctx, d.pool, d.profiles[neighbour-1], k, neighbour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	authFails := counter("crypt.dec_auth_fail")
+	tf.flipSeen = true
+	got, _, err := serving.Discover(ctx, d.profiles[neighbour-1], k, neighbour)
+	if err != nil {
+		t.Fatalf("seen tags over flipped bodies: %v", err)
+	}
+	if tf.flipped == 0 {
+		t.Fatal("neighbour shares no candidate with the first discovery: nothing was tampered")
+	}
+	if err := EqualMatches(got, want); err != nil {
+		t.Fatalf("seen tags over flipped bodies changed the answer: %v", err)
+	}
+	if counter("crypt.dec_auth_fail") != authFails {
+		t.Fatal("a held tag was re-verified against the forged body")
+	}
+
+	// A forged body under a tag never seen is caught: find a target with at
+	// least one candidate nobody has listed yet.
+	tf.flipSeen, tf.flipUnseen, tf.flipped = false, true, 0
+	for id := uint64(n); id > 0 && tf.flipped == 0; id-- {
+		_, _, err = serving.Discover(ctx, d.profiles[id-1], k, id)
+	}
+	if tf.flipped != 1 {
+		t.Fatal("no discovery returned an unseen ciphertext")
+	}
+	if !errors.Is(err, crypt.ErrAuthentication) {
+		t.Fatalf("unseen tag over a flipped body: got %v, want ErrAuthentication", err)
+	}
+	if got := counter("crypt.dec_auth_fail") - authFails; got != 1 {
+		t.Fatalf("crypt.dec_auth_fail moved by %d, want 1", got)
+	}
+	checkProfileTable(t, serving.Cache())
+}

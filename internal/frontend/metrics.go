@@ -27,6 +27,9 @@ var fmet struct {
 	cacheHits       *obs.Counter   // discoveries answered from the result cache
 	cacheMisses     *obs.Counter   // discoveries that had to reach the cloud
 	cacheInvalids   *obs.Counter   // cache entries evicted by dynamic updates
+	profReused      *obs.Counter   // candidate profiles served from the cache's profile table
+	profDecrypted   *obs.Counter   // candidate profiles that paid MAC + AES-CTR + decode
+	profHeld        *obs.Gauge     // distinct plaintext profiles the profile tables hold
 	coalesceBatch   *obs.Histogram // coalesced flush size (queries per flush)
 	coalesceFlushes *obs.Counter   // coalesced flushes dispatched
 	coalesceQueue   *obs.Gauge     // discoveries waiting for the next flush
@@ -53,6 +56,9 @@ func SetRegistry(r *obs.Registry) {
 	fmet.cacheHits = r.Counter("frontend.cache_hits")
 	fmet.cacheMisses = r.Counter("frontend.cache_misses")
 	fmet.cacheInvalids = r.Counter("frontend.cache_invalidations")
+	fmet.profReused = r.Counter("frontend.profiles_reused")
+	fmet.profDecrypted = r.Counter("frontend.profiles_decrypted")
+	fmet.profHeld = r.Gauge("frontend.profiles_held")
 	fmet.coalesceBatch = r.Histogram("frontend.coalesce_batch")
 	fmet.coalesceFlushes = r.Counter("frontend.coalesce_flushes")
 	fmet.coalesceQueue = r.Gauge("frontend.coalesce_queue")

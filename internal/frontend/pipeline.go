@@ -18,9 +18,11 @@ import (
 
 // candidates is the pipeline's unit of work and the result cache's unit
 // of storage: one query's recovered identifiers, their profiles decrypted
-// once, and whether a shard was missing. Pre-rank, so it serves every k.
+// once (tags name the ciphertexts they came from; nil without a cache), and
+// whether a shard was missing. Pre-rank, so it serves every k.
 type candidates struct {
 	ids     []uint64
+	tags    []profileTag
 	vecs    [][]float64
 	partial bool
 }
@@ -54,9 +56,10 @@ func (p perQuery) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uin
 }
 
 // fetchStatic is the static candidate source: one SecRecBatch exchange
-// resolving every trapdoor, then each answer decrypted. It closes the
-// span's fanout stage; the caller closes decrypt.
-func (f *Frontend) fetchStatic(ctx context.Context, pool FanoutBatchServer, tds []*core.Trapdoor, sp *obs.Span) ([]candidates, error) {
+// resolving every trapdoor, then each answer decrypted (through cache's
+// profile table when there is one). It closes the span's fanout stage; the
+// caller closes decrypt.
+func (f *Frontend) fetchStatic(ctx context.Context, pool FanoutBatchServer, cache *ResultCache, tds []*core.Trapdoor, sp *obs.Span) ([]candidates, error) {
 	ids, encProfiles, partial, err := pool.SecRecBatch(ctx, tds)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: discovery request: %w", err)
@@ -66,9 +69,9 @@ func (f *Frontend) fetchStatic(ctx context.Context, pool FanoutBatchServer, tds 
 	}
 	sp.Mark("fanout", fmet.fanoutNs)
 	out := make([]candidates, len(tds))
-	err = parallelFor(len(tds), func(q int) error {
-		vecs, err := f.decryptProfiles(ids[q], encProfiles[q])
-		out[q] = candidates{ids: ids[q], vecs: vecs, partial: partial}
+	err = parallelFor(len(tds), func(q int) (err error) {
+		out[q], err = f.decryptProfiles(cache, ids[q], encProfiles[q])
+		out[q].partial = partial
 		return err
 	})
 	return out, err
@@ -95,10 +98,11 @@ func dynLegs(shards []DynShard, nodes []DynNode) ([]dynLeg, error) {
 
 // fetchDynamic is the dynamic candidate source: every shard's client
 // searches its own bucket store and fetches the matching profiles there,
-// concurrently; answers merge in shard order and are decrypted. Failed
-// shards are skipped (partial); only all shards failing is an error. It
-// closes the span's fanout stage; the caller closes decrypt.
-func (f *Frontend) fetchDynamic(legs []dynLeg, meta lsh.Metadata, sp *obs.Span) (candidates, error) {
+// concurrently; answers merge in shard order and are decrypted (through
+// cache's profile table when there is one). Failed shards are skipped
+// (partial); only all shards failing is an error. It closes the span's
+// fanout stage; the caller closes decrypt.
+func (f *Frontend) fetchDynamic(legs []dynLeg, cache *ResultCache, meta lsh.Metadata, sp *obs.Span) (candidates, error) {
 	shardIDs := make([][]uint64, len(legs))
 	shardProfiles := make([][][]byte, len(legs))
 	errs := perShard(len(legs), func(s int) (err error) {
@@ -126,28 +130,43 @@ func (f *Frontend) fetchDynamic(legs []dynLeg, meta lsh.Metadata, sp *obs.Span) 
 		return candidates{}, fmt.Errorf("frontend: dynamic search: all %d shards failed: %w", len(legs), firstErr)
 	}
 	sp.Mark("fanout", fmet.fanoutNs)
-	vecs, err := f.decryptProfiles(ids, encProfiles)
-	return candidates{ids: ids, vecs: vecs, partial: failed > 0}, err
+	c, err := f.decryptProfiles(cache, ids, encProfiles)
+	c.partial = failed > 0
+	return c, err
 }
 
-// decryptProfiles is the pipeline's one decrypt step, parallel across
-// candidates. The frontend is trusted and holds KS, so plaintext in its
-// memory adds no leakage — which lets the result cache store the output
-// and spare every hit the per-candidate MAC + AES work.
-func (f *Frontend) decryptProfiles(ids []uint64, encProfiles [][]byte) ([][]float64, error) {
+// decryptProfiles is the pipeline's one decrypt step. A profile whose tag
+// cache's table already holds reuses the vector the frontend decrypted and
+// authenticated when it first saw that ciphertext; only unseen tags pay
+// MAC + AES-CTR + decode, parallel across candidates. The frontend is
+// trusted and holds KS, so plaintext in its memory adds no leakage — which
+// lets the result cache store the output and spare every hit, and every
+// miss over known profiles, the per-candidate work. A nil cache decrypts
+// everything.
+func (f *Frontend) decryptProfiles(cache *ResultCache, ids []uint64, encProfiles [][]byte) (candidates, error) {
 	if len(ids) != len(encProfiles) {
-		return nil, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(encProfiles))
+		return candidates{}, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(encProfiles))
 	}
-	vecs := make([][]float64, len(ids))
+	c := candidates{ids: ids, vecs: make([][]float64, len(ids))}
+	var reused int
+	c.tags, reused = cache.held(encProfiles, c.vecs)
+	fmet.profReused.Add(int64(reused))
+	fmet.profDecrypted.Add(int64(len(ids) - reused))
+	if reused == len(ids) {
+		return c, nil
+	}
 	err := parallelFor(len(ids), func(i int) error {
+		if c.vecs[i] != nil {
+			return nil
+		}
 		s, err := crypt.DecProfile(f.keys.KS, encProfiles[i])
 		if err != nil {
 			return fmt.Errorf("frontend: decrypt match %d: %w", ids[i], err)
 		}
-		vecs[i] = s
+		c.vecs[i] = s
 		return nil
 	})
-	return vecs, err
+	return c, err
 }
 
 // rank is GetRec's ordering step: exact Euclidean distance to the target,

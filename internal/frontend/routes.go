@@ -74,7 +74,7 @@ func (f *Frontend) DiscoverShardedBatch(ctx context.Context, pool FanoutBatchSer
 		return nil, false, err
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
-	cands, err := f.fetchStatic(ctx, pool, tds, &sp)
+	cands, err := f.fetchStatic(ctx, pool, nil, tds, &sp)
 	if err != nil {
 		return nil, false, err
 	}
@@ -94,7 +94,7 @@ func (f *Frontend) fetchMetas(server DiscoveryServer, metas []lsh.Metadata, sp *
 		}
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
-	return f.fetchStatic(context.Background(), perQuery{singleNode{server}}, tds, sp)
+	return f.fetchStatic(context.Background(), perQuery{singleNode{server}}, nil, tds, sp)
 }
 
 // DiscoverMultiProbe is Discover with query-directed multi-probe recall

@@ -90,7 +90,7 @@ func (s *Serving) Discover(ctx context.Context, targetProfile []float64, k int, 
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
 	c, err := s.cache.lookup(trapdoorKey(td), nil, func() (candidates, error) {
-		cands, err := s.f.fetchStatic(ctx, perQuery{s.fan}, []*core.Trapdoor{td}, &sp)
+		cands, err := s.f.fetchStatic(ctx, perQuery{s.fan}, s.cache, []*core.Trapdoor{td}, &sp)
 		if err != nil {
 			return candidates{}, err
 		}
@@ -210,7 +210,7 @@ func (s *DynServing) candidates(meta lsh.Metadata, sp *obs.Span) (candidates, er
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
 	return s.cache.lookup(refsKey(refs), refs, func() (candidates, error) {
-		return s.f.fetchDynamic(s.legs, meta, sp)
+		return s.f.fetchDynamic(s.legs, s.cache, meta, sp)
 	})
 }
 

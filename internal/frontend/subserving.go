@@ -174,13 +174,13 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 			}
 		}
 	}
-	vecs, err := s.f.decryptProfiles(live, liveCts)
+	c, err := s.f.decryptProfiles(s.cache, live, liveCts)
 	if err != nil {
 		return 0, fmt.Errorf("frontend: rescore: %w", err)
 	}
 	profiles := make(map[uint64][]float64, len(live))
 	for i, id := range live {
-		profiles[id] = vecs[i]
+		profiles[id] = c.vecs[i]
 	}
 	return s.subsm.Rescore(profiles), nil
 }

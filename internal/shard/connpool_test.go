@@ -10,6 +10,7 @@ import (
 	"pisd/internal/core"
 	"pisd/internal/faultnet"
 	"pisd/internal/frontend"
+	"pisd/internal/obs"
 	"pisd/internal/transport"
 )
 
@@ -194,3 +195,56 @@ func TestRemotePooledConnFaultNoPartial(t *testing.T) {
 }
 
 var _ frontend.FanoutBatchServer = (*Pool)(nil)
+
+// TestRemotePutProfilesSubBatches pins the install path's framing: a
+// shard's profiles ship in bounded sub-batches, so no single frame (and
+// hence no connection's persistent encode buffer) grows with the shard,
+// and every profile still lands.
+func TestRemotePutProfilesSubBatches(t *testing.T) {
+	const profiles, size = 40, 100 << 10 // 4 MB of ciphertext
+	cs := cloud.New()
+	r := NewRemote(startServer(t, cs))
+	defer r.Close()
+
+	all := make(map[uint64][]byte, profiles)
+	for id := uint64(1); id <= profiles; id++ {
+		ct := make([]byte, size)
+		ct[0] = byte(id)
+		all[id] = ct
+	}
+	frames := transportCounter("transport.frames_out")
+	if err := r.PutProfiles(all); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(profiles * size / putBatchBytes)
+	if got := transportCounter("transport.frames_out") - frames; got < want || got > want+1 {
+		t.Fatalf("%d bytes of profiles shipped in %d frames, want about %d", profiles*size, got, want)
+	}
+	if got := cs.NumProfiles(); got != profiles {
+		t.Fatalf("server holds %d profiles, want %d", got, profiles)
+	}
+	ids := make([]uint64, 0, profiles)
+	for id := range all {
+		ids = append(ids, id)
+	}
+	got, err := r.FetchProfiles(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if !reflect.DeepEqual(got[i], all[id]) {
+			t.Fatalf("profile %d corrupted in transit", id)
+		}
+	}
+	// An empty upload is still one call: it is how a dead shard fails at
+	// install time.
+	frames = transportCounter("transport.frames_out")
+	if err := r.PutProfiles(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := transportCounter("transport.frames_out") - frames; got != 1 {
+		t.Fatalf("empty upload sent %d frames, want 1", got)
+	}
+}
+
+func transportCounter(name string) int64 { return obs.Default.Counter(name).Load() }

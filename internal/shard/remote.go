@@ -263,9 +263,38 @@ func (r *Remote) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
 	return profiles, err
 }
 
-// PutProfiles implements Node.
+// putBatchBytes bounds the ciphertext one PutProfiles RPC carries. A
+// connection's gob encoder and frame buffer keep the capacity of the
+// largest message they ever sent for the connection's life, so shipping a
+// whole shard's profiles as one message would pin two copies of it per
+// server.
+const putBatchBytes = 1 << 20
+
+// PutProfiles implements Node, uploading in sub-batches of about
+// putBatchBytes. Profiles are independent keyed puts, so a failure part way
+// leaves a prefix stored, as a retried whole-map upload would.
 func (r *Remote) PutProfiles(profiles map[uint64][]byte) error {
-	return r.do(func(c *transport.Client) error { return c.PutProfiles(profiles) })
+	batch, size := make(map[uint64][]byte), 0
+	send := func() error {
+		return r.do(func(c *transport.Client) error { return c.PutProfiles(batch) })
+	}
+	for id, ct := range profiles {
+		batch[id] = ct
+		if size += len(ct); size >= putBatchBytes {
+			if err := send(); err != nil {
+				return err
+			}
+			// The frame is encoded by the time the call returns.
+			clear(batch)
+			size = 0
+		}
+	}
+	if len(batch) == 0 && len(profiles) > 0 {
+		return nil
+	}
+	// The last partial batch — or an empty upload, still one call: it is
+	// how a dead shard fails at install time.
+	return send()
 }
 
 // DeleteProfile implements Node.

@@ -499,7 +499,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // dispatched by request ID from a single reader goroutine.
 type Client struct {
 	conn net.Conn
-	fw   *frameWriter // the connection's outbound gob stream
+	fw   *frameWriter  // the connection's outbound gob stream
+	done chan struct{} // closed when readLoop has exited
 
 	mu      sync.Mutex
 	pending map[uint64]chan *Response
@@ -540,13 +541,19 @@ func DialWith(addr string, dial Dialer) (*Client, error) {
 		tmet.dialErrors.Inc()
 		return nil, &ConnError{Op: "dial", Err: err}
 	}
-	c := &Client{conn: conn, fw: newFrameWriter(conn), pending: make(map[uint64]chan *Response)}
+	c := &Client{conn: conn, fw: newFrameWriter(conn), done: make(chan struct{}), pending: make(map[uint64]chan *Response)}
 	go c.readLoop()
 	return c, nil
 }
 
-// Close tears down the connection; in-flight calls fail with a ConnError.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close tears down the connection and waits for the reader goroutine to
+// exit, so nothing of this client (its last metric updates included) runs
+// after Close returns; in-flight calls fail with a ConnError.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	<-c.done
+	return err
+}
 
 // SetTimeout bounds how long every subsequent call waits for its response;
 // zero disables the bound. Per-call context deadlines (the ...Context
@@ -570,6 +577,7 @@ func (c *Client) Traffic() (sent, received int64) {
 // routes each to the waiting caller by ID. Responses whose caller gave up
 // (timeout or cancellation) find no pending entry and are dropped.
 func (c *Client) readLoop() {
+	defer close(c.done)
 	fr := newFrameReader(c.conn)
 	dec := gob.NewDecoder(fr)
 	for {

@@ -565,3 +565,26 @@ func TestDialFailureIsConnError(t *testing.T) {
 		t.Errorf("dial failure surfaced %T (%v), want *ConnError", err, err)
 	}
 }
+
+// TestCloseJoinsReader pins Close's contract: when it returns, the reader
+// goroutine has exited — conn_failures already counted, nothing of the
+// client left running to race a later SetRegistry.
+func TestCloseJoinsReader(t *testing.T) {
+	_, client := startServer(t)
+	if err := client.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	fails := tmet.connFails.Load()
+	if err := client.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case <-client.done:
+	default:
+		t.Fatal("Close returned with readLoop still running")
+	}
+	if got := tmet.connFails.Load() - fails; got != 1 {
+		t.Fatalf("conn_failures moved by %d at Close, want 1", got)
+	}
+	client.Close() // closing twice is harmless
+}

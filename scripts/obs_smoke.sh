@@ -13,12 +13,19 @@
 #   frontend shard.0.secrec_p99_ns         > 0 (per-shard latency derived)
 #   frontend frontend.cache_misses         > 0 (first discoveries missed)
 #   frontend frontend.cache_hits           > 0 (repeated target 1 hit)
+#   frontend frontend.profiles_decrypted   > 0 (first answers paid MAC + AES)
+#   frontend frontend.profiles_reused      > 0 (second wave's miss reused held profiles)
+#   frontend frontend.profiles_held        > 0 (the live entry pins its profiles)
 #   frontend frontend.coalesce_batch_p50_ns > 0 (flushes recorded sizes)
 #   frontend frontend.admission_rejected   == 0 (no shedding at this load)
 #
 # The discovery list repeats target 1 so the serving path's result cache
 # provably takes a hit, and the server runs with an explicit -workers
 # bound so the gauge reflects CLI configuration rather than a default.
+# Targets 1 and 208 collide in an LSH table, so their answers share that
+# table's probe window; with a one-entry cache and two waves, the second
+# wave finds one of the two cached and the other missing over profiles the
+# cached entry still pins — a miss that provably reuses the profile table.
 #
 # A second phase smokes the segmented deployment: pisd-segbuild streams a
 # small population to disk (its metrics snapshot must show the compaction
@@ -72,7 +79,7 @@ for i in $(seq 1 50); do
 done
 
 "$BIN/pisd-frontend" -cloud "$CLOUD,127.0.0.1:7311" -users 400 -dim 100 \
-    -discover 1,2,1 -obs "$FRONTEND_OBS" &
+    -discover 1,208,1 -cache 1 -waves 2 -obs "$FRONTEND_OBS" &
 frontend_pid=$!
 
 # metric ENDPOINT KEY prints the key's value, failing if absent.
@@ -87,6 +94,11 @@ for i in $(seq 1 100); do
     unmasked="$(metric "$SERVER_OBS" cloud.buckets_unmasked 2>/dev/null || echo 0)"
     [ "$unmasked" -gt 0 ] && break
     sleep 0.3
+done
+# ... and until both waves of three discoveries have completed.
+for i in $(seq 1 100); do
+    [ "$(metric "$FRONTEND_OBS" frontend.discoveries 2>/dev/null || echo 0)" -ge 6 ] && break
+    sleep 0.1
 done
 
 fail=0
@@ -114,6 +126,12 @@ check frontend.cache_misses \
     "$(metric "$FRONTEND_OBS" frontend.cache_misses || true)" -gt 0
 check frontend.cache_hits \
     "$(metric "$FRONTEND_OBS" frontend.cache_hits || true)" -gt 0
+check frontend.profiles_decrypted \
+    "$(metric "$FRONTEND_OBS" frontend.profiles_decrypted || true)" -gt 0
+check frontend.profiles_reused \
+    "$(metric "$FRONTEND_OBS" frontend.profiles_reused || true)" -gt 0
+check frontend.profiles_held \
+    "$(metric "$FRONTEND_OBS" frontend.profiles_held || true)" -gt 0
 check frontend.coalesce_batch_p50_ns \
     "$(metric "$FRONTEND_OBS" frontend.coalesce_batch_p50_ns || true)" -gt 0
 check frontend.admission_rejected \

@@ -173,10 +173,13 @@ func counterDelta(before, after map[string]int64) map[string]int64 {
 
 func TestLeakageInvariantSubscriptions(t *testing.T) {
 	// Isolate transport and subscription metrics so deltas are
-	// attributable to this test alone.
+	// attributable to this test alone. The transport registry is restored
+	// by the first-registered cleanup, which runs last: after the worlds'
+	// own cleanups have closed every client and shut every server down, so
+	// no transport goroutine is left to read the handles being swapped.
 	treg := obs.NewRegistry()
 	transport.SetRegistry(treg)
-	defer transport.SetRegistry(obs.Default)
+	t.Cleanup(func() { transport.SetRegistry(obs.Default) })
 	sreg := obs.NewRegistry()
 	subs.SetRegistry(sreg)
 	defer subs.SetRegistry(obs.Default)
