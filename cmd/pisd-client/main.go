@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -147,7 +148,7 @@ func run() error {
 		}
 		fmt.Printf("uploaded one encrypted image (%d B) to %s\n", len(ct.Payload), *cloudAddr)
 	}
-	return client.Ping()
+	return client.Ping(context.Background())
 }
 
 func parseTopics(s string) ([]pisd.Topic, error) {

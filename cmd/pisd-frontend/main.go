@@ -86,8 +86,6 @@ func run() error {
 		obsAddr   = flag.String("obs", "", "observability HTTP address for /metrics and /debug/pprof; keeps the process alive until interrupted (empty: disabled)")
 
 		conns       = flag.Int("conns-per-shard", 4, "pooled connections per shard server")
-		maxBatch    = flag.Int("max-batch", 16, "coalesced queries per SecRecBatch flush")
-		window      = flag.Duration("coalesce-window", 200*time.Microsecond, "max wait for a coalesced flush")
 		maxInflight = flag.Int("max-inflight", 256, "admitted concurrent discoveries (0: unbounded)")
 		cacheSize   = flag.Int("cache", 4096, "search-pattern result cache entries (0: disabled)")
 
@@ -107,8 +105,6 @@ func run() error {
 	}
 
 	servingCfg := pisd.ServingConfig{
-		MaxBatch:     *maxBatch,
-		Window:       *window,
 		MaxInflight:  *maxInflight,
 		CacheEntries: *cacheSize,
 	}
@@ -378,9 +374,9 @@ func runSharded(sf *pisd.Frontend, ds *dataset.Dataset, uploads []pisd.Upload, a
 }
 
 // discoverServing runs the targets through the multi-core serving path:
-// distinct targets are issued concurrently (the coalescer folds them into
-// shared SecRecBatch flushes), and repeated targets are issued in a
-// second wave so they demonstrably hit the search-pattern result cache.
+// distinct targets are issued concurrently, and repeated targets are
+// issued in a second wave so they demonstrably hit the search-pattern
+// result cache.
 // Results are printed in target order.
 func discoverServing(serving *pisd.Serving, ds *dataset.Dataset, targets []uint64, k int) error {
 	type outcome struct {

@@ -293,7 +293,7 @@ func probeLatency(sf *pisd.Frontend, st *segstore.Store, metas []pisd.Metadata) 
 			return 0, 0, err
 		}
 		start := time.Now()
-		if _, err := st.SecRec(td); err != nil {
+		if _, err := st.SecRecBatch([]*core.Trapdoor{td}); err != nil {
 			return 0, 0, err
 		}
 		lats[i] = time.Since(start)
@@ -332,10 +332,11 @@ func verifyAgainstMonolithic(sf *pisd.Frontend, st *segstore.Store, items []core
 		if err != nil {
 			return err
 		}
-		got, err := st.SecRec(td)
+		batch, err := st.SecRecBatch([]*core.Trapdoor{td})
 		if err != nil {
 			return err
 		}
+		got := batch[0]
 		if len(got) != len(want) {
 			return fmt.Errorf("verify: query %d: %d ids segmented, %d monolithic", q, len(got), len(want))
 		}

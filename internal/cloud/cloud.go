@@ -6,6 +6,7 @@
 package cloud
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,13 +17,9 @@ import (
 	"pisd/internal/segstore"
 )
 
-var (
-	// ErrNoIndex is returned when a request needs an index that has not
-	// been installed yet.
-	ErrNoIndex = errors.New("cloud: no index installed")
-	// ErrUnknownProfile is returned when a referenced profile is missing.
-	ErrUnknownProfile = errors.New("cloud: unknown profile")
-)
+// ErrNoIndex is returned when a request needs an index that has not been
+// installed yet.
+var ErrNoIndex = errors.New("cloud: no index installed")
 
 // Server is the cloud server state. All methods are safe for concurrent
 // use.
@@ -70,8 +67,8 @@ func (s *Server) SetIndex(idx *core.Index) {
 
 // SetSegmentStore installs a segmented index store as the static index
 // backend. While installed it takes precedence over an in-RAM index:
-// SecRec fans trapdoors across the store's live segments, reading bucket
-// ranges from disk on demand, with results byte-identical to the
+// SecRecBatch fans trapdoors across the store's live segments, reading
+// bucket ranges from disk on demand, with results byte-identical to the
 // monolithic path. Pass nil to detach.
 func (s *Server) SetSegmentStore(st *segstore.Store) {
 	s.mu.Lock()
@@ -124,91 +121,23 @@ func (s *Server) NumProfiles() int {
 	return len(s.profiles)
 }
 
-// SecRec implements M ← SecRec(t, I): it unmasks the addressed buckets of
-// the static index and returns the recovered identifiers together with the
-// referenced encrypted profiles. Identifiers whose profile is missing are
-// skipped (consistent with buckets that decoded from stale state).
-func (s *Server) SecRec(t *core.Trapdoor) ([]uint64, [][]byte, error) {
+// SecRecBatch implements M ← SecRec(t, I) for a batch of trapdoors in one
+// pass under a single index read-lock: each query unmasks its addressed
+// buckets of the static index and returns the recovered identifiers
+// together with the referenced encrypted profiles. Per-query results do not
+// depend on what else rides in the batch; the first failing query fails
+// the batch. A single discovery is a batch of one.
+func (s *Server) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.segs != nil {
-		start := time.Now()
-		ids, err := s.segs.SecRec(t)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cloud: %w", err)
-		}
-		s.recordQuery(t, s.segs.Params())
-		outIDs, outProfiles := s.attachProfiles(ids)
-		s.met.secrecNs.ObserveSince(start)
-		return outIDs, outProfiles, nil
-	}
-	if s.idx == nil {
-		return nil, nil, ErrNoIndex
-	}
 	start := time.Now()
-	sc, _ := s.secScratch.Get().(*core.SecRecScratch)
-	if sc == nil {
-		sc = core.NewSecRecScratch(s.idx.Params())
-	}
-	ids, err := s.idx.SecRecWith(t, sc)
-	s.secScratch.Put(sc)
+	idLists, p, err := s.recoverIDs(ts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cloud: %w", err)
+		return nil, nil, err
 	}
-	s.recordQuery(t, s.idx.Params())
-	outIDs, outProfiles := s.attachProfiles(ids)
-	s.met.secrecNs.ObserveSince(start)
-	return outIDs, outProfiles, nil
-}
-
-// SecRecBatch resolves a batch of trapdoors against the static index in
-// one pass: the paper's per-query protocol run q times under a single
-// index read-lock, with ONE pooled unmask scratch reused across the whole
-// batch instead of one checkout per query. Per-query results are identical
-// to q independent SecRec calls; the first failing query fails the batch.
-func (s *Server) SecRecBatch(ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.segs != nil {
-		return s.secRecBatchSegmented(ts)
-	}
-	if s.idx == nil {
-		return nil, nil, ErrNoIndex
-	}
-	start := time.Now()
-	sc, _ := s.secScratch.Get().(*core.SecRecScratch)
-	if sc == nil {
-		sc = core.NewSecRecScratch(s.idx.Params())
-	}
-	outIDs := make([][]uint64, len(ts))
-	outProfiles := make([][][]byte, len(ts))
-	for q, t := range ts {
-		qStart := time.Now()
-		ids, err := s.idx.SecRecWith(t, sc)
-		if err != nil {
-			s.secScratch.Put(sc)
-			return nil, nil, fmt.Errorf("cloud: batch query %d: %w", q, err)
-		}
-		s.recordQuery(t, s.idx.Params())
-		outIDs[q], outProfiles[q] = s.attachProfiles(ids)
-		s.met.secrecNs.ObserveSince(qStart)
-	}
-	s.secScratch.Put(sc)
-	s.met.batchNs.ObserveSince(start)
-	return outIDs, outProfiles, nil
-}
-
-// secRecBatchSegmented is SecRecBatch over the segmented store: one
-// segment snapshot for the whole batch (every sub-query sees the same live
-// set even under concurrent compaction), answers byte-identical to the
-// monolithic path. Caller holds s.mu for reading, s.segs non-nil.
-func (s *Server) secRecBatchSegmented(ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	start := time.Now()
-	idLists, err := s.segs.SecRecBatch(ts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cloud: %w", err)
-	}
-	p := s.segs.Params()
 	outIDs := make([][]uint64, len(ts))
 	outProfiles := make([][][]byte, len(ts))
 	for q, ids := range idLists {
@@ -217,6 +146,49 @@ func (s *Server) secRecBatchSegmented(ts []*core.Trapdoor) ([][]uint64, [][][]by
 	}
 	s.met.batchNs.ObserveSince(start)
 	return outIDs, outProfiles, nil
+}
+
+// SecRec is SecRecBatch for one trapdoor.
+func (s *Server) SecRec(t *core.Trapdoor) ([]uint64, [][]byte, error) {
+	ids, profiles, err := s.SecRecBatch(context.TODO(), []*core.Trapdoor{t})
+	if err != nil {
+		return nil, nil, err
+	}
+	return ids[0], profiles[0], nil
+}
+
+// recoverIDs unmasks every trapdoor against the installed static backend
+// and reports that backend's per-query bucket budget. The segmented store
+// takes precedence and answers the whole batch from one segment snapshot
+// (every sub-query sees the same live set even under concurrent
+// compaction), byte-identical to the in-RAM index, which reuses ONE pooled
+// unmask scratch across the batch. Caller holds s.mu for reading.
+func (s *Server) recoverIDs(ts []*core.Trapdoor) ([][]uint64, core.Params, error) {
+	if s.segs != nil {
+		idLists, err := s.segs.SecRecBatch(ts)
+		if err != nil {
+			return nil, core.Params{}, fmt.Errorf("cloud: %w", err)
+		}
+		return idLists, s.segs.Params(), nil
+	}
+	if s.idx == nil {
+		return nil, core.Params{}, ErrNoIndex
+	}
+	sc, _ := s.secScratch.Get().(*core.SecRecScratch)
+	if sc == nil {
+		sc = core.NewSecRecScratch(s.idx.Params())
+	}
+	defer s.secScratch.Put(sc)
+	idLists := make([][]uint64, len(ts))
+	for q, t := range ts {
+		qStart := time.Now()
+		var err error
+		if idLists[q], err = s.idx.SecRecWith(t, sc); err != nil {
+			return nil, core.Params{}, fmt.Errorf("cloud: batch query %d: %w", q, err)
+		}
+		s.met.secrecNs.ObserveSince(qStart)
+	}
+	return idLists, s.idx.Params(), nil
 }
 
 // attachProfiles pairs recovered identifiers with their stored encrypted
@@ -238,34 +210,14 @@ func (s *Server) attachProfiles(ids []uint64) ([]uint64, [][]byte) {
 }
 
 // FetchProfiles returns the encrypted profiles of the given identifiers,
-// the second interaction of a dynamic-scheme search. The result is aligned
-// with the request: duplicate identifiers each get their (shared)
-// ciphertext in request order, resolved by a single store lookup.
+// the second interaction of a dynamic-scheme search and the subscription
+// re-score read. The result is aligned with the request and tolerates
+// gaps: an unknown identifier yields an empty entry, so one profile
+// deleted since the caller learned its identifier does not fail the rest
+// of the batch. Present entries are never empty (ciphertexts carry at
+// least their MAC), so len(out[i]) == 0 means ids[i] is unknown here;
+// callers that need every profile check for it.
 func (s *Server) FetchProfiles(ids []uint64) ([][]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([][]byte, len(ids))
-	seen := make(map[uint64][]byte, len(ids))
-	for i, id := range ids {
-		ct, ok := seen[id]
-		if !ok {
-			if ct, ok = s.profiles[id]; !ok {
-				return nil, fmt.Errorf("%w: %d", ErrUnknownProfile, id)
-			}
-			seen[id] = ct
-		}
-		out[i] = ct
-	}
-	return out, nil
-}
-
-// FetchProfilesSparse is FetchProfiles for callers that tolerate gaps:
-// an unknown identifier yields an empty entry instead of failing the
-// whole batch. The subscription re-score fan-out uses it so one candidate
-// deleted between batches does not abort re-scoring every other
-// subscription. Present entries are never empty (ciphertexts carry at
-// least their MAC), so len(out[i]) == 0 means ids[i] is unknown here.
-func (s *Server) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([][]byte, len(ids))

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -68,8 +69,8 @@ func TestDeleteProfileAndCounts(t *testing.T) {
 	if s.NumProfiles() != 1 {
 		t.Fatalf("NumProfiles after delete = %d", s.NumProfiles())
 	}
-	if _, err := s.FetchProfiles([]uint64{1}); !errors.Is(err, ErrUnknownProfile) {
-		t.Errorf("err = %v", err)
+	if got, err := s.FetchProfiles([]uint64{1, 2}); err != nil || len(got) != 2 || len(got[0]) != 0 || len(got[1]) == 0 {
+		t.Errorf("FetchProfiles after delete = %v, %v; want an empty slot for the deleted id only", got, err)
 	}
 }
 
@@ -117,12 +118,15 @@ func TestFetchProfilesDuplicateIDs(t *testing.T) {
 			t.Fatalf("position %d = %v, want [%d]", i, ct, want[i])
 		}
 	}
-	// A duplicated unknown id still fails.
-	if _, err := s.FetchProfiles([]uint64{1, 9, 9}); !errors.Is(err, ErrUnknownProfile) {
-		t.Errorf("err = %v, want ErrUnknownProfile", err)
+	// Unknown ids, duplicated or not, answer as empty slots in place.
+	got, err = s.FetchProfiles([]uint64{1, 9, 9})
+	if err != nil || len(got) != 3 || len(got[0]) != 1 || len(got[1]) != 0 || len(got[2]) != 0 {
+		t.Errorf("FetchProfiles with unknown ids = %v, %v", got, err)
 	}
 }
 
+// TestSecRecBatchMatchesSerial: a batch of q answers exactly what q batches
+// of one do (SecRec is a batch of one).
 func TestSecRecBatchMatchesSerial(t *testing.T) {
 	idx, keys, p, metas := buildIndex(t, 150)
 	s := New()
@@ -138,7 +142,7 @@ func TestSecRecBatchMatchesSerial(t *testing.T) {
 		}
 		tds[q] = td
 	}
-	batchIDs, batchProfiles, err := s.SecRecBatch(tds)
+	batchIDs, batchProfiles, err := s.SecRecBatch(context.Background(), tds)
 	if err != nil {
 		t.Fatalf("SecRecBatch: %v", err)
 	}
@@ -157,9 +161,15 @@ func TestSecRecBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("query %d profiles differ from serial SecRec", q)
 		}
 	}
-	// Without an index the batch fails like SecRec does.
-	if _, _, err := New().SecRecBatch(tds); !errors.Is(err, ErrNoIndex) {
+	// Without an index the exchange fails; a cancelled caller never
+	// reaches the index.
+	if _, _, err := New().SecRecBatch(context.Background(), tds); !errors.Is(err, ErrNoIndex) {
 		t.Errorf("no-index batch err = %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := s.SecRecBatch(ctx, tds); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled batch err = %v", err)
 	}
 }
 

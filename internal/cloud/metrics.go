@@ -15,7 +15,7 @@ import (
 // of a deployment. All handles are nil-safe; a Server built without a
 // registry records nothing.
 type serverMetrics struct {
-	secrecNs        *obs.Histogram // per-query SecRec latency (batch: per sub-query)
+	secrecNs        *obs.Histogram // per-query unmask latency on the in-RAM index (segments time theirs as segstore.load)
 	batchNs         *obs.Histogram // SecRecBatch whole-batch latency
 	queries         *obs.Counter   // SecRec sub-queries answered
 	bucketsUnmasked *obs.Counter   // total buckets unmasked across queries

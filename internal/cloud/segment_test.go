@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -95,11 +96,11 @@ func TestSegmentBackedServerMatchesMonolithic(t *testing.T) {
 		}
 	}
 
-	wantIDs, wantProfiles, err := mono.SecRecBatch(tds)
+	wantIDs, wantProfiles, err := mono.SecRecBatch(context.Background(), tds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, gotProfiles, err := seg.SecRecBatch(tds)
+	gotIDs, gotProfiles, err := seg.SecRecBatch(context.Background(), tds)
 	if err != nil {
 		t.Fatalf("segment-backed SecRecBatch: %v", err)
 	}

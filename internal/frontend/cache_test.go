@@ -336,7 +336,7 @@ func TestDynServingReinsertNewTag(t *testing.T) {
 	tagOf := func(id uint64) profileTag {
 		t.Helper()
 		for _, node := range nodes {
-			if cts, err := node.FetchProfiles([]uint64{id}); err == nil {
+			if cts, err := node.FetchProfiles([]uint64{id}); err == nil && len(cts[0]) > 0 {
 				tag, ok := crypt.Tag(cts[0])
 				if !ok {
 					t.Fatalf("profile %d: ciphertext carries no tag", id)

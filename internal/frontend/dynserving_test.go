@@ -160,3 +160,41 @@ func TestDynServingChurnInvalidation(t *testing.T) {
 		t.Fatalf("post-churn ranking disagrees with oracle: %v", err)
 	}
 }
+
+// TestRescoreThroughDecoratedNodes: the gap-tolerant profile read is the
+// DynNode contract itself, not an optional extra a decorator can hide. The
+// fixture's nodes are wrapped in countingNode, which embeds DynNode; a
+// candidate whose profile vanished behind the manager's back is dropped
+// and the rest of the pass succeeds.
+func TestRescoreThroughDecoratedNodes(t *testing.T) {
+	_, ups, _, nodes, _, serv := dynServingFixture(t, 300)
+	mgr := serv.AttachSubscriptions(nil)
+	sub := ups[3]
+	standing, err := serv.Subscribe(sub.ID, sub.Profile, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(standing) < 2 {
+		t.Fatalf("standing result of %d entries cannot lose one", len(standing))
+	}
+	victim := standing[0].ID
+	if err := nodes[core.DefaultOwner(len(nodes))(victim)].DeleteProfile(victim); err != nil {
+		t.Fatal(err)
+	}
+
+	changed, err := serv.RescoreSubscriptions()
+	if err != nil {
+		t.Fatalf("rescore with one candidate deleted group-wide: %v", err)
+	}
+	if changed == 0 {
+		t.Fatal("rescore corrected no candidate")
+	}
+	for _, id := range mgr.CandidateIDs() {
+		if id == victim {
+			t.Fatalf("deleted candidate %d still standing", victim)
+		}
+	}
+	if top, _ := mgr.TopK(sub.ID); len(top) == 0 || top[0].ID != standing[1].ID {
+		t.Fatalf("runner-up %d not promoted: top %v", standing[1].ID, top)
+	}
+}

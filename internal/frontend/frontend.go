@@ -165,12 +165,6 @@ type Match struct {
 	Distance float64
 }
 
-// DiscoveryServer is the cloud surface the front end drives for static
-// discovery. cloud.Server and the transport client both implement it.
-type DiscoveryServer interface {
-	SecRec(t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, err error)
-}
-
 // Frontend is the trusted service front end.
 type Frontend struct {
 	cfg    Config
@@ -378,7 +372,9 @@ func (f *Frontend) Trapdoors(profiles [][]float64) ([]*core.Trapdoor, error) {
 	return tds, err
 }
 
-// ProfileFetcher is the cloud surface returning encrypted profiles by id.
+// ProfileFetcher is the cloud surface returning encrypted profiles by id,
+// aligned with the request; an identifier the cloud does not hold answers
+// as an empty entry (present ciphertexts are never empty).
 type ProfileFetcher interface {
 	FetchProfiles(ids []uint64) ([][]byte, error)
 }

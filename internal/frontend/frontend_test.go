@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -357,8 +358,13 @@ func TestCloudImagesRoundTrip(t *testing.T) {
 func TestCloudFetchProfilesUnknown(t *testing.T) {
 	cs := cloud.New()
 	cs.PutProfile(1, []byte("ct"))
-	if _, err := cs.FetchProfiles([]uint64{1, 2}); err == nil {
-		t.Error("unknown profile fetch accepted")
+	// The cloud's read tolerates the gap; the strict read the search path
+	// uses names it.
+	if got, err := cs.FetchProfiles([]uint64{1, 2}); err != nil || len(got) != 2 || len(got[1]) != 0 {
+		t.Errorf("FetchProfiles with an unknown id = %q, %v; want an empty slot", got, err)
+	}
+	if _, err := fetchAll(cs, []uint64{1, 2}); !errors.Is(err, ErrUnknownProfile) {
+		t.Errorf("strict fetch with an unknown id: err = %v, want ErrUnknownProfile", err)
 	}
 	got, err := cs.FetchProfiles([]uint64{1})
 	if err != nil || string(got[0]) != "ct" {
@@ -457,15 +463,17 @@ func TestDiscoverBatchWithDecoys(t *testing.T) {
 }
 
 // recordingServer records the search pattern (trapdoor digest) of every
-// SecRec it forwards.
+// trapdoor it forwards.
 type recordingServer struct {
-	inner DiscoveryServer
+	inner BatchDiscoveryServer
 	seen  []CacheKey
 }
 
-func (r *recordingServer) SecRec(t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	r.seen = append(r.seen, trapdoorKey(t))
-	return r.inner.SecRec(t)
+func (r *recordingServer) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
+	for _, t := range ts {
+		r.seen = append(r.seen, trapdoorKey(t))
+	}
+	return r.inner.SecRecBatch(ctx, ts)
 }
 
 func TestDiscoverMultiProbeImprovesRecall(t *testing.T) {

@@ -23,18 +23,15 @@ var fmet struct {
 	batches     *obs.Counter // batched discoveries completed
 	partials    *obs.Counter // sharded discoveries degraded to partial results
 
-	// Serving-path surface: result cache, batch coalescer, admission gate.
-	cacheHits       *obs.Counter   // discoveries answered from the result cache
-	cacheMisses     *obs.Counter   // discoveries that had to reach the cloud
-	cacheInvalids   *obs.Counter   // cache entries evicted by dynamic updates
-	profReused      *obs.Counter   // candidate profiles served from the cache's profile table
-	profDecrypted   *obs.Counter   // candidate profiles that paid MAC + AES-CTR + decode
-	profHeld        *obs.Gauge     // distinct plaintext profiles the profile tables hold
-	coalesceBatch   *obs.Histogram // coalesced flush size (queries per flush)
-	coalesceFlushes *obs.Counter   // coalesced flushes dispatched
-	coalesceQueue   *obs.Gauge     // discoveries waiting for the next flush
-	admitRejected   *obs.Counter   // discoveries rejected with ErrOverloaded
-	admitInflight   *obs.Gauge     // admitted discoveries currently in flight
+	// Serving-path surface: result cache, admission gate.
+	cacheHits     *obs.Counter // discoveries answered from the result cache
+	cacheMisses   *obs.Counter // discoveries that had to reach the cloud
+	cacheInvalids *obs.Counter // cache entries evicted by dynamic updates
+	profReused    *obs.Counter // candidate profiles served from the cache's profile table
+	profDecrypted *obs.Counter // candidate profiles that paid MAC + AES-CTR + decode
+	profHeld      *obs.Gauge   // distinct plaintext profiles the profile tables hold
+	admitRejected *obs.Counter // discoveries rejected with ErrOverloaded
+	admitInflight *obs.Gauge   // admitted discoveries currently in flight
 }
 
 func init() { SetRegistry(obs.Default) }
@@ -59,9 +56,6 @@ func SetRegistry(r *obs.Registry) {
 	fmet.profReused = r.Counter("frontend.profiles_reused")
 	fmet.profDecrypted = r.Counter("frontend.profiles_decrypted")
 	fmet.profHeld = r.Gauge("frontend.profiles_held")
-	fmet.coalesceBatch = r.Histogram("frontend.coalesce_batch")
-	fmet.coalesceFlushes = r.Counter("frontend.coalesce_flushes")
-	fmet.coalesceQueue = r.Gauge("frontend.coalesce_queue")
 	fmet.admitRejected = r.Counter("frontend.admission_rejected")
 	fmet.admitInflight = r.Gauge("frontend.admission_inflight")
 }

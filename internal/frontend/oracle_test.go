@@ -89,7 +89,7 @@ func TestOracleMatchesShardedPartialSubsets(t *testing.T) {
 		nodes[s].PutProfiles(built[s].EncProfiles)
 	}
 
-	// subsetPool serves SecRec from an arbitrary alive-set of local
+	// subsetPool serves SecRecBatch from an arbitrary alive-set of local
 	// shards, merging shard-major like shard.Pool does.
 	for mask := 1; mask < 1<<shards; mask++ {
 		alive := func(id uint64) bool { return mask&(1<<(id%shards)) != 0 }
@@ -113,19 +113,21 @@ type subsetPool struct {
 	mask  int
 }
 
-func (p subsetPool) SecRec(ctx context.Context, td *core.Trapdoor) ([]uint64, [][]byte, bool, error) {
-	var ids []uint64
-	var profiles [][]byte
+func (p subsetPool) SecRecBatch(ctx context.Context, tds []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	ids := make([][]uint64, len(tds))
+	profiles := make([][][]byte, len(tds))
 	for s, node := range p.nodes {
 		if p.mask&(1<<s) == 0 {
 			continue
 		}
-		sids, sprofiles, err := node.SecRec(td)
+		sids, sprofiles, err := node.SecRecBatch(ctx, tds)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		ids = append(ids, sids...)
-		profiles = append(profiles, sprofiles...)
+		for q := range tds {
+			ids[q] = append(ids[q], sids[q]...)
+			profiles[q] = append(profiles[q], sprofiles[q]...)
+		}
 	}
 	return ids, profiles, p.mask != 1<<len(p.nodes)-1, nil
 }

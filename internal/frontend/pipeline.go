@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"pisd/internal/core"
@@ -27,32 +28,29 @@ type candidates struct {
 	partial bool
 }
 
-// singleNode is one cloud node as a never-partial 1-shard fan-out.
-type singleNode struct{ s DiscoveryServer }
-
-func (n singleNode) SecRec(_ context.Context, t *core.Trapdoor) ([]uint64, [][]byte, bool, error) {
-	ids, profiles, err := n.s.SecRec(t)
-	return ids, profiles, false, err
+// FanoutBatchServer is the cloud surface the static source drives: one
+// exchange resolving q trapdoors — a single discovery is a batch of one —
+// with result q depending on trapdoor q alone, partial when some shards
+// are down. shard.Pool implements it.
+type FanoutBatchServer interface {
+	SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, partial bool, err error)
 }
 
-// perQuery adapts a single-query fan-out (shard pool, Coalescer,
-// singleNode) to the batch surface the static source drives: one SecRec per
-// trapdoor, in order, exactly as a loop of single discoveries would issue.
-type perQuery struct{ s FanoutServer }
+// BatchDiscoveryServer is one cloud node's side of that exchange.
+// cloud.Server, the transport client and every shard.Node implement it.
+type BatchDiscoveryServer interface {
+	SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, err error)
+}
 
-func (p perQuery) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
-	ids := make([][]uint64, len(ts))
-	profiles := make([][][]byte, len(ts))
-	partial := false
-	for i, t := range ts {
-		var part bool
-		var err error
-		if ids[i], profiles[i], part, err = p.s.SecRec(ctx, t); err != nil {
-			return nil, nil, false, err
-		}
-		partial = partial || part
-	}
-	return ids, profiles, partial, nil
+// SingleFanout is one cloud node as a never-partial 1-shard fan-out.
+type SingleFanout struct {
+	S BatchDiscoveryServer
+}
+
+// SecRecBatch implements FanoutBatchServer.
+func (a SingleFanout) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	ids, profiles, err := a.S.SecRecBatch(ctx, ts)
+	return ids, profiles, false, err
 }
 
 // fetchStatic is the static candidate source: one SecRecBatch exchange
@@ -75,6 +73,29 @@ func (f *Frontend) fetchStatic(ctx context.Context, pool FanoutBatchServer, cach
 		return err
 	})
 	return out, err
+}
+
+// ErrUnknownProfile reports a profile the index named but the cloud's
+// profile store does not hold.
+var ErrUnknownProfile = errors.New("frontend: unknown profile")
+
+// fetchAll is the strict profile read, for callers that need every
+// profile they name (a search's candidates, a repair's mirror): the gap
+// FetchProfiles tolerates is ErrUnknownProfile here.
+func fetchAll(fetch ProfileFetcher, ids []uint64) ([][]byte, error) {
+	cts, err := fetch.FetchProfiles(ids)
+	if err != nil {
+		return nil, err
+	}
+	if len(cts) != len(ids) {
+		return nil, fmt.Errorf("frontend: fetched %d profiles for %d ids", len(cts), len(ids))
+	}
+	for i, ct := range cts {
+		if len(ct) == 0 {
+			return nil, fmt.Errorf("%w: %d", ErrUnknownProfile, ids[i])
+		}
+	}
+	return cts, nil
 }
 
 // dynLeg is one shard's read surface for a dynamic search.
@@ -107,7 +128,7 @@ func (f *Frontend) fetchDynamic(legs []dynLeg, cache *ResultCache, meta lsh.Meta
 	shardProfiles := make([][][]byte, len(legs))
 	errs := perShard(len(legs), func(s int) (err error) {
 		if shardIDs[s], err = legs[s].client.Search(legs[s].store, meta); err == nil {
-			shardProfiles[s], err = legs[s].fetch.FetchProfiles(shardIDs[s])
+			shardProfiles[s], err = fetchAll(legs[s].fetch, shardIDs[s])
 		}
 		return err
 	})

@@ -167,12 +167,9 @@ func mirrorProfiles(src, dst RepairNode) error {
 		return fmt.Errorf("enumerate source profiles: %w", err)
 	}
 	if len(ids) > 0 {
-		cts, err := src.FetchProfiles(ids)
+		cts, err := fetchAll(src, ids)
 		if err != nil {
 			return fmt.Errorf("fetch source profiles: %w", err)
-		}
-		if len(cts) != len(ids) {
-			return fmt.Errorf("fetched %d profiles for %d ids", len(cts), len(ids))
 		}
 		m := make(map[uint64][]byte, len(ids))
 		for i, id := range ids {

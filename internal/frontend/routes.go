@@ -18,27 +18,19 @@ import (
 // distance ranking → top-k recommendations (GetRec). excludeID removes the
 // target's own identifier from the results (pass 0 to keep everything).
 // A single node is a never-partial 1-shard fan-out.
-func (f *Frontend) Discover(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
-	matches, _, err := f.DiscoverSharded(context.Background(), singleNode{server}, targetProfile, k, excludeID)
+func (f *Frontend) Discover(server BatchDiscoveryServer, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
+	matches, _, err := f.DiscoverSharded(context.Background(), SingleFanout{S: server}, targetProfile, k, excludeID)
 	return matches, err
 }
 
 // DiscoverSharded runs the discovery flow against a sharded cloud tier:
-// trapdoor → concurrent SecRec fan-out → decrypt → exact distance ranking.
+// trapdoor → concurrent fan-out → decrypt → exact distance ranking.
 // partial reports that one or more shards were unreachable and the
 // recommendations cover only the surviving shards' users. For the same
 // dataset and keys the non-partial result is identical to Discover against
-// a single cloud node. It is Serving.Discover minus coalescer and cache.
-func (f *Frontend) DiscoverSharded(ctx context.Context, pool FanoutServer, targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
+// a single cloud node. It is Serving.Discover minus gate and cache.
+func (f *Frontend) DiscoverSharded(ctx context.Context, pool FanoutBatchServer, targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
 	return (&Serving{f: f, fan: pool}).Discover(ctx, targetProfile, k, excludeID)
-}
-
-// BatchDiscoveryServer is the cloud surface the front end drives for
-// batched static discovery: one exchange resolving q trapdoors, with
-// result q matching what SecRec would return for trapdoor q. cloud.Server
-// and the transport client both implement it.
-type BatchDiscoveryServer interface {
-	SecRecBatch(ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, err error)
 }
 
 // DiscoverBatch runs the discovery flow for many target profiles in one
@@ -84,8 +76,9 @@ func (f *Frontend) DiscoverShardedBatch(ctx context.Context, pool FanoutBatchSer
 }
 
 // fetchMetas issues one trapdoor per metadata vector against a single
-// node, one SecRec each, in order. It closes trapdoor and fanout.
-func (f *Frontend) fetchMetas(server DiscoveryServer, metas []lsh.Metadata, sp *obs.Span) ([]candidates, error) {
+// node in one SecRecBatch, in order (the cloud's view is that of the same
+// trapdoors sent one by one, DESIGN.md §11). It closes trapdoor and fanout.
+func (f *Frontend) fetchMetas(server BatchDiscoveryServer, metas []lsh.Metadata, sp *obs.Span) ([]candidates, error) {
 	tds := make([]*core.Trapdoor, len(metas))
 	for i, m := range metas {
 		var err error
@@ -94,7 +87,7 @@ func (f *Frontend) fetchMetas(server DiscoveryServer, metas []lsh.Metadata, sp *
 		}
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
-	return f.fetchStatic(context.Background(), perQuery{singleNode{server}}, nil, tds, sp)
+	return f.fetchStatic(context.Background(), SingleFanout{S: server}, nil, tds, sp)
 }
 
 // DiscoverMultiProbe is Discover with query-directed multi-probe recall
@@ -102,10 +95,10 @@ func (f *Frontend) fetchMetas(server DiscoveryServer, metas []lsh.Metadata, sp *
 // trapdoors for the `variants` cheapest neighbouring-bucket metadata
 // vectors, merges the recovered candidates into one set (each identifier
 // at its first occurrence, probe by probe) and ranks that. Each variant
-// costs one additional constant-bandwidth round, buying recall — the same
-// accuracy/bandwidth dial as raising d or l (Fig. 5(c)), but tunable per
-// query without rebuilding the index.
-func (f *Frontend) DiscoverMultiProbe(server DiscoveryServer, targetProfile []float64, k int, excludeID uint64, variants int) ([]Match, error) {
+// costs one additional constant-bandwidth trapdoor in the same exchange,
+// buying recall — the same accuracy/bandwidth dial as raising d or l
+// (Fig. 5(c)), but tunable per query without rebuilding the index.
+func (f *Frontend) DiscoverMultiProbe(server BatchDiscoveryServer, targetProfile []float64, k int, excludeID uint64, variants int) ([]Match, error) {
 	if variants < 0 {
 		return nil, fmt.Errorf("frontend: negative variant count")
 	}
@@ -150,7 +143,7 @@ func (f *Frontend) DiscoverMultiProbe(server DiscoveryServer, targetProfile []fl
 //
 // DiscoverWithDecoys is a privacy mechanism; for a throughput mechanism
 // that amortises round trips over many real queries see DiscoverBatch.
-func (f *Frontend) DiscoverWithDecoys(server DiscoveryServer, targets [][]float64, k, decoys int, rng *rand.Rand) ([][]Match, error) {
+func (f *Frontend) DiscoverWithDecoys(server BatchDiscoveryServer, targets [][]float64, k, decoys int, rng *rand.Rand) ([][]Match, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("frontend: no targets")
 	}

@@ -12,17 +12,12 @@ import (
 )
 
 // poolNode presents a shard pool as one cloud node, so the routes that
-// take a single DiscoveryServer / BatchDiscoveryServer can be pointed at
-// the multi-shard deployment too.
+// take a single BatchDiscoveryServer can be pointed at the multi-shard
+// deployment too.
 type poolNode struct{ pool *shard.Pool }
 
-func (n poolNode) SecRec(t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	ids, profiles, _, err := n.pool.SecRec(context.Background(), t)
-	return ids, profiles, err
-}
-
-func (n poolNode) SecRecBatch(ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	ids, profiles, _, err := n.pool.SecRecBatch(context.Background(), ts)
+func (n poolNode) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
+	ids, profiles, _, err := n.pool.SecRecBatch(ctx, ts)
 	return ids, profiles, err
 }
 

@@ -97,10 +97,11 @@ func TestStreamingBuildMatchesMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.SecRec(td)
+		batch, err := st.SecRecBatch([]*core.Trapdoor{td})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := batch[0]
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d ids segmented, %d monolithic", q, len(got), len(want))
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"pisd/internal/core"
 	"pisd/internal/lsh"
@@ -12,15 +11,9 @@ import (
 	"pisd/internal/subs"
 )
 
-// ServingConfig tunes the multi-core serving path: batch coalescing,
-// admission control and the search-pattern result cache.
+// ServingConfig tunes the multi-core serving path: admission control and
+// the search-pattern result cache.
 type ServingConfig struct {
-	// MaxBatch bounds how many coalesced queries share one SecRecBatch
-	// flush; <= 0 defaults to 16.
-	MaxBatch int
-	// Window bounds how long a queued query waits for the next flush;
-	// <= 0 defaults to 200µs.
-	Window time.Duration
 	// MaxInflight bounds admitted concurrent discoveries; excess calls
 	// are rejected with ErrOverloaded. <= 0 means unbounded.
 	MaxInflight int
@@ -28,27 +21,22 @@ type ServingConfig struct {
 	CacheEntries int
 }
 
-// DefaultServingConfig returns the serving defaults: 16-query flushes, a
-// 200µs coalescing window, 256 admitted queries and a 4096-entry cache.
+// DefaultServingConfig returns the serving defaults: 256 admitted queries
+// and a 4096-entry cache.
 func DefaultServingConfig() ServingConfig {
-	return ServingConfig{
-		MaxBatch:     16,
-		Window:       200 * time.Microsecond,
-		MaxInflight:  256,
-		CacheEntries: 4096,
-	}
+	return ServingConfig{MaxInflight: 256, CacheEntries: 4096}
 }
 
 // Serving is the static scheme's high-throughput discovery path: an
-// admission gate in front of a trapdoor-keyed result cache in front of an
-// adaptive batch coalescer over the shard fan-out. Concurrent Discover
-// calls share SecRecBatch flushes; repeated search patterns are answered
-// entirely at the frontend with zero cloud traffic (the cache key is the
-// trapdoor the cloud would have seen — already-admitted leakage, DESIGN.md
-// §15). Safe for concurrent use.
+// admission gate in front of a trapdoor-keyed result cache in front of the
+// shard fan-out. Every miss is its own batch-of-one exchange under the
+// caller's context; repeated search patterns are answered entirely at the
+// frontend with zero cloud traffic (the cache key is the trapdoor the
+// cloud would have seen — already-admitted leakage, DESIGN.md §15). Safe
+// for concurrent use.
 type Serving struct {
 	f     *Frontend
-	fan   FanoutServer // NewServing: the Coalescer; DiscoverSharded: the bare fan-out
+	fan   FanoutBatchServer
 	cache *ResultCache
 	gate  *AdmissionGate
 }
@@ -62,7 +50,7 @@ func (f *Frontend) NewServing(pool FanoutBatchServer, cfg ServingConfig) (*Servi
 	}
 	return &Serving{
 		f:     f,
-		fan:   NewCoalescer(pool, cfg.MaxBatch, cfg.Window),
+		fan:   pool,
 		cache: NewResultCache(cfg.CacheEntries),
 		gate:  NewAdmissionGate(cfg.MaxInflight),
 	}, nil
@@ -72,7 +60,7 @@ func (f *Frontend) NewServing(pool FanoutBatchServer, cfg ServingConfig) (*Servi
 func (s *Serving) Cache() *ResultCache { return s.cache }
 
 // Discover runs one discovery through the serving path: admission →
-// trapdoor → cache → coalesced fan-out → decrypt → exact distance
+// trapdoor → cache → fan-out → decrypt → exact distance
 // ranking. The matches are byte-identical to DiscoverSharded over the
 // same healthy shards: a cache hit replays the exact candidate set the
 // cloud returned for this trapdoor, and ranking is deterministic.
@@ -90,7 +78,7 @@ func (s *Serving) Discover(ctx context.Context, targetProfile []float64, k int, 
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
 	c, err := s.cache.lookup(trapdoorKey(td), nil, func() (candidates, error) {
-		cands, err := s.f.fetchStatic(ctx, perQuery{s.fan}, s.cache, []*core.Trapdoor{td}, &sp)
+		cands, err := s.f.fetchStatic(ctx, s.fan, s.cache, []*core.Trapdoor{td}, &sp)
 		if err != nil {
 			return candidates{}, err
 		}
@@ -101,19 +89,6 @@ func (s *Serving) Discover(ctx context.Context, targetProfile []float64, k int, 
 	}
 	matches, partial := finishOne(&sp, fmet.discoverNs, targetProfile, c, k, excludeID)
 	return matches, partial, nil
-}
-
-// SingleFanout adapts a single-node batch server (cloud.Server or a
-// transport.Client) to the FanoutBatchServer surface the serving path
-// drives: no shards means never partial.
-type SingleFanout struct {
-	S BatchDiscoveryServer
-}
-
-// SecRecBatch implements FanoutBatchServer.
-func (a SingleFanout) SecRecBatch(_ context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
-	ids, profiles, err := a.S.SecRecBatch(ts)
-	return ids, profiles, false, err
 }
 
 // DynServing is the dynamic scheme's cached serving path: searches are

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"pisd/internal/cloud"
 	"pisd/internal/core"
+	"pisd/internal/dataset"
 	"pisd/internal/faultnet"
 	"pisd/internal/shard"
 	"pisd/internal/transport"
@@ -26,12 +28,40 @@ func servingFixture(t *testing.T, n int) (*Frontend, *shard.Pool, [][]float64) {
 	return d.f, d.pool, d.profiles
 }
 
-// TestServingCoalescerEquivalence is the coalescer's headline contract:
-// concurrent Discover calls folded into shared SecRecBatch flushes return
-// byte-identical matches to serial DiscoverSharded. Runs with the cache
-// disabled so every call actually rides a flush; `go test -race` makes
-// this double as the coalescer's concurrency check.
-func TestServingCoalescerEquivalence(t *testing.T) {
+// discoverConcurrently issues every target through serving at once and
+// fails the test on any error or partial result.
+func discoverConcurrently(t *testing.T, serving *Serving, targets [][]float64, k int, excludes []uint64) [][]Match {
+	t.Helper()
+	got := make([][]Match, len(targets))
+	errs := make([]error, len(targets))
+	var wg sync.WaitGroup
+	for i := range targets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, partial, err := serving.Discover(context.Background(), targets[i], k, excludes[i])
+			if err == nil && partial {
+				err = errors.New("partial result with all shards alive")
+			}
+			got[i], errs[i] = m, err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	return got
+}
+
+// TestServingConcurrentEquivalence is the serving path's headline
+// contract: concurrent Discover calls, each its own batch-of-one exchange
+// over the shared pool, return byte-identical matches to serial
+// DiscoverSharded. Runs with the cache disabled so every call actually
+// reaches the fan-out; `go test -race` makes this double as the serving
+// path's concurrency check.
+func TestServingConcurrentEquivalence(t *testing.T) {
 	const n, k, queries = 400, 7, 24
 	f, pool, profiles := servingFixture(t, n)
 
@@ -51,61 +81,37 @@ func TestServingCoalescerEquivalence(t *testing.T) {
 		want[i] = m
 	}
 
-	serving, err := f.NewServing(pool, ServingConfig{MaxBatch: 8, Window: 100 * time.Microsecond, CacheEntries: 0})
+	serving, err := f.NewServing(pool, ServingConfig{CacheEntries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got := make([][]Match, queries)
-		errs := make([]error, queries)
-		var wg sync.WaitGroup
+		got := discoverConcurrently(t, serving, targets, k, excludes)
 		for i := range targets {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				m, partial, err := serving.Discover(context.Background(), targets[i], k, excludes[i])
-				if err == nil && partial {
-					err = errors.New("partial result with all shards alive")
-				}
-				got[i], errs[i] = m, err
-			}(i)
-		}
-		wg.Wait()
-		for i := range targets {
-			if errs[i] != nil {
-				t.Fatalf("round %d query %d: %v", round, i, errs[i])
-			}
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("round %d query %d: coalesced result diverged from serial:\n got %v\nwant %v",
+				t.Fatalf("round %d query %d: concurrent result diverged from serial:\n got %v\nwant %v",
 					round, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestServingCoalescerEquivalenceFaultyLatency repeats the equivalence
-// check over real TCP transports whose reads suffer seeded injected
-// latency: slow shards delay coalesced flushes but must not change a
-// single byte of any result, and latency alone must never flag partial.
-func TestServingCoalescerEquivalenceFaultyLatency(t *testing.T) {
-	const n, k, queries = 240, 5, 10
+// remoteFixture builds an S-shard static deployment served over real TCP:
+// shard s's Remote dials through fn as peer "client<s>" over conns pooled
+// connections, and its server listens behind fn as "server<s>". Injection
+// is off for the install and left off; callers enable it.
+func remoteFixture(t *testing.T, fn *faultnet.Network, n, shards, conns int) (*Frontend, *shard.Pool, *dataset.Dataset) {
+	t.Helper()
 	f, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := testPopulation(t, n)
-	ups := uploadsFrom(ds, f)
-	shards, err := f.BuildShardedIndex(ups, 2, nil)
+	built, err := f.BuildShardedIndex(uploadsFrom(ds, f), shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	fn := faultnet.New(faultnet.Plan{
-		Seed:           13,
-		ReadFaultBytes: 4096,
-		ReadLatency:    2 * time.Millisecond,
-	})
-	nodes := make([]shard.Node, len(shards))
+	nodes := make([]shard.Node, shards)
 	for s := range nodes {
 		srv := transport.NewServer(cloud.New())
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -121,7 +127,7 @@ func TestServingCoalescerEquivalenceFaultyLatency(t *testing.T) {
 			srv.Shutdown(ctx)
 		})
 		r := shard.NewRemoteDialer(ln.Addr().String(), fn.Dialer(fmt.Sprintf("client%d", s)))
-		r.SetConns(2)
+		r.SetConns(conns)
 		t.Cleanup(func() { r.Close() })
 		nodes[s] = r
 	}
@@ -130,11 +136,26 @@ func TestServingCoalescerEquivalenceFaultyLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	fn.SetEnabled(false) // clean install phase
-	for s, sh := range shards {
+	for s, sh := range built {
 		if err := pool.InstallShard(s, sh.Index, sh.EncProfiles); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return f, pool, ds
+}
+
+// TestServingConcurrentEquivalenceFaultyLatency repeats the equivalence
+// check over real TCP transports whose reads suffer seeded injected
+// latency: slow shards delay the concurrent exchanges but must not change
+// a single byte of any result, and latency alone must never flag partial.
+func TestServingConcurrentEquivalenceFaultyLatency(t *testing.T) {
+	const n, k, queries = 240, 5, 10
+	fn := faultnet.New(faultnet.Plan{
+		Seed:           13,
+		ReadFaultBytes: 4096,
+		ReadLatency:    2 * time.Millisecond,
+	})
+	f, pool, ds := remoteFixture(t, fn, n, 2, 2)
 
 	targets, _ := ds.Queries(queries, 3)
 	want := make([][]Match, queries)
@@ -146,33 +167,73 @@ func TestServingCoalescerEquivalenceFaultyLatency(t *testing.T) {
 		want[i] = m
 	}
 
-	fn.SetEnabled(true) // latency on for the coalesced run
-	serving, err := f.NewServing(pool, ServingConfig{MaxBatch: 4, Window: 200 * time.Microsecond, CacheEntries: 0})
+	fn.SetEnabled(true) // latency on for the concurrent run
+	serving, err := f.NewServing(pool, ServingConfig{CacheEntries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([][]Match, queries)
-	errs := make([]error, queries)
-	var wg sync.WaitGroup
+	got := discoverConcurrently(t, serving, targets, k, make([]uint64, queries))
 	for i := range targets {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, partial, err := serving.Discover(context.Background(), targets[i], k, 0)
-			if err == nil && partial {
-				err = errors.New("latency alone flagged a partial result")
-			}
-			got[i], errs[i] = m, err
-		}(i)
-	}
-	wg.Wait()
-	for i := range targets {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("query %d: result diverged under injected latency", i)
 		}
+	}
+}
+
+// TestServingDiscoverHonoursContext pins that the caller's context reaches
+// the wire: with the shard's response stream stalled once (faultnet), a
+// Discover under a 50 ms deadline returns context.DeadlineExceeded inside
+// twice that, the stalled connection survives to serve the next discovery
+// (the late response is dropped by request ID), and no goroutine outlives
+// the abandoned call.
+func TestServingDiscoverHonoursContext(t *testing.T) {
+	const deadline, stall = 50 * time.Millisecond, 400 * time.Millisecond
+	fn := faultnet.New(faultnet.Plan{Seed: 7, ReadFaultBytes: 1, StallDelay: stall})
+	f, pool, ds := remoteFixture(t, fn, 120, 1, 1)
+	remote := pool.Node(0).(*shard.Remote)
+	serving, err := f.NewServing(pool, ServingConfig{CacheEntries: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := serving.Discover(context.Background(), ds.Profiles[0], 5, 1)
+	if err != nil {
+		t.Fatalf("clean discover: %v", err)
+	}
+	baseline := runtime.NumGoroutine()
+	_, recvBefore := remote.Traffic()
+
+	// Arm the one-shot stall: the connection's reader delivers the ping's
+	// answer, then sleeps through its next read.
+	fn.SetEnabled(true)
+	if err := pool.Ping(context.Background())[0]; err != nil {
+		t.Fatalf("arming ping: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, _, err = serving.Discover(ctx, ds.Profiles[0], 5, 1)
+	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > 2*deadline {
+		t.Fatalf("stalled discover returned %v after %s, want context.DeadlineExceeded inside %s", err, took, 2*deadline)
+	}
+
+	// Same connection, next discovery: queued behind the stall, then served.
+	got, partial, err := serving.Discover(context.Background(), ds.Profiles[0], 5, 1)
+	if err != nil || partial {
+		t.Fatalf("discover after the stall: partial=%v err=%v", partial, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("discover after the stall diverged:\n got %v\nwant %v", got, want)
+	}
+	// Traffic sums live connections only: had the stalled one been dropped
+	// and redialed, the received total would have restarted from zero.
+	if _, recv := remote.Traffic(); remote.LiveConns() != 1 || recv <= recvBefore {
+		t.Fatalf("stalled connection did not survive: %d live conns, %d B received (was %d)", remote.LiveConns(), recv, recvBefore)
+	}
+	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(wait) {
+			t.Fatalf("%d goroutines after the abandoned call, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -1,7 +1,6 @@
 package frontend
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -115,20 +114,6 @@ func (f *Frontend) BuildShardedDynamicIndex(uploads []Upload, shards int, owner 
 		out[owner(u.ID)].EncProfiles[u.ID] = cts[i]
 	}
 	return out, nil
-}
-
-// FanoutServer is the sharded cloud surface the front end drives for
-// static discovery: a fan-out SecRec that may come back partial when some
-// shards are down. shard.Pool implements it.
-type FanoutServer interface {
-	SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, partial bool, err error)
-}
-
-// FanoutBatchServer is the sharded cloud surface for batched static
-// discovery: one fan-out resolving q trapdoors with a single call per
-// shard, partial when some shards are down. shard.Pool implements it.
-type FanoutBatchServer interface {
-	SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, partial bool, err error)
 }
 
 // DynNode is the per-shard cloud surface sharded dynamic operations

@@ -82,7 +82,7 @@ func TestBuildShardedIndexRejectsBadInput(t *testing.T) {
 	}
 }
 
-// fanoutStub implements FanoutServer with canned results.
+// fanoutStub implements FanoutBatchServer with one canned result.
 type fanoutStub struct {
 	ids      []uint64
 	profiles [][]byte
@@ -90,8 +90,8 @@ type fanoutStub struct {
 	err      error
 }
 
-func (s *fanoutStub) SecRec(context.Context, *core.Trapdoor) ([]uint64, [][]byte, bool, error) {
-	return s.ids, s.profiles, s.partial, s.err
+func (s *fanoutStub) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64, [][][]byte, bool, error) {
+	return [][]uint64{s.ids}, [][][]byte{s.profiles}, s.partial, s.err
 }
 
 // TestDiscoverShardedPropagatesPartial checks that the partial flag and

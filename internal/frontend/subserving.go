@@ -155,7 +155,7 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 	cts := make([][][]byte, len(s.nodes))
 	for sh, err := range perShard(len(s.nodes), func(sh int) (err error) {
 		if len(byShard[sh]) > 0 {
-			cts[sh], err = fetchProfilesSparse(s.nodes[sh], byShard[sh])
+			cts[sh], err = s.nodes[sh].FetchProfiles(byShard[sh])
 		}
 		return err
 	}) {
@@ -183,19 +183,4 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 		profiles[id] = c.vecs[i]
 	}
 	return s.subsm.Rescore(profiles), nil
-}
-
-// sparseProfileFetcher mirrors shard.SparseProfileFetcher without
-// importing the shard package: the gap-tolerant batched profile read.
-type sparseProfileFetcher interface {
-	FetchProfilesSparse(ids []uint64) ([][]byte, error)
-}
-
-// fetchProfilesSparse runs the gap-tolerant read when the node supports
-// it, degrading to the strict read otherwise.
-func fetchProfilesSparse(n DynNode, ids []uint64) ([][]byte, error) {
-	if sf, ok := n.(sparseProfileFetcher); ok {
-		return sf.FetchProfilesSparse(ids)
-	}
-	return n.FetchProfiles(ids)
 }

@@ -68,6 +68,16 @@ func buildSegmented(t *testing.T, keys *crypt.KeySet, p core.Params, items []cor
 	return st, b
 }
 
+// secRecOne answers one trapdoor the way every caller does: as a batch of
+// one.
+func secRecOne(st *Store, td *core.Trapdoor) ([]uint64, error) {
+	ids, err := st.SecRecBatch([]*core.Trapdoor{td})
+	if err != nil {
+		return nil, err
+	}
+	return ids[0], nil
+}
+
 func sameIDs(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
@@ -115,7 +125,7 @@ func TestStoreMatchesMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.SecRec(td)
+		got, err := secRecOne(st, td)
 		if err != nil {
 			t.Fatalf("store SecRec: %v", err)
 		}
@@ -184,7 +194,7 @@ func TestStoreEquivalenceUnderCompaction(t *testing.T) {
 				default:
 				}
 				q := queries[(i+w)%len(queries)]
-				got, err := st.SecRec(q.td)
+				got, err := secRecOne(st, q.td)
 				if err != nil {
 					errCh <- err
 					return
@@ -216,7 +226,7 @@ func TestStoreEquivalenceUnderCompaction(t *testing.T) {
 		t.Fatalf("store indexes %d items after compaction, want %d", st.Len(), n)
 	}
 	for i, q := range queries {
-		got, err := st.SecRec(q.td)
+		got, err := secRecOne(st, q.td)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +429,7 @@ func TestStoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.SecRec(td); err != nil {
+	if _, err := secRecOne(st, td); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("segstore.queries").Load(); got != 1 {

@@ -219,18 +219,6 @@ type secRecScratch struct {
 	bucket [core.BucketSize]byte
 }
 
-// SecRec answers one trapdoor from the live segments; the identifier
-// sequence is byte-identical to the monolithic index's SecRec.
-func (s *Store) SecRec(t *core.Trapdoor) ([]uint64, error) {
-	segs, shape, err := s.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer releaseAll(segs)
-	sc := secRecScratch{seen: make(map[uint64]struct{}, shape.Params.BucketsPerQuery())}
-	return s.secRec(t, segs, shape, &sc)
-}
-
 // SecRecBatch answers a batch of trapdoors over one snapshot, so every
 // sub-query sees the same segment set even under concurrent compaction.
 func (s *Store) SecRecBatch(ts []*core.Trapdoor) ([][]uint64, error) {

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestSecRecBatchEqualsSerialFanout checks the batched fan-out against the
-// per-query fan-out: with every shard alive, result q of one SecRecBatch
-// must equal SecRec(ts[q]) exactly.
+// TestSecRecBatchEqualsSerialFanout checks a fan-out of q against q
+// fan-outs of one: with every shard alive, result q of one SecRecBatch must
+// equal SecRec(ts[q]) — the batch [ts[q]] — exactly.
 func TestSecRecBatchEqualsSerialFanout(t *testing.T) {
 	const n, shards = 300, 4
 

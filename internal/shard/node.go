@@ -32,12 +32,13 @@ import (
 type Node interface {
 	// Ping checks shard liveness.
 	Ping(ctx context.Context) error
-	// SecRec runs one discovery leg against the shard's index.
-	SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, err error)
-	// SecRecBatch runs a batch of discovery legs in one exchange; result q
-	// matches what SecRec would return for ts[q].
+	// SecRecBatch runs a batch of discovery legs against the shard's index
+	// in one exchange; result q depends on ts[q] alone. A single discovery
+	// is a batch of one.
 	SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, err error)
-	// FetchProfiles returns encrypted profiles stored on this shard.
+	// FetchProfiles returns encrypted profiles stored on this shard,
+	// aligned with ids; an identifier the shard does not hold answers as
+	// an empty entry.
 	FetchProfiles(ids []uint64) ([][]byte, error)
 	// PutProfiles uploads encrypted profiles to this shard.
 	PutProfiles(profiles map[uint64][]byte) error
@@ -50,25 +51,6 @@ type Node interface {
 	// BucketStore exposes the shard's dynamic buckets so a core.DynClient
 	// can route secure insert/delete protocols to the owning shard.
 	core.BucketStore
-}
-
-// SparseProfileFetcher is the optional gap-tolerant profile read the
-// subscription re-score fan-out prefers: an unknown identifier answers as
-// an empty entry instead of failing the whole batch. Local, Remote and
-// ReplicaGroup implement it; FetchProfilesSparse falls back to the strict
-// read on nodes that do not.
-type SparseProfileFetcher interface {
-	FetchProfilesSparse(ids []uint64) ([][]byte, error)
-}
-
-// FetchProfilesSparse runs the gap-tolerant batched profile read against
-// n, degrading to the strict FetchProfiles (whole-batch failure on any
-// unknown id) when n does not implement SparseProfileFetcher.
-func FetchProfilesSparse(n Node, ids []uint64) ([][]byte, error) {
-	if sf, ok := n.(SparseProfileFetcher); ok {
-		return sf.FetchProfilesSparse(ids)
-	}
-	return n.FetchProfiles(ids)
 }
 
 // ReplicaNode is the surface a replica group needs from each of its
@@ -108,30 +90,13 @@ func (l Local) Ping(ctx context.Context) error {
 	return l.CS.Ping()
 }
 
-// SecRec implements Node.
-func (l Local) SecRec(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return l.CS.SecRec(t)
-}
-
 // SecRecBatch implements Node.
 func (l Local) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return l.CS.SecRecBatch(ts)
+	return l.CS.SecRecBatch(ctx, ts)
 }
 
 // FetchProfiles implements Node.
 func (l Local) FetchProfiles(ids []uint64) ([][]byte, error) { return l.CS.FetchProfiles(ids) }
-
-// FetchProfilesSparse implements SparseProfileFetcher: unknown ids answer
-// as empty entries instead of failing the batch.
-func (l Local) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
-	return l.CS.FetchProfilesSparse(ids)
-}
 
 // PutProfiles implements Node.
 func (l Local) PutProfiles(profiles map[uint64][]byte) error {

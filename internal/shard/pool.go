@@ -77,58 +77,14 @@ func (p *Pool) Owner(id uint64) int { return p.cfg.Owner(id) }
 // OwnerNode returns the node hosting identifier id.
 func (p *Pool) OwnerNode(id uint64) Node { return p.nodes[p.cfg.Owner(id)] }
 
-// SecRec fans the trapdoor out to every shard concurrently and merges the
-// recovered identifiers and encrypted profiles in shard order. Shards that
-// fail (after the configured retries) are skipped; partial reports whether
-// any were. Only when every shard fails does SecRec return an error. The
-// signature implements frontend.FanoutServer.
-func (p *Pool) SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, partial bool, err error) {
-	start := time.Now()
-	type leg struct {
-		ids      []uint64
-		profiles [][]byte
-	}
-	results, errs := fanout(p, ctx, func(cctx context.Context, s int) (leg, error) {
-		ids, profiles, err := p.nodes[s].SecRec(cctx, t)
-		return leg{ids: ids, profiles: profiles}, err
-	})
-
-	var firstErr error
-	failed := 0
-	seen := make(map[uint64]struct{})
-	for s, r := range results {
-		if errs[s] != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", s, errs[s])
-			}
-			continue
-		}
-		for i, id := range r.ids {
-			// Shards are disjoint by construction; the dedup guard keeps
-			// SecRec's no-duplicates contract even over a misconfigured
-			// (overlapping) deployment.
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			ids = append(ids, id)
-			encProfiles = append(encProfiles, r.profiles[i])
-		}
-	}
-	if failed == len(p.nodes) {
-		return nil, nil, false, fmt.Errorf("shard: all %d shards failed: %w", len(p.nodes), firstErr)
-	}
-	p.met.fanout(start, failed > 0)
-	return ids, encProfiles, failed > 0, nil
-}
-
-// SecRecBatch fans a batch of trapdoors out as ONE call per shard and
-// merges per query: result q is byte-identical to what SecRec(ctx, ts[q])
-// would return over the same set of healthy shards (shard-order merge,
-// per-query dedup). A shard that fails after the configured retries is
-// skipped for the whole batch and the result is flagged partial; only when
-// every shard fails does SecRecBatch return an error.
+// SecRecBatch fans a batch of trapdoors out to every shard concurrently,
+// ONE call per shard, and merges the recovered identifiers and encrypted
+// profiles per query in shard order: result q depends on ts[q] and the set
+// of healthy shards alone, so a discovery is a batch of one. A shard that
+// fails after the configured retries is skipped for the whole batch and
+// the result is flagged partial; only when every shard fails does
+// SecRecBatch return an error. The signature implements
+// frontend.FanoutBatchServer.
 func (p *Pool) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]uint64, encProfiles [][][]byte, partial bool, err error) {
 	if len(ts) == 0 {
 		return nil, nil, false, nil
@@ -168,6 +124,9 @@ func (p *Pool) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]ui
 				continue
 			}
 			for i, id := range r.ids[q] {
+				// Shards are disjoint by construction; the dedup guard keeps
+				// SecRec's no-duplicates contract even over a misconfigured
+				// (overlapping) deployment.
 				if _, dup := seen[id]; dup {
 					continue
 				}
@@ -179,6 +138,15 @@ func (p *Pool) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]ui
 	}
 	p.met.fanout(start, failed > 0)
 	return ids, encProfiles, failed > 0, nil
+}
+
+// SecRec is SecRecBatch for one trapdoor.
+func (p *Pool) SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encProfiles [][]byte, partial bool, err error) {
+	batchIDs, batchProfiles, partial, err := p.SecRecBatch(ctx, []*core.Trapdoor{t})
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return batchIDs[0], batchProfiles[0], partial, nil
 }
 
 // fanout runs one retried call per shard concurrently and collects each

@@ -13,7 +13,7 @@ import (
 
 // Remote is a Node backed by a pool of framed transport connections to one
 // shard server. Each connection is an independently multiplexed gob
-// stream, so concurrent SecRec legs no longer serialize behind a single
+// stream, so concurrent discovery legs do not serialize behind a single
 // encoder: dispatch picks the least-loaded live connection, dialing lazily
 // up to the configured pool size (SetConns, default 1).
 //
@@ -214,19 +214,7 @@ func (r *Remote) do(fn func(c *transport.Client) error) error {
 
 // Ping implements Node.
 func (r *Remote) Ping(ctx context.Context) error {
-	return r.do(func(c *transport.Client) error { return c.PingContext(ctx) })
-}
-
-// SecRec implements Node.
-func (r *Remote) SecRec(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	var ids []uint64
-	var profiles [][]byte
-	err := r.do(func(c *transport.Client) error {
-		var err error
-		ids, profiles, err = c.SecRecContext(ctx, t)
-		return err
-	})
-	return ids, profiles, err
+	return r.do(func(c *transport.Client) error { return c.Ping(ctx) })
 }
 
 // SecRecBatch implements Node.
@@ -235,10 +223,19 @@ func (r *Remote) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint
 	var profiles [][][]byte
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		ids, profiles, err = c.SecRecBatchContext(ctx, ts)
+		ids, profiles, err = c.SecRecBatch(ctx, ts)
 		return err
 	})
 	return ids, profiles, err
+}
+
+// SecRec is SecRecBatch for one trapdoor.
+func (r *Remote) SecRec(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
+	ids, profiles, err := r.SecRecBatch(ctx, []*core.Trapdoor{t})
+	if err != nil {
+		return nil, nil, err
+	}
+	return ids[0], profiles[0], nil
 }
 
 // FetchProfiles implements Node.
@@ -247,17 +244,6 @@ func (r *Remote) FetchProfiles(ids []uint64) ([][]byte, error) {
 	err := r.do(func(c *transport.Client) error {
 		var err error
 		profiles, err = c.FetchProfiles(ids)
-		return err
-	})
-	return profiles, err
-}
-
-// FetchProfilesSparse implements SparseProfileFetcher remotely.
-func (r *Remote) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
-	var profiles [][]byte
-	err := r.do(func(c *transport.Client) error {
-		var err error
-		profiles, err = c.FetchProfilesSparse(ids)
 		return err
 	})
 	return profiles, err
@@ -333,7 +319,7 @@ func (r *Remote) Version(ctx context.Context) (uint64, error) {
 	var v uint64
 	err := r.do(func(c *transport.Client) error {
 		var err error
-		v, err = c.VersionContext(ctx)
+		v, err = c.Version(ctx)
 		return err
 	})
 	return v, err

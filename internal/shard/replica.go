@@ -335,20 +335,8 @@ func (g *ReplicaGroup) Ping(ctx context.Context) error {
 	return err
 }
 
-// SecRec implements Node on the healthiest current replica, with failover.
-func (g *ReplicaGroup) SecRec(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	type leg struct {
-		ids      []uint64
-		profiles [][]byte
-	}
-	r, err := readGroup(g, ctx, func(ctx context.Context, n ReplicaNode) (leg, error) {
-		ids, profiles, err := n.SecRec(ctx, t)
-		return leg{ids: ids, profiles: profiles}, err
-	})
-	return r.ids, r.profiles, err
-}
-
-// SecRecBatch implements Node on the healthiest current replica.
+// SecRecBatch implements Node on the healthiest current replica, with
+// failover.
 func (g *ReplicaGroup) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	type batchLeg struct {
 		ids      [][]uint64
@@ -364,20 +352,6 @@ func (g *ReplicaGroup) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([]
 // FetchProfiles implements Node on the healthiest current replica.
 func (g *ReplicaGroup) FetchProfiles(ids []uint64) ([][]byte, error) {
 	return readGroup(g, nil, func(_ context.Context, n ReplicaNode) ([][]byte, error) {
-		return n.FetchProfiles(ids)
-	})
-}
-
-// FetchProfilesSparse implements SparseProfileFetcher on the healthiest
-// current replica, failing over like every group read. A member that does
-// not itself implement the sparse read serves the strict one — reads only
-// ever reach current replicas, so the two differ only on identifiers
-// deleted group-wide, exactly the gap the sparse contract tolerates.
-func (g *ReplicaGroup) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
-	return readGroup(g, nil, func(_ context.Context, n ReplicaNode) ([][]byte, error) {
-		if sf, ok := n.(SparseProfileFetcher); ok {
-			return sf.FetchProfilesSparse(ids)
-		}
 		return n.FetchProfiles(ids)
 	})
 }

@@ -14,7 +14,7 @@ import (
 	"pisd/internal/transport"
 )
 
-// flakyNode fails its first SecRec with a retryable connection error and
+// flakyNode fails its first SecRecBatch with a retryable connection error and
 // every later one with a non-retryable application error: the exact
 // sequence in which attempt() swallows the intermediate ConnError.
 type flakyNode struct {
@@ -23,7 +23,7 @@ type flakyNode struct {
 	calls int
 }
 
-func (n *flakyNode) SecRec(context.Context, *core.Trapdoor) ([]uint64, [][]byte, error) {
+func (n *flakyNode) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.calls++
@@ -107,12 +107,12 @@ func TestAttemptAccountsSwallowedConnError(t *testing.T) {
 	}
 }
 
-// stallNode blocks every SecRec until the per-attempt context expires.
+// stallNode blocks every SecRecBatch until the per-attempt context expires.
 type stallNode struct {
 	Node
 }
 
-func (n stallNode) SecRec(ctx context.Context, _ *core.Trapdoor) ([]uint64, [][]byte, error) {
+func (n stallNode) SecRecBatch(ctx context.Context, _ []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	<-ctx.Done()
 	return nil, nil, &transport.ConnError{Op: "call", Err: ctx.Err()}
 }
@@ -157,14 +157,14 @@ type connErrNode struct {
 	err error
 }
 
-func (n connErrNode) SecRec(context.Context, *core.Trapdoor) ([]uint64, [][]byte, error) {
+func (n connErrNode) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	return nil, nil, n.err
 }
 
 // okNode answers every read successfully with an empty result.
 type okNode struct{ ReplicaNode }
 
-func (okNode) SecRec(context.Context, *core.Trapdoor) ([]uint64, [][]byte, error) {
+func (okNode) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	return nil, nil, nil
 }
 
@@ -191,7 +191,7 @@ func TestGroupAttemptAccountsSwallowedConnError(t *testing.T) {
 
 	// Replica 0 is the first candidate (equal scores, stable order), so the
 	// read provably walks dead → ok.
-	if _, _, err := g.SecRec(context.Background(), nil); err != nil {
+	if _, _, err := g.SecRecBatch(context.Background(), nil); err != nil {
 		t.Fatalf("failover read surfaced the swallowed fault: %v", err)
 	}
 
@@ -211,7 +211,7 @@ func TestGroupAttemptAccountsSwallowedConnError(t *testing.T) {
 
 	// A second read prefers the sibling (the faulted replica now carries a
 	// read-fault score) and must not charge the dead replica again.
-	if _, _, err := g.SecRec(context.Background(), nil); err != nil {
+	if _, _, err := g.SecRecBatch(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	c = reg.Snapshot().Counters
@@ -242,7 +242,7 @@ func TestGroupAttemptTimeoutCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	g.SetRegistry(reg)
 
-	if _, _, err := g.SecRec(context.Background(), nil); err != nil {
+	if _, _, err := g.SecRecBatch(context.Background(), nil); err != nil {
 		t.Fatalf("failover read failed: %v", err)
 	}
 	c := reg.Snapshot().Counters
@@ -278,7 +278,7 @@ func TestGroupAllReplicasFailAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	g.SetRegistry(reg)
 
-	_, _, err = g.SecRec(context.Background(), nil)
+	_, _, err = g.SecRecBatch(context.Background(), nil)
 	if err == nil {
 		t.Fatal("expected the all-dead group to fail")
 	}

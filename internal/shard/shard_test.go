@@ -325,7 +325,7 @@ func faultPool(t *testing.T, f *frontend.Frontend, uploads []frontend.Upload, nS
 
 func shardPeer(s int) string { return fmt.Sprintf("shard%d", s) }
 
-// appErrNode wraps a Node and fails every SecRec with an application
+// appErrNode wraps a Node and fails every SecRecBatch with an application
 // error, which must not be retried.
 type appErrNode struct {
 	Node
@@ -333,7 +333,7 @@ type appErrNode struct {
 	calls int
 }
 
-func (a *appErrNode) SecRec(context.Context, *core.Trapdoor) ([]uint64, [][]byte, error) {
+func (a *appErrNode) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	a.mu.Lock()
 	a.calls++
 	a.mu.Unlock()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/gob"
 	"net"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pisd/internal/core"
 	"pisd/internal/frontend"
 )
 
@@ -120,25 +122,26 @@ func TestLateResponseSkippedByID(t *testing.T) {
 	client.SetTimeout(100 * time.Millisecond)
 
 	// First call times out; its response is still in flight.
-	if err := client.Ping(); err == nil {
+	if err := client.Ping(context.Background()); err == nil {
 		t.Fatal("ping answered late succeeded")
 	} else if !IsConnError(err) {
 		t.Fatalf("timeout surfaced %T (%v), want *ConnError", err, err)
 	}
 	// Second call must get ITS response, not the abandoned call's.
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after timed-out call: %v", err)
 	}
 	// Let the stale response for the first request arrive and be dropped,
 	// then prove the connection is still healthy.
 	time.Sleep(450 * time.Millisecond)
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after stale response arrived: %v", err)
 	}
 }
 
-// TestSecRecBatchOverTransport checks the batched endpoint end to end:
-// per-query results over TCP must match the serial SecRec calls exactly.
+// TestSecRecBatchOverTransport checks the discovery endpoint end to end: a
+// batch of q over TCP (split into sub-batches past maxBatchPerRPC) must
+// match q batches of one exactly.
 func TestSecRecBatchOverTransport(t *testing.T) {
 	_, client := startServer(t)
 	f := testFrontend(t)
@@ -158,7 +161,8 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, profiles, err := client.SecRecBatch(tds)
+	ctx := context.Background()
+	ids, profiles, err := client.SecRecBatch(ctx, tds)
 	if err != nil {
 		t.Fatalf("SecRecBatch: %v", err)
 	}
@@ -166,19 +170,19 @@ func TestSecRecBatchOverTransport(t *testing.T) {
 		t.Fatalf("batch of %d answered with %d/%d results", len(tds), len(ids), len(profiles))
 	}
 	for q, td := range tds {
-		wantIDs, wantProfiles, err := client.SecRec(td)
+		wantIDs, wantProfiles, err := client.SecRecBatch(ctx, []*core.Trapdoor{td})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ids[q], wantIDs) {
-			t.Fatalf("query %d ids: %v, want %v", q, ids[q], wantIDs)
+		if !reflect.DeepEqual(ids[q], wantIDs[0]) {
+			t.Fatalf("query %d ids: %v, want %v", q, ids[q], wantIDs[0])
 		}
-		if !reflect.DeepEqual(profiles[q], wantProfiles) {
-			t.Fatalf("query %d profiles differ from serial SecRec", q)
+		if !reflect.DeepEqual(profiles[q], wantProfiles[0]) {
+			t.Fatalf("query %d profiles differ from its batch of one", q)
 		}
 	}
 	// Empty batch is a no-op, not an error.
-	if _, _, err := client.SecRecBatch(nil); err != nil {
+	if _, _, err := client.SecRecBatch(ctx, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }

@@ -84,28 +84,22 @@ func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
 
 // Method names of the wire protocol.
 const (
-	MethodSecRec        = "SecRec"
 	MethodSecRecBatch   = "SecRecBatch"
 	MethodFetchProfiles = "FetchProfiles"
-	// MethodFetchProfilesSparse is FetchProfiles with gap tolerance: an
-	// unknown identifier answers as an empty entry instead of failing the
-	// batch (the subscription re-score fan-out's read).
-	MethodFetchProfilesSparse = "FetchProfilesSparse"
-	MethodPutProfile          = "PutProfile"
-	MethodDeleteProfile       = "DeleteProfile"
-	MethodFetchBuckets        = "FetchBuckets"
-	MethodStoreBuckets        = "StoreBuckets"
-	MethodStoreImage          = "StoreImage"
-	MethodFetchImages         = "FetchImages"
-	MethodPing                = "Ping"
-	MethodInstallIndex        = "InstallIndex"
-	MethodInstallDyn          = "InstallDynIndex"
+	MethodPutProfile    = "PutProfile"
+	MethodDeleteProfile = "DeleteProfile"
+	MethodFetchBuckets  = "FetchBuckets"
+	MethodStoreBuckets  = "StoreBuckets"
+	MethodStoreImage    = "StoreImage"
+	MethodFetchImages   = "FetchImages"
+	MethodPing          = "Ping"
+	MethodInstallIndex  = "InstallIndex"
+	MethodInstallDyn    = "InstallDynIndex"
 )
 
 // Request is the single wire request envelope body.
 type Request struct {
 	Method    string
-	Trapdoor  *core.Trapdoor
 	Trapdoors []*core.Trapdoor
 	Refs      []core.BucketRef
 	Buckets   []core.DynBucket
@@ -398,16 +392,10 @@ func (s *Server) dispatch(req *Request) *Response {
 			break
 		}
 		s.cs.SetDynIndex(req.DynIndex)
-	case MethodSecRec:
-		ids, profiles, err := s.cs.SecRec(req.Trapdoor)
-		if err != nil {
-			resp.Err = err.Error()
-			break
-		}
-		resp.IDs = ids
-		resp.Profiles = profiles
 	case MethodSecRecBatch:
-		ids, profiles, err := s.cs.SecRecBatch(req.Trapdoors)
+		// The server owns this request's lifetime: a caller that gave up
+		// simply never reads the response.
+		ids, profiles, err := s.cs.SecRecBatch(context.Background(), req.Trapdoors)
 		if err != nil {
 			resp.Err = err.Error()
 			break
@@ -416,13 +404,6 @@ func (s *Server) dispatch(req *Request) *Response {
 		resp.BatchProfiles = profiles
 	case MethodFetchProfiles:
 		profiles, err := s.cs.FetchProfiles(req.IDs)
-		if err != nil {
-			resp.Err = err.Error()
-			break
-		}
-		resp.Profiles = profiles
-	case MethodFetchProfilesSparse:
-		profiles, err := s.cs.FetchProfilesSparse(req.IDs)
 		if err != nil {
 			resp.Err = err.Error()
 			break
@@ -556,11 +537,11 @@ func (c *Client) Close() error {
 }
 
 // SetTimeout bounds how long every subsequent call waits for its response;
-// zero disables the bound. Per-call context deadlines (the ...Context
-// variants) compose with this connection-global bound: the earlier
-// deadline wins. A timed-out call fails with a ConnError but leaves the
-// multiplexed connection fully usable — the late response is discarded by
-// its request ID when it eventually arrives.
+// zero disables the bound. Per-call context deadlines compose with this
+// connection-global bound: the earlier deadline wins. A timed-out call
+// fails with a ConnError but leaves the multiplexed connection fully
+// usable — the late response is discarded by its request ID when it
+// eventually arrives.
 func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -627,17 +608,12 @@ func (c *Client) forget(id uint64) {
 	c.mu.Unlock()
 }
 
-// call performs one exchange without a per-call deadline.
-func (c *Client) call(req *Request) (*Response, error) {
-	return c.callContext(context.Background(), req)
-}
-
-// callContext performs one pipelined exchange bounded by ctx and the
+// call performs one pipelined exchange bounded by ctx and the
 // connection-global timeout (earlier wins). The request frame is written
 // immediately — concurrent calls interleave on the connection — and the
 // caller waits only for its own response. Expiry or cancellation abandons
 // the call without disturbing the connection.
-func (c *Client) callContext(ctx context.Context, req *Request) (*Response, error) {
+func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &ConnError{Op: "call", Err: err}
 	}
@@ -698,52 +674,26 @@ func (c *Client) callContext(ctx context.Context, req *Request) (*Response, erro
 	}
 }
 
+// The methods below are one per RPC. Those without a ctx parameter are
+// bounded by SetTimeout alone (context.TODO marks where ROADMAP item 3
+// threads a deadline through the dynamic path).
+
 // InstallIndex outsources a freshly built static index to the cloud.
 func (c *Client) InstallIndex(idx *core.Index) error {
-	return c.InstallIndexContext(context.Background(), idx)
-}
-
-// InstallIndexContext is InstallIndex bounded by ctx.
-func (c *Client) InstallIndexContext(ctx context.Context, idx *core.Index) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodInstallIndex, Index: idx})
+	_, err := c.call(context.TODO(), &Request{Method: MethodInstallIndex, Index: idx})
 	return err
 }
 
 // InstallDynIndex outsources a dynamic index to the cloud.
 func (c *Client) InstallDynIndex(idx *core.DynIndex) error {
-	return c.InstallDynIndexContext(context.Background(), idx)
-}
-
-// InstallDynIndexContext is InstallDynIndex bounded by ctx.
-func (c *Client) InstallDynIndexContext(ctx context.Context, idx *core.DynIndex) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodInstallDyn, DynIndex: idx})
+	_, err := c.call(context.TODO(), &Request{Method: MethodInstallDyn, DynIndex: idx})
 	return err
 }
 
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	return c.PingContext(context.Background())
-}
-
-// PingContext is Ping bounded by ctx.
-func (c *Client) PingContext(ctx context.Context) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodPing})
+// Ping checks liveness, bounded by ctx.
+func (c *Client) Ping(ctx context.Context) error {
+	_, err := c.call(ctx, &Request{Method: MethodPing})
 	return err
-}
-
-// SecRec implements frontend.DiscoveryServer remotely.
-func (c *Client) SecRec(t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	return c.SecRecContext(context.Background(), t)
-}
-
-// SecRecContext is SecRec bounded by ctx — the fan-out primitive a shard
-// pool uses to put a per-shard deadline on each discovery leg.
-func (c *Client) SecRecContext(ctx context.Context, t *core.Trapdoor) ([]uint64, [][]byte, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodSecRec, Trapdoor: t})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.IDs, resp.Profiles, nil
 }
 
 // maxBatchPerRPC caps how many trapdoors ride in a single SecRecBatch
@@ -755,24 +705,14 @@ func (c *Client) SecRecContext(ctx context.Context, t *core.Trapdoor) ([]uint64,
 // on the multiplexed connection is strictly faster than one giant frame.
 const maxBatchPerRPC = 8
 
-// SecRecBatch implements frontend.BatchDiscoveryServer remotely: q
-// trapdoors resolved with per-query results identical to q serial SecRec
-// calls. Large batches are split into sub-batches of maxBatchPerRPC
-// queries issued concurrently over the shared connection, so the server
-// streams bounded response messages instead of one giant frame.
-func (c *Client) SecRecBatch(ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	return c.SecRecBatchContext(context.Background(), ts)
-}
-
-// SecRecBatchContext is SecRecBatch bounded by ctx.
-func (c *Client) SecRecBatchContext(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	if len(ts) <= maxBatchPerRPC {
-		resp, err := c.callContext(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts})
-		if err != nil {
-			return nil, nil, err
-		}
-		return resp.BatchIDs, resp.BatchProfiles, nil
-	}
+// SecRecBatch is the discovery exchange, bounded by ctx: q trapdoors
+// resolved with result q independent of what else rides in the batch (a
+// single discovery is a batch of one). Large batches are split into
+// sub-batches of maxBatchPerRPC queries issued concurrently over the
+// shared connection, so the server streams bounded response messages
+// instead of one giant frame. It implements frontend.BatchDiscoveryServer
+// and the fan-out primitive a shard pool puts a per-shard deadline on.
+func (c *Client) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
 	ids := make([][]uint64, len(ts))
 	profiles := make([][][]byte, len(ts))
 	var (
@@ -780,29 +720,27 @@ func (c *Client) SecRecBatchContext(ctx context.Context, ts []*core.Trapdoor) ([
 		errOnce  sync.Once
 		firstErr error
 	)
-	for lo := 0; lo < len(ts); lo += maxBatchPerRPC {
-		hi := lo + maxBatchPerRPC
-		if hi > len(ts) {
-			hi = len(ts)
+	sub := func(lo, hi int) {
+		defer wg.Done()
+		resp, err := c.call(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts[lo:hi]})
+		if err == nil && (len(resp.BatchIDs) != hi-lo || len(resp.BatchProfiles) != hi-lo) {
+			err = fmt.Errorf("transport: sub-batch of %d queries answered with %d/%d results",
+				hi-lo, len(resp.BatchIDs), len(resp.BatchProfiles))
 		}
+		if err != nil {
+			errOnce.Do(func() { firstErr = err })
+			return
+		}
+		copy(ids[lo:hi], resp.BatchIDs)
+		copy(profiles[lo:hi], resp.BatchProfiles)
+	}
+	for lo := 0; lo < len(ts); lo += maxBatchPerRPC {
 		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			resp, err := c.callContext(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts[lo:hi]})
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			if len(resp.BatchIDs) != hi-lo || len(resp.BatchProfiles) != hi-lo {
-				errOnce.Do(func() {
-					firstErr = fmt.Errorf("transport: sub-batch of %d queries answered with %d/%d results",
-						hi-lo, len(resp.BatchIDs), len(resp.BatchProfiles))
-				})
-				return
-			}
-			copy(ids[lo:hi], resp.BatchIDs)
-			copy(profiles[lo:hi], resp.BatchProfiles)
-		}(lo, hi)
+		if hi := lo + maxBatchPerRPC; hi < len(ts) {
+			go sub(lo, hi)
+		} else {
+			sub(lo, len(ts)) // the last (usually only) sub-batch rides the caller's goroutine
+		}
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -811,68 +749,34 @@ func (c *Client) SecRecBatchContext(ctx context.Context, ts []*core.Trapdoor) ([
 	return ids, profiles, nil
 }
 
-// FetchProfiles implements frontend.ProfileFetcher remotely.
+// FetchProfiles implements frontend.ProfileFetcher remotely: aligned with
+// the request, an empty entry for an identifier the server does not hold.
 func (c *Client) FetchProfiles(ids []uint64) ([][]byte, error) {
-	return c.FetchProfilesContext(context.Background(), ids)
-}
-
-// FetchProfilesContext is FetchProfiles bounded by ctx.
-func (c *Client) FetchProfilesContext(ctx context.Context, ids []uint64) ([][]byte, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodFetchProfiles, IDs: ids})
+	resp, err := c.call(context.TODO(), &Request{Method: MethodFetchProfiles, IDs: ids})
 	if err != nil {
 		return nil, err
+	}
+	if len(resp.Profiles) != len(ids) {
+		return nil, fmt.Errorf("transport: %d ids answered with %d profiles", len(ids), len(resp.Profiles))
 	}
 	return resp.Profiles, nil
 }
 
-// FetchProfilesSparse is FetchProfiles with gap tolerance: unknown
-// identifiers answer as empty entries instead of failing the batch. Gob
-// flattens a nil entry to an empty one, so absence is signalled by
-// len(out[i]) == 0 at every tier (present ciphertexts are never empty).
-func (c *Client) FetchProfilesSparse(ids []uint64) ([][]byte, error) {
-	resp, err := c.callContext(context.Background(), &Request{Method: MethodFetchProfilesSparse, IDs: ids})
-	if err != nil {
-		return nil, err
-	}
-	// A sparse response may drop trailing empty entries in transit;
-	// restore request alignment.
-	profiles := resp.Profiles
-	for len(profiles) < len(ids) {
-		profiles = append(profiles, nil)
-	}
-	return profiles, nil
-}
-
 // PutProfiles uploads encrypted profiles.
 func (c *Client) PutProfiles(profiles map[uint64][]byte) error {
-	return c.PutProfilesContext(context.Background(), profiles)
-}
-
-// PutProfilesContext is PutProfiles bounded by ctx.
-func (c *Client) PutProfilesContext(ctx context.Context, profiles map[uint64][]byte) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodPutProfile, Profiles: profiles})
+	_, err := c.call(context.TODO(), &Request{Method: MethodPutProfile, Profiles: profiles})
 	return err
 }
 
 // DeleteProfile removes an encrypted profile.
 func (c *Client) DeleteProfile(id uint64) error {
-	return c.DeleteProfileContext(context.Background(), id)
-}
-
-// DeleteProfileContext is DeleteProfile bounded by ctx.
-func (c *Client) DeleteProfileContext(ctx context.Context, id uint64) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodDeleteProfile, UserID: id})
+	_, err := c.call(context.TODO(), &Request{Method: MethodDeleteProfile, UserID: id})
 	return err
 }
 
 // FetchBuckets implements core.BucketStore remotely.
 func (c *Client) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, error) {
-	return c.FetchBucketsContext(context.Background(), refs)
-}
-
-// FetchBucketsContext is FetchBuckets bounded by ctx.
-func (c *Client) FetchBucketsContext(ctx context.Context, refs []core.BucketRef) ([]core.DynBucket, error) {
-	resp, err := c.callContext(ctx, &Request{Method: MethodFetchBuckets, Refs: refs})
+	resp, err := c.call(context.TODO(), &Request{Method: MethodFetchBuckets, Refs: refs})
 	if err != nil {
 		return nil, err
 	}
@@ -881,24 +785,19 @@ func (c *Client) FetchBucketsContext(ctx context.Context, refs []core.BucketRef)
 
 // StoreBuckets implements core.BucketStore remotely.
 func (c *Client) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
-	return c.StoreBucketsContext(context.Background(), refs, buckets)
-}
-
-// StoreBucketsContext is StoreBuckets bounded by ctx.
-func (c *Client) StoreBucketsContext(ctx context.Context, refs []core.BucketRef, buckets []core.DynBucket) error {
-	_, err := c.callContext(ctx, &Request{Method: MethodStoreBuckets, Refs: refs, Buckets: buckets})
+	_, err := c.call(context.TODO(), &Request{Method: MethodStoreBuckets, Refs: refs, Buckets: buckets})
 	return err
 }
 
 // StoreImage uploads one encrypted image blob for a user.
 func (c *Client) StoreImage(userID uint64, blob []byte) error {
-	_, err := c.call(&Request{Method: MethodStoreImage, UserID: userID, Blob: blob})
+	_, err := c.call(context.TODO(), &Request{Method: MethodStoreImage, UserID: userID, Blob: blob})
 	return err
 }
 
 // FetchImages downloads a user's encrypted images.
 func (c *Client) FetchImages(userID uint64) ([][]byte, error) {
-	resp, err := c.call(&Request{Method: MethodFetchImages, UserID: userID})
+	resp, err := c.call(context.TODO(), &Request{Method: MethodFetchImages, UserID: userID})
 	if err != nil {
 		return nil, err
 	}

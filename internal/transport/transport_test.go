@@ -78,7 +78,7 @@ func testUploads(t *testing.T, f *frontend.Frontend, n int) ([]frontend.Upload, 
 
 func TestPing(t *testing.T) {
 	_, client := startServer(t)
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 }
@@ -165,19 +165,22 @@ func TestRemoteImages(t *testing.T) {
 
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, client := startServer(t)
-	// No index installed: SecRec must fail with the server's message.
-	_, _, err := client.SecRec(&core.Trapdoor{})
+	// No index installed: the exchange must fail with the server's message.
+	_, _, err := client.SecRecBatch(context.Background(), []*core.Trapdoor{{}})
 	if err == nil || !strings.Contains(err.Error(), "no index") {
-		t.Errorf("SecRec error = %v", err)
+		t.Errorf("SecRecBatch error = %v", err)
 	}
-	if _, err := client.FetchProfiles([]uint64{42}); err == nil {
-		t.Error("unknown profile fetch accepted")
+	// An unknown profile is an empty slot aligned with the request, not an
+	// error: all-empty answers survive the wire at full length.
+	got, err := client.FetchProfiles([]uint64{42, 43})
+	if err != nil || len(got) != 2 || len(got[0]) != 0 || len(got[1]) != 0 {
+		t.Errorf("unknown profile fetch = %v, %v; want two empty slots", got, err)
 	}
 }
 
 func TestTrafficAccounting(t *testing.T) {
 	_, client := startServer(t)
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sent, recv := client.Traffic()
@@ -363,7 +366,7 @@ func TestClientTimeout(t *testing.T) {
 	defer client.Close()
 	client.SetTimeout(150 * time.Millisecond)
 	start := time.Now()
-	if err := client.Ping(); err == nil {
+	if err := client.Ping(context.Background()); err == nil {
 		t.Fatal("ping against silent server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -393,7 +396,7 @@ func TestConnErrorOnServerClosedMidCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	err = client.Ping()
+	err = client.Ping(context.Background())
 	if err == nil {
 		t.Fatal("ping against closing server succeeded")
 	}
@@ -426,7 +429,7 @@ func TestConnErrorOnTruncatedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	err = client.Ping()
+	err = client.Ping(context.Background())
 	if err == nil {
 		t.Fatal("ping over truncated frame succeeded")
 	}
@@ -441,9 +444,9 @@ func TestConnErrorOnTruncatedFrame(t *testing.T) {
 
 func TestRemoteErrorIsNotConnError(t *testing.T) {
 	_, client := startServer(t)
-	_, _, err := client.SecRec(&core.Trapdoor{})
+	_, _, err := client.SecRecBatch(context.Background(), []*core.Trapdoor{{}})
 	if err == nil {
-		t.Fatal("SecRec without index succeeded")
+		t.Fatal("SecRecBatch without index succeeded")
 	}
 	var re *RemoteError
 	if !errors.As(err, &re) {
@@ -453,7 +456,7 @@ func TestRemoteErrorIsNotConnError(t *testing.T) {
 		t.Error("application failure classified as connection error")
 	}
 	// The connection must stay healthy after a RemoteError.
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Errorf("ping after RemoteError: %v", err)
 	}
 }
@@ -483,7 +486,7 @@ func TestContextDeadlineBoundsCall(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = client.PingContext(ctx)
+	err = client.Ping(ctx)
 	if err == nil {
 		t.Fatal("ping against silent server succeeded")
 	}
@@ -524,7 +527,7 @@ func TestContextCancelInterruptsCall(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = client.PingContext(ctx)
+	err = client.Ping(ctx)
 	if err == nil {
 		t.Fatal("cancelled ping succeeded")
 	}
@@ -540,13 +543,13 @@ func TestContextPreCancelledFailsFast(t *testing.T) {
 	_, client := startServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := client.PingContext(ctx); err == nil {
+	if err := client.Ping(ctx); err == nil {
 		t.Fatal("pre-cancelled context accepted")
 	} else if !IsConnError(err) {
 		t.Errorf("pre-cancelled call surfaced %T, want *ConnError", err)
 	}
 	// The stream was never touched; the client must still work.
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Errorf("ping after pre-cancelled call: %v", err)
 	}
 }
@@ -571,7 +574,7 @@ func TestDialFailureIsConnError(t *testing.T) {
 // client left running to race a later SetRegistry.
 func TestCloseJoinsReader(t *testing.T) {
 	_, client := startServer(t)
-	if err := client.Ping(); err != nil {
+	if err := client.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	fails := tmet.connFails.Load()

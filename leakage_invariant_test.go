@@ -322,7 +322,7 @@ func TestLeakageInvariantServingCache(t *testing.T) {
 	frontend.SetRegistry(freg)
 	defer frontend.SetRegistry(obs.Default)
 
-	serving, err := sf.NewServing(pool, pisd.ServingConfig{MaxBatch: 4, CacheEntries: 32})
+	serving, err := sf.NewServing(pool, pisd.ServingConfig{CacheEntries: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,13 +414,6 @@ func (d *downReplica) Ping(ctx context.Context) error {
 		return err
 	}
 	return d.ReplicaNode.Ping(ctx)
-}
-
-func (d *downReplica) SecRec(ctx context.Context, tr *core.Trapdoor) ([]uint64, [][]byte, error) {
-	if err := d.offline(); err != nil {
-		return nil, nil, err
-	}
-	return d.ReplicaNode.SecRec(ctx, tr)
 }
 
 func (d *downReplica) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {

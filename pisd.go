@@ -158,20 +158,18 @@ type (
 	// index at the front end (bounded-memory builds).
 	SegmentBuilder = frontend.SegmentBuilder
 	// Serving is the static scheme's multi-core discovery path: admission
-	// gate → search-pattern result cache → adaptive batch coalescer over
-	// the shard fan-out (build with Frontend.NewServing).
+	// gate → search-pattern result cache → the shard fan-out (build with
+	// Frontend.NewServing).
 	Serving = frontend.Serving
 	// DynServing is the dynamic scheme's cached serving path with exact
 	// cache invalidation on insert/delete (Frontend.NewDynServing).
 	DynServing = frontend.DynServing
-	// ServingConfig tunes coalescing, admission control and the cache.
+	// ServingConfig tunes admission control and the cache.
 	ServingConfig = frontend.ServingConfig
 	// ResultCache is the bounded search-pattern result cache.
 	ResultCache = frontend.ResultCache
 	// AdmissionGate is the bounded inflight-query semaphore.
 	AdmissionGate = frontend.AdmissionGate
-	// Coalescer folds concurrent discoveries into shared batch fan-outs.
-	Coalescer = frontend.Coalescer
 	// SingleFanout adapts a single cloud server or client to the serving
 	// path's fan-out surface.
 	SingleFanout = frontend.SingleFanout
@@ -286,10 +284,8 @@ var (
 	// stages and total into the trace. One trace follows one query.
 	WithQueryTrace = obs.WithTrace
 	// DefaultServingConfig is the standard serving-path operating point
-	// (16-query flushes, 200µs window, 256 inflight, 4096-entry cache).
+	// (256 inflight, 4096-entry cache).
 	DefaultServingConfig = frontend.DefaultServingConfig
-	// NewCoalescer builds an adaptive batch coalescer over a fan-out.
-	NewCoalescer = frontend.NewCoalescer
 	// NewAdmissionGate builds a bounded inflight-query gate.
 	NewAdmissionGate = frontend.NewAdmissionGate
 	// NewResultCache builds a bounded search-pattern result cache.

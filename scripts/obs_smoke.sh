@@ -16,7 +16,6 @@
 #   frontend frontend.profiles_decrypted   > 0 (first answers paid MAC + AES)
 #   frontend frontend.profiles_reused      > 0 (second wave's miss reused held profiles)
 #   frontend frontend.profiles_held        > 0 (the live entry pins its profiles)
-#   frontend frontend.coalesce_batch_p50_ns > 0 (flushes recorded sizes)
 #   frontend frontend.admission_rejected   == 0 (no shedding at this load)
 #
 # The discovery list repeats target 1 so the serving path's result cache
@@ -132,8 +131,6 @@ check frontend.profiles_reused \
     "$(metric "$FRONTEND_OBS" frontend.profiles_reused || true)" -gt 0
 check frontend.profiles_held \
     "$(metric "$FRONTEND_OBS" frontend.profiles_held || true)" -gt 0
-check frontend.coalesce_batch_p50_ns \
-    "$(metric "$FRONTEND_OBS" frontend.coalesce_batch_p50_ns || true)" -gt 0
 check frontend.admission_rejected \
     "$(metric "$FRONTEND_OBS" frontend.admission_rejected || true)" -eq 0
 

@@ -4,14 +4,14 @@
 # Two assertions, both cheap enough for CI:
 #
 #  1. Throughput: the serving path (concurrent lockstep clients through
-#     the admission gate, result cache, batch coalescer and per-shard
-#     connection pool) beats the single-connection lockstep baseline on
-#     sustained qps. Runs with GOMAXPROCS >= 4 so the coalescer and the
-#     pooled connections actually overlap work.
+#     the admission gate, result cache and per-shard connection pool)
+#     beats the single-connection lockstep baseline on sustained qps.
+#     Runs with GOMAXPROCS >= 4 so the pooled connections actually
+#     overlap work.
 #  2. Leakage: the leakage-invariant suite — including
 #     TestLeakageInvariantServingCache, which pins that a cache hit
 #     issues ZERO bucket unmasks — still passes under the race detector
-#     with coalescing and the cache in the path.
+#     with the cache in the path.
 #
 # Usage: scripts/throughput_smoke.sh
 #   BENCHTIME=4s scripts/throughput_smoke.sh   # stabler qps comparison
@@ -19,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-2s}"
-GOMAXPROCS="$(go env GOMAXPROCS 2>/dev/null || nproc)"
+GOMAXPROCS="${GOMAXPROCS:-$(nproc)}"
 if [ "$GOMAXPROCS" -lt 4 ]; then
     GOMAXPROCS=4
 fi
@@ -41,25 +41,25 @@ qps() {
 }
 
 serial="$(qps BenchmarkThroughput_DiscoverySerial)"
-coalesced="$(qps BenchmarkThroughput_DiscoverLockstepCoalesced)"
+pooled="$(qps BenchmarkThroughput_DiscoverLockstepPooled)"
 cached="$(qps BenchmarkThroughput_DiscoverLockstepCached)"
-if [ -z "$serial" ] || [ -z "$coalesced" ] || [ -z "$cached" ]; then
-    echo "FAIL  missing qps metrics (serial='$serial' coalesced='$coalesced' cached='$cached')" >&2
+if [ -z "$serial" ] || [ -z "$pooled" ] || [ -z "$cached" ]; then
+    echo "FAIL  missing qps metrics (serial='$serial' pooled='$pooled' cached='$cached')" >&2
     exit 1
 fi
-echo "qps: serial=$serial coalesced=$coalesced cached=$cached"
+echo "qps: serial=$serial pooled=$pooled cached=$cached"
 
 # The full serving path must beat the lockstep baseline outright. The
-# cache-off coalesced point is reported above for the scaling record but
-# only gated loosely: on a single hardware core coalescing cannot beat a
-# lockstep client by much (there is no parallelism to recover), so it
-# must merely stay within 30% of serial rather than regress badly.
+# cache-off pooled point is reported above for the scaling record but
+# only gated loosely: on a single hardware core concurrent clients cannot
+# beat a lockstep client by much (there is no parallelism to recover), so
+# it must merely stay within 30% of serial rather than regress badly.
 if [ "$cached" -le "$serial" ]; then
     echo "FAIL  serving path (cached) $cached qps <= serial baseline $serial qps" >&2
     exit 1
 fi
-if [ $((coalesced * 10)) -lt $((serial * 7)) ]; then
-    echo "FAIL  coalesced $coalesced qps fell below 70% of serial $serial qps" >&2
+if [ $((pooled * 10)) -lt $((serial * 7)) ]; then
+    echo "FAIL  pooled $pooled qps fell below 70% of serial $serial qps" >&2
     exit 1
 fi
 

@@ -208,9 +208,9 @@ func BenchmarkThroughput_Discovery(b *testing.B) {
 
 // servingBench runs many concurrent LOCKSTEP clients (one outstanding
 // discovery each, no client-side batching) against the full serving
-// stack: admission gate → optional result cache → coalescer folding the
-// concurrent singles into SecRecBatch flushes → pooled connections to
-// the shard. This is the multi-core serving path the lockstep baseline
+// stack: admission gate → optional result cache → one batch-of-one
+// fan-out per miss → pooled connections to the shard. This is the
+// multi-core serving path the lockstep baseline
 // (BenchmarkThroughput_DiscoverySerial) is compared against.
 func servingBench(b *testing.B, f *throughputFixture, cacheEntries int) {
 	remote := shard.NewRemote(f.addr)
@@ -231,8 +231,6 @@ func servingBench(b *testing.B, f *throughputFixture, cacheEntries int) {
 		b.Fatal(err)
 	}
 	serving, err := f.sf.NewServing(pool, frontend.ServingConfig{
-		MaxBatch:     16,
-		Window:       200 * time.Microsecond,
 		MaxInflight:  0, // open gate: the bench must never shed its own load
 		CacheEntries: cacheEntries,
 	})
@@ -259,11 +257,11 @@ func servingBench(b *testing.B, f *throughputFixture, cacheEntries int) {
 	reportLSHConfig(b, f.cfg)
 }
 
-// BenchmarkThroughput_DiscoverLockstepCoalesced measures the coalescer +
-// connection pool alone: the cache is disabled, so every discovery still
-// pays a cloud round trip, but concurrent lockstep callers share
-// SecRecBatch flushes over the pooled connections.
-func BenchmarkThroughput_DiscoverLockstepCoalesced(b *testing.B) {
+// BenchmarkThroughput_DiscoverLockstepPooled measures the connection pool
+// alone: the cache is disabled, so every discovery still pays a cloud
+// round trip, but concurrent lockstep callers spread over the pooled
+// connections instead of serializing behind one.
+func BenchmarkThroughput_DiscoverLockstepPooled(b *testing.B) {
 	servingBench(b, getThroughputFixture(b), 0)
 }
 
@@ -276,10 +274,10 @@ func BenchmarkThroughput_DiscoverLockstepCached(b *testing.B) {
 	servingBench(b, getThroughputFixture(b), 4096)
 }
 
-// BenchmarkThroughput_DiscoverLockstepTuned is the coalesced (cache-off)
+// BenchmarkThroughput_DiscoverLockstepTuned is the pooled (cache-off)
 // path under the autotuner's operating point instead of the PR7 defaults:
 // same workload, same serving stack, tuned (l, atoms, W, d). The qps
-// delta against DiscoverLockstepCoalesced is the serving-side payoff of
+// delta against DiscoverLockstepPooled is the serving-side payoff of
 // the l·(d+1) budget cut.
 func BenchmarkThroughput_DiscoverLockstepTuned(b *testing.B) {
 	servingBench(b, getTunedThroughputFixture(b), 0)
