@@ -67,9 +67,3 @@ func (v *Vocabulary) UnmarshalBinary(data []byte) error {
 	}
 	return nil
 }
-
-// GobEncode lets encoding/gob carry the vocabulary over the transport.
-func (v *Vocabulary) GobEncode() ([]byte, error) { return v.MarshalBinary() }
-
-// GobDecode is the inverse of GobEncode.
-func (v *Vocabulary) GobDecode(data []byte) error { return v.UnmarshalBinary(data) }

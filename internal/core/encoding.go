@@ -141,12 +141,6 @@ func (x *Index) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// GobEncode lets encoding/gob carry the index across the transport.
-func (x *Index) GobEncode() ([]byte, error) { return x.MarshalBinary() }
-
-// GobDecode is the inverse of GobEncode.
-func (x *Index) GobDecode(data []byte) error { return x.UnmarshalBinary(data) }
-
 const dynMagic = 0x50495345
 
 // MarshalBinary encodes the dynamic index.
@@ -228,10 +222,3 @@ func (x *DynIndex) UnmarshalBinary(data []byte) error {
 	x.tables = tables
 	return nil
 }
-
-// GobEncode lets encoding/gob carry the dynamic index across the
-// transport.
-func (x *DynIndex) GobEncode() ([]byte, error) { return x.MarshalBinary() }
-
-// GobDecode is the inverse of GobEncode.
-func (x *DynIndex) GobDecode(data []byte) error { return x.UnmarshalBinary(data) }

@@ -11,11 +11,11 @@
 // where the ordinal counts dials/accepts per peer in creation order. Read
 // faults fire at scheduled byte offsets of the connection's receive
 // stream, so they do not depend on how the reader chunks its Reads; write
-// faults are decided once per Write call, which for the framed transport
-// means once per frame (the frame writer issues one Write per frame).
-// Runs that perform the same sequence of connection creations and frame
-// exchanges therefore inject the same faults, and a failing simulation
-// seed replays exactly.
+// faults are decided once per frame: the framed transport hands a whole
+// frame's gather list to WriteBuffers in one call (a plain Write is
+// likewise one decision per call). Runs that perform the same sequence of
+// connection creations and frame exchanges therefore inject the same
+// faults, and a failing simulation seed replays exactly.
 //
 // What is NOT deterministic under concurrency: when goroutines race to
 // dial or to write, the interleaving assigns ordinals and consumes PRNG
@@ -345,12 +345,23 @@ func (c *Conn) pickReadFault() readFault {
 	return kinds[c.rng.Intn(len(kinds))]
 }
 
-// Write applies the write-side schedule once per call. The framed
-// transport writes one frame per Write, so drop/truncate/reset act on
-// whole frames: a dropped frame vanishes without corrupting the gob
-// stream, a truncated frame tears mid-frame and kills the connection, a
-// reset kills it before any bytes move.
+// Write applies the write-side schedule once per call; it is WriteBuffers
+// for a frame that happens to be one contiguous buffer.
 func (c *Conn) Write(p []byte) (int, error) {
+	bufs := net.Buffers{p}
+	n, err := c.WriteBuffers(&bufs)
+	return int(n), err
+}
+
+// WriteBuffers is how the framed transport writes: one call per frame,
+// carrying the frame's whole gather list (header, the spliced ciphertext
+// slices, checksum). The write-side schedule is drawn once for the call,
+// so drop/truncate/reset act on whole frames — a dropped frame vanishes
+// and leaves the stream well-formed, a truncated frame tears mid-frame and
+// kills the connection, a reset kills it before any bytes move — and a
+// frame that survives goes to the wrapped connection as the same vectored
+// write production uses (one writev on a *net.TCPConn).
+func (c *Conn) WriteBuffers(bufs *net.Buffers) (int64, error) {
 	if c.n.Partitioned(c.peer) {
 		c.Close()
 		return 0, fmt.Errorf("%w: write: peer %q partitioned", ErrInjected, c.peer)
@@ -363,14 +374,24 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.mu.Lock()
 		u := c.rng.Float64()
 		c.mu.Unlock()
+		size := 0
+		for _, b := range *bufs {
+			size += len(b)
+		}
 		plan := &c.n.plan
 		switch {
 		case u < plan.DropProb:
-			return len(p), nil
+			*bufs = nil
+			return int64(size), nil
 		case u < plan.DropProb+plan.TruncateProb:
-			if cut := len(p) / 2; cut > 0 {
-				c.Conn.Write(p[:cut])
+			prefix := make(net.Buffers, 0, len(*bufs))
+			for cut := size / 2; cut > 0; {
+				b := (*bufs)[len(prefix)]
+				b = b[:min(len(b), cut)]
+				prefix = append(prefix, b)
+				cut -= len(b)
 			}
+			prefix.WriteTo(c.Conn)
 			c.Close()
 			return 0, fmt.Errorf("%w: write: frame truncated on peer %q", ErrInjected, c.peer)
 		case u < plan.DropProb+plan.TruncateProb+plan.ResetProb:
@@ -378,7 +399,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			return 0, fmt.Errorf("%w: write: connection reset on peer %q", ErrInjected, c.peer)
 		}
 	}
-	return c.Conn.Write(p)
+	return bufs.WriteTo(c.Conn)
 }
 
 // Close unregisters the connection and closes the underlying one.

@@ -224,3 +224,97 @@ func TestSetEnabledGatesProbabilisticFaults(t *testing.T) {
 		t.Fatalf("ResetProb=1 write after enable: got %v, want ErrInjected", err)
 	}
 }
+
+// startCollector starts a TCP server that hands every byte it receives on
+// its first connection, up to EOF, to the returned channel.
+func startCollector(t *testing.T) (string, <-chan []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	got := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		b, _ := io.ReadAll(c)
+		got <- b
+	}()
+	return ln.Addr().String(), got
+}
+
+// frame is a three-buffer gather list whose every byte is seq.
+func frame(seq byte) net.Buffers {
+	return net.Buffers{bytes.Repeat([]byte{seq}, 7), bytes.Repeat([]byte{seq}, 300), bytes.Repeat([]byte{seq}, 5)}
+}
+
+// TestWriteBuffersIsOneDecisionPerFrame pins what the framed transport
+// relies on: a gather list handed to WriteBuffers draws one fault for the
+// whole frame. Under DropProb = 0.5 every frame arrives whole or not at
+// all — per-buffer decisions would deliver fragments — and the survivors
+// arrive in order.
+func TestWriteBuffersIsOneDecisionPerFrame(t *testing.T) {
+	addr, got := startCollector(t)
+	n := New(Plan{Seed: 13, DropProb: 0.5})
+	conn, err := n.Dialer("peer")(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames, size = 100, 7 + 300 + 5
+	for seq := 1; seq <= frames; seq++ {
+		bufs := frame(byte(seq))
+		if n, err := conn.(*Conn).WriteBuffers(&bufs); err != nil || n != size {
+			t.Fatalf("frame %d: wrote %d, %v; a dropped frame must still report success in full", seq, n, err)
+		}
+	}
+	conn.Close()
+	stream := <-got
+	if len(stream)%size != 0 {
+		t.Fatalf("%d bytes arrived, not a whole number of %d-byte frames", len(stream), size)
+	}
+	arrived := len(stream) / size
+	if arrived == 0 || arrived == frames {
+		t.Fatalf("%d of %d frames arrived; the schedule did not exercise both outcomes", arrived, frames)
+	}
+	last := byte(0)
+	for off := 0; off < len(stream); off += size {
+		f := stream[off : off+size]
+		if bytes.Count(f, f[:1]) != size || f[0] <= last {
+			t.Fatalf("frame at offset %d is a fragment or out of order", off)
+		}
+		last = f[0]
+	}
+}
+
+// TestWriteBuffersTruncateAndReset: a truncated frame delivers exactly the
+// first half of the gather list, across buffer boundaries, then kills the
+// connection; a reset delivers nothing.
+func TestWriteBuffersTruncateAndReset(t *testing.T) {
+	for _, tc := range []struct {
+		plan Plan
+		want int
+	}{
+		{Plan{Seed: 1, TruncateProb: 1}, (7 + 300 + 5) / 2},
+		{Plan{Seed: 1, ResetProb: 1}, 0},
+	} {
+		addr, got := startCollector(t)
+		conn, err := New(tc.plan).Dialer("peer")(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs := frame(9)
+		if n, err := conn.(*Conn).WriteBuffers(&bufs); !errors.Is(err, ErrInjected) || n != 0 {
+			t.Fatalf("%+v: WriteBuffers = %d, %v; want 0, ErrInjected", tc.plan, n, err)
+		}
+		if stream := <-got; len(stream) != tc.want || bytes.Count(stream, []byte{9}) != tc.want {
+			t.Fatalf("%+v: peer received %d bytes, want the first %d of the frame", tc.plan, len(stream), tc.want)
+		}
+		if _, err := conn.Write([]byte("x")); err == nil {
+			t.Fatalf("%+v: connection still writable after the fault", tc.plan)
+		}
+	}
+}

@@ -2,7 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"net"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,7 +57,7 @@ func TestRemoteConnPoolDispatch(t *testing.T) {
 		t.Fatalf("after first acquire: %d live conns, want 1", live)
 	}
 	// s1 is busy, so the next call must open a second connection rather
-	// than pile onto the same gob stream.
+	// than pile onto the same frame stream.
 	s2, err := r.acquire()
 	if err != nil {
 		t.Fatalf("acquire 2: %v", err)
@@ -197,9 +202,9 @@ func TestRemotePooledConnFaultNoPartial(t *testing.T) {
 var _ frontend.FanoutBatchServer = (*Pool)(nil)
 
 // TestRemotePutProfilesSubBatches pins the install path's framing: a
-// shard's profiles ship in bounded sub-batches, so no single frame (and
-// hence no connection's persistent encode buffer) grows with the shard,
-// and every profile still lands.
+// shard's profiles ship in sub-batches of about putBatchBytes, so no
+// single frame (and hence no buffer the server reads a frame into) grows
+// with the shard, and every profile still lands.
 func TestRemotePutProfilesSubBatches(t *testing.T) {
 	const profiles, size = 40, 100 << 10 // 4 MB of ciphertext
 	cs := cloud.New()
@@ -248,3 +253,263 @@ func TestRemotePutProfilesSubBatches(t *testing.T) {
 }
 
 func transportCounter(name string) int64 { return obs.Default.Counter(name).Load() }
+
+// meterConn counts the bytes that actually cross one dialed connection,
+// below the transport's own accounting. It forwards a frame's gather list
+// to the wrapped connection as one call, as the transport hands it over.
+type meterConn struct {
+	net.Conn
+	sent, recv atomic.Int64
+}
+
+func (m *meterConn) Read(p []byte) (int, error) {
+	n, err := m.Conn.Read(p)
+	m.recv.Add(int64(n))
+	return n, err
+}
+
+func (m *meterConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
+	n, err := m.Conn.(interface {
+		WriteBuffers(*net.Buffers) (int64, error)
+	}).WriteBuffers(bufs)
+	m.sent.Add(n)
+	return n, err
+}
+
+// TestRemoteTrafficNeverForgets pins Traffic() as a total over every
+// connection the node ever dialed: connections retired by a fault, by a
+// shrinking SetConns and by Close keep counting, so the figure never goes
+// backwards between two reads and ends equal to the bytes that crossed the
+// sockets.
+func TestRemoteTrafficNeverForgets(t *testing.T) {
+	fn := faultnet.New(faultnet.Plan{Seed: 7})
+	fn.SetEnabled(false) // only the scripted reset
+	cs := cloud.New()
+	cs.PutProfile(1, make([]byte, 4096))
+	var mu sync.Mutex
+	var dialed []*meterConn
+	dial := fn.Dialer("shard0")
+	r := NewRemoteDialer(startServer(t, cs), func(addr string) (net.Conn, error) {
+		raw, err := dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		m := &meterConn{Conn: raw}
+		mu.Lock()
+		dialed = append(dialed, m)
+		mu.Unlock()
+		return m, nil
+	})
+	r.SetConns(2)
+
+	var lastSent, lastRecv int64
+	check := func(when string) {
+		t.Helper()
+		sent, recv := r.Traffic()
+		if sent < lastSent || recv < lastRecv {
+			t.Fatalf("%s: Traffic() went backwards: (%d, %d) after (%d, %d)", when, sent, recv, lastSent, lastRecv)
+		}
+		lastSent, lastRecv = sent, recv
+	}
+	// Prime both slots, then keep traffic flowing through every retirement.
+	a, err := r.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.inflight.Add(-1)
+	b.inflight.Add(-1)
+	for round := 0; round < 12; round++ {
+		switch round {
+		case 4:
+			fn.FailNextWrites("shard0", 1) // a reset mid-run drops one slot
+		case 8:
+			r.SetConns(1) // shrinking retires another
+		}
+		_, err := r.FetchProfiles([]uint64{1})
+		if (err != nil) != (round == 4) {
+			t.Fatalf("round %d: FetchProfiles: %v", round, err)
+		}
+		check(fmt.Sprintf("round %d", round))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close")
+
+	if len(dialed) < 3 {
+		t.Fatalf("only %d connections were ever dialed; the run retired none", len(dialed))
+	}
+	var wantSent, wantRecv int64
+	for _, m := range dialed {
+		wantSent += m.sent.Load()
+		wantRecv += m.recv.Load()
+	}
+	if lastSent != wantSent || lastRecv != wantRecv {
+		t.Fatalf("Traffic() = (%d, %d) over %d connections, the sockets carried (%d, %d)", lastSent, lastRecv, len(dialed), wantSent, wantRecv)
+	}
+}
+
+// stallConn is a connection whose reader cannot be interrupted: once the
+// socket is closed, Read still holds its caller until release is closed —
+// what faultnet's StallDelay sleep does to a transport reader.
+type stallConn struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		<-c.release
+	}
+	return n, err
+}
+
+// TestRemoteDropDoesNotStallThePool pins drop's lock discipline: closing
+// the dropped connection waits for its reader, and while that reader is
+// stuck the rest of the pool keeps dispatching, counting and reporting —
+// with Traffic() still never going backwards, before, during or after.
+func TestRemoteDropDoesNotStallThePool(t *testing.T) {
+	cs := cloud.New()
+	cs.PutProfile(1, make([]byte, 4096))
+	addr := startServer(t, cs)
+	release := make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(free) // a failed run must not leave readers held through the server's shutdown
+	r := NewRemoteDialer(addr, func(addr string) (net.Conn, error) {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return &stallConn{Conn: raw, release: release}, nil
+	})
+	r.SetConns(2)
+	a, err := r.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.inflight.Add(-1)
+	b.inflight.Add(-1)
+	for _, s := range []*remoteConn{a, b} {
+		if err := s.c.Ping(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent0, recv0 := r.Traffic()
+
+	prompt := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { fn(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s is stuck behind a connection that is still closing", what)
+		}
+	}
+	dropped := make(chan struct{})
+	go func() { r.drop(a); close(dropped) }()
+	for live := 2; live != 1; {
+		prompt("LiveConns", func() { live = r.LiveConns() })
+	}
+	select {
+	case <-dropped:
+		t.Fatal("drop returned while its connection's reader was still held")
+	default:
+	}
+	prompt("a call on the other slot", func() {
+		if _, err := r.FetchProfiles([]uint64{1}); err != nil {
+			t.Errorf("FetchProfiles beside a closing connection: %v", err)
+		}
+	})
+	if got := r.LiveConns(); got != 1 {
+		t.Fatalf("%d live connections beside a closing one, want the call to have reused the live slot", got)
+	}
+	var sent1, recv1 int64
+	prompt("Traffic", func() { sent1, recv1 = r.Traffic() })
+	aTx, aRx := a.c.Traffic()
+	bTx, bRx := b.c.Traffic()
+	if sent1 <= sent0 || recv1 <= recv0 || sent1 != aTx+bTx || recv1 != aRx+bRx {
+		t.Fatalf("Traffic() = (%d, %d) mid-drop after (%d, %d), want both connections' (%d, %d)", sent1, recv1, sent0, recv0, aTx+bTx, aRx+bRx)
+	}
+
+	free()
+	<-dropped
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sent2, recv2 := r.Traffic()
+	aTx, aRx = a.c.Traffic()
+	bTx, bRx = b.c.Traffic()
+	if sent2 < sent1 || recv2 < recv1 || sent2 != aTx+bTx || recv2 != aRx+bRx {
+		t.Fatalf("Traffic() = (%d, %d) at the end, after (%d, %d); the two connections carried (%d, %d)", sent2, recv2, sent1, recv1, aTx+bTx, aRx+bRx)
+	}
+}
+
+// flipConn corrupts one byte of the next read once armed.
+type flipConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (f *flipConn) Read(p []byte) (int, error) {
+	n, err := f.Conn.Read(p)
+	if n > 0 && f.armed.CompareAndSwap(true, false) {
+		p[n-1] ^= 0x40
+	}
+	return n, err
+}
+
+// TestBadFramingDropsOnlyThatConn is the connection-level failure class at
+// the pool: a response frame that fails its checksum costs the call a
+// ConnError wrapping transport.ErrChecksum and the node that one pooled
+// connection; the other slot serves the very next call.
+func TestBadFramingDropsOnlyThatConn(t *testing.T) {
+	var armed atomic.Bool
+	r := NewRemoteDialer(startServer(t, cloud.New()), func(addr string) (net.Conn, error) {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return &flipConn{Conn: raw, armed: &armed}, nil
+	})
+	defer r.Close()
+	r.SetConns(2)
+	a, err := r.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.inflight.Add(-1)
+	b.inflight.Add(-1)
+
+	ctx := context.Background()
+	if err := r.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	err = r.Ping(ctx)
+	if !errors.Is(err, transport.ErrChecksum) || !transport.IsConnError(err) {
+		t.Fatalf("corrupted response failed with %v, want a ConnError wrapping ErrChecksum", err)
+	}
+	if live := r.LiveConns(); live != 1 {
+		t.Fatalf("%d live connections after one framing fault, want 1", live)
+	}
+	if err := r.Ping(ctx); err != nil {
+		t.Fatalf("ping on the surviving slot: %v", err)
+	}
+	if live := r.LiveConns(); live != 1 {
+		t.Fatalf("the surviving slot did not serve the call: %d live connections", live)
+	}
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,10 +13,11 @@ import (
 )
 
 // Remote is a Node backed by a pool of framed transport connections to one
-// shard server. Each connection is an independently multiplexed gob
+// shard server. Each connection is an independently multiplexed frame
 // stream, so concurrent discovery legs do not serialize behind a single
-// encoder: dispatch picks the least-loaded live connection, dialing lazily
-// up to the configured pool size (SetConns, default 1).
+// socket's write lock and reader: dispatch picks the least-loaded live
+// connection, dialing lazily up to the configured pool size (SetConns,
+// default 1).
 //
 // Fault handling is per connection, not per shard. A call that fails with
 // a fatal connection-level error drops only its own slot — the remaining
@@ -32,6 +34,9 @@ type Remote struct {
 	mu      sync.Mutex
 	slots   []*remoteConn // fixed-size; nil slots dial lazily
 	timeout time.Duration
+	// retiredSent and retiredRecv are the final traffic of every connection
+	// that has left the pool (dropped after a fault, shrunk away, closed).
+	retiredSent, retiredRecv int64
 }
 
 // remoteConn is one pooled connection with its in-flight call count. The
@@ -75,7 +80,7 @@ func (r *Remote) SetConns(n int) {
 	defer r.mu.Unlock()
 	for i := n; i < len(r.slots); i++ {
 		if r.slots[i] != nil {
-			r.slots[i].c.Close()
+			r.retire(r.slots[i])
 		}
 	}
 	if n <= len(r.slots) {
@@ -130,7 +135,7 @@ func (r *Remote) Close() error {
 		if s == nil {
 			continue
 		}
-		if err := s.c.Close(); err != nil && firstErr == nil {
+		if err := r.retire(s); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		r.slots[i] = nil
@@ -179,18 +184,46 @@ func (r *Remote) acquire() (*remoteConn, error) {
 	return s, nil
 }
 
+// retire closes a connection that is leaving the pool and folds its final
+// traffic into the node's totals. Close joins the connection's reader, so
+// the figures read after it no longer move. Caller holds r.mu and has
+// taken (or is taking) s out of its slot; each connection retires once.
+// Holding the lock across Close is for the configuration and teardown
+// paths (SetConns, Close); the fault path is drop.
+func (r *Remote) retire(s *remoteConn) error {
+	err := s.c.Close()
+	tx, rx := s.c.Traffic()
+	r.retiredSent += tx
+	r.retiredRecv += rx
+	return err
+}
+
 // drop discards s's connection if it still occupies its slot, leaving the
-// slot empty for a lazy redial. Other pooled connections are untouched.
+// slot empty for a lazy redial. Other pooled connections are untouched —
+// including while s closes: Close waits for the connection's reader, which
+// a faulted link can hold for as long as it stalls, so the slot is unlinked
+// under r.mu and the connection closed with the lock released. Traffic()
+// stays monotonic across the gap because the traffic so far is folded in
+// with the unlink and only the remainder after the close.
 func (r *Remote) drop(s *remoteConn) {
 	r.mu.Lock()
-	for i, cur := range r.slots {
-		if cur == s {
-			r.slots[i] = nil
-			break
-		}
+	i := slices.Index(r.slots, s)
+	if i < 0 {
+		r.mu.Unlock()
+		return
 	}
+	r.slots[i] = nil
+	tx0, rx0 := s.c.Traffic()
+	r.retiredSent += tx0
+	r.retiredRecv += rx0
 	r.mu.Unlock()
+
 	s.c.Close()
+	tx, rx := s.c.Traffic()
+	r.mu.Lock()
+	r.retiredSent += tx - tx0
+	r.retiredRecv += rx - rx0
+	r.mu.Unlock()
 }
 
 // do runs one call on a pooled connection, discarding that connection
@@ -249,11 +282,11 @@ func (r *Remote) FetchProfiles(ids []uint64) ([][]byte, error) {
 	return profiles, err
 }
 
-// putBatchBytes bounds the ciphertext one PutProfiles RPC carries. A
-// connection's gob encoder and frame buffer keep the capacity of the
-// largest message they ever sent for the connection's life, so shipping a
-// whole shard's profiles as one message would pin two copies of it per
-// server.
+// putBatchBytes bounds the ciphertext one PutProfiles frame carries. The
+// receiver reads a frame whole before it stores any of it, so shipping a
+// whole shard's profiles as one frame would make the server hold the
+// shard twice — the frame's buffer beside the store's copies — at the peak
+// of an install.
 const putBatchBytes = 1 << 20
 
 // PutProfiles implements Node, uploading in sub-batches of about
@@ -346,11 +379,13 @@ func (r *Remote) ProfileIDs() ([]uint64, error) {
 	return ids, err
 }
 
-// Traffic returns the cumulative serialized traffic summed over the live
-// pooled connections (a dropped connection's traffic is forgotten).
+// Traffic returns the cumulative framed traffic of every connection this
+// node has ever dialed: the live pool plus the connections since retired.
+// It never decreases.
 func (r *Remote) Traffic() (sent, received int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	sent, received = r.retiredSent, r.retiredRecv
 	for _, s := range r.slots {
 		if s == nil {
 			continue

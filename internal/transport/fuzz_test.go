@@ -2,73 +2,271 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"io"
+	"runtime"
 	"testing"
+	"time"
+
+	"pisd/internal/core"
 )
 
-// encodeFrames gob-encodes the given envelopes through a frameWriter into
-// one contiguous wire stream, exactly as a live peer would produce it.
-func encodeFrames(tb testing.TB, envs ...*respEnvelope) []byte {
+// encodeFrames encodes the given messages into one contiguous wire stream,
+// exactly as a live peer would produce it.
+func encodeFrames(tb testing.TB, msgs ...*message) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	for _, env := range envs {
-		if _, err := fw.writeFrame(env); err != nil {
-			tb.Fatalf("writeFrame: %v", err)
-		}
+	if err := sendFrames(&frameWriter{w: &buf}, msgs...); err != nil {
+		tb.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzFrameDecode throws arbitrary byte streams at the length-prefixed
-// frame reader + gob decoder pair that every connection's read side runs.
-// Whatever the bytes — malformed lengths, torn headers, truncated
-// payloads, garbage gob, frames spliced from different streams — decoding
-// must terminate with a clean error or clean EOF, never panic, never spin,
-// and never report more consumed bytes than were on the wire.
+// sendFrames encodes msgs and writes each as one frame through fw.
+func sendFrames(fw *frameWriter, msgs ...*message) error {
+	fb := new(frameBuf)
+	for _, m := range msgs {
+		if err := fb.encode(m); err != nil {
+			return err
+		}
+		if err := fw.write(fb); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lyingFrame is a header declaring a maxFrame-byte payload with one byte
+// of body behind it.
+func lyingFrame() []byte {
+	b := le.AppendUint32(nil, frameMagic)
+	b = append(b, wireVersion, byte(msgPutProfiles))
+	b = le.AppendUint32(b, maxFrame)
+	return append(b, 0xaa)
+}
+
+// sampleMessages is one well-formed message per type and direction (plus
+// the non-OK statuses), with every list non-empty and both small and
+// spliced-by-reference byte strings.
+func sampleMessages() []*message {
+	mask := func(b byte) []byte { return bytes.Repeat([]byte{b}, core.BucketSize) }
+	big := bytes.Repeat([]byte{0xc7}, gatherMin+13)
+	td := &core.Trapdoor{
+		Tables: [][]core.Entry{{{Pos: 3, Mask: mask(1)}, {Pos: 9, Mask: mask(2)}}, {{Pos: 1 << 40, Mask: mask(3)}}},
+		Stash:  [][]byte{mask(4), mask(5)},
+	}
+	refs := []core.BucketRef{{Table: 0, Pos: 7}, {Table: 5, Pos: 1 << 33}}
+	buckets := []core.DynBucket{{Masked: []byte("masked-0"), EncR: []byte("r0")}, {Masked: big, EncR: []byte("r1")}}
+	reqs := []*message{
+		{typ: msgPing},
+		{typ: msgInstallIndex, blobs: [][]byte{big}},
+		{typ: msgInstallDynIndex, blobs: [][]byte{[]byte("dyn")}},
+		{typ: msgSecRecBatch, budget: 5 * time.Second, trapdoors: []*core.Trapdoor{td, {}}},
+		{typ: msgFetchProfiles, ids: []uint64{1, 2, 1 << 60}},
+		{typ: msgPutProfiles, ids: []uint64{4, 5}, blobs: [][]byte{big, []byte("ct")}},
+		{typ: msgDeleteProfile, user: 77},
+		{typ: msgFetchBuckets, refs: refs},
+		{typ: msgStoreBuckets, version: 9, refs: refs, buckets: buckets},
+		{typ: msgStoreImage, user: 3, blobs: [][]byte{[]byte("image")}},
+		{typ: msgFetchImages, user: 3},
+		{typ: msgVersion, budget: time.Millisecond},
+		{typ: msgSetVersion, version: 1 << 50},
+		{typ: msgProfileIDs},
+	}
+	resps := []*message{
+		{typ: msgPing | respBit},
+		{typ: msgInstallIndex | respBit},
+		{typ: msgInstallDynIndex | respBit},
+		{typ: msgSecRecBatch | respBit, batchIDs: [][]uint64{{10, 11}, nil, {12}}, batchBlobs: [][][]byte{{big, big}, nil, {[]byte("short")}}},
+		{typ: msgFetchProfiles | respBit, blobs: [][]byte{big, nil, []byte("x")}},
+		{typ: msgPutProfiles | respBit},
+		{typ: msgDeleteProfile | respBit},
+		{typ: msgFetchBuckets | respBit, buckets: buckets},
+		{typ: msgStoreBuckets | respBit},
+		{typ: msgStoreImage | respBit},
+		{typ: msgFetchImages | respBit, blobs: [][]byte{[]byte("a"), big}},
+		{typ: msgVersion | respBit, version: 42},
+		{typ: msgSetVersion | respBit},
+		{typ: msgProfileIDs | respBit, ids: []uint64{1, 5, 9}},
+		{typ: msgSecRecBatch | respBit, status: statusRemote, errMsg: "cloud: no index installed"},
+		{typ: msgSecRecBatch | respBit, status: statusExpired},
+		{typ: msgPutProfiles | respBit, status: statusBadPayload, errMsg: "body ends early"},
+	}
+	all := append(reqs, resps...)
+	for i, m := range all {
+		m.id = uint64(i) * 0x0101010101
+	}
+	return all
+}
+
+// rawBody strips a single encoded frame down to what decode sees: the type
+// byte, then the payload.
+func rawBody(frame []byte) []byte {
+	return append([]byte{frame[5]}, frame[headerSize:len(frame)-trailerSize]...)
+}
+
+// footprint is the memory decode left m holding, from the capacities of
+// its slices.
+func (m *message) footprint() int {
+	return len(m.errMsg) + 8*cap(m.ids) + 24*cap(m.blobs) + 16*cap(m.refs) + 48*cap(m.buckets) +
+		8*cap(m.trapdoors) + 24*cap(m.batchIDs) + 24*cap(m.batchBlobs) +
+		48*cap(m.tdStore) + 24*cap(m.tables) + 32*cap(m.entries) + 24*cap(m.masks)
+}
+
+// checkRawDecode hands payload to decode as typ with no frame — and so no
+// checksum — around it, which is how a body's counts and lengths are
+// reached by bytes nobody computed a CRC over. Whatever the bytes, decode
+// must not panic, must fail only with ErrBadPayload, must not size memory
+// by a count the payload cannot back (a fresh message ends up holding at
+// most a constant times the payload), and what it accepts must be
+// canonical: re-encoded, it is the same payload.
+func checkRawDecode(t *testing.T, typ msgType, payload []byte) {
+	t.Helper()
+	var m message
+	if err := decode(typ, payload, &m); err != nil {
+		if !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("decode of a raw %v failed with %v, want ErrBadPayload", typ, err)
+		}
+	} else {
+		fb := new(frameBuf)
+		if err := fb.encode(&m); err != nil {
+			t.Fatalf("re-encode of a decoded raw %v: %v", typ, err)
+		}
+		if w := fb.wire(); !bytes.Equal(w[headerSize:len(w)-trailerSize], payload) {
+			t.Fatalf("raw %v does not re-encode to the payload it was decoded from", typ)
+		}
+	}
+	if got, limit := m.footprint(), 16*len(payload)+64; got > limit {
+		t.Fatalf("decoding a %d-byte raw %v left %d bytes allocated, want at most %d", len(payload), typ, got, limit)
+	}
+}
+
+// TestDecodeTruncatedAtEveryOffset cuts every sample payload short at every
+// offset (and, at every offset, sets a byte to 0xff so counts and lengths
+// lie) and holds decode to checkRawDecode's terms.
+func TestDecodeTruncatedAtEveryOffset(t *testing.T) {
+	for _, m := range sampleMessages() {
+		raw := rawBody(encodeFrames(t, m))
+		typ, payload := msgType(raw[0]), raw[1:]
+		for cut := 0; cut <= len(payload); cut++ {
+			checkRawDecode(t, typ, payload[:cut])
+		}
+		lying := append([]byte(nil), payload...)
+		for i := range lying {
+			lying[i] = 0xff
+			checkRawDecode(t, typ, lying)
+			lying[i] = payload[i]
+		}
+	}
+}
+
+// FuzzFrameDecode throws arbitrary bytes at the read side every connection
+// runs, in both directions, twice over. As a stream, through the frame
+// reader + decoder pair: whatever the bytes — bad magic, lying lengths,
+// torn headers, truncated payloads, flipped bits, frames spliced from
+// different streams — reading must terminate with a typed error or clean
+// EOF, never panic, never spin, never report more consumed bytes than were
+// on the wire, and fail a body only with ErrBadPayload. And, because a
+// mutated body all but never passes the reader's checksum, as one bare
+// type byte + payload straight into decode, as a request and as a response
+// (checkRawDecode). The format is canonical, so whatever decodes either
+// way must re-encode to the very bytes it came from.
 func FuzzFrameDecode(f *testing.F) {
-	// A well-formed single response.
-	valid := encodeFrames(f, &respEnvelope{ID: 1, Resp: &Response{Err: "x"}})
+	msgs := sampleMessages()
+	valid := encodeFrames(f, msgs[0])
 	f.Add(valid)
 	// Two frames with interleaved request IDs, as a pipelined server
 	// writes them: completion order, not request order.
 	f.Add(encodeFrames(f,
-		&respEnvelope{ID: 7, Resp: &Response{IDs: []uint64{1, 2, 3}}},
-		&respEnvelope{ID: 3, Resp: &Response{Err: "later request answered first"}},
+		&message{typ: msgProfileIDs | respBit, id: 7, ids: []uint64{1, 2, 3}},
+		&message{typ: msgPing | respBit, id: 3, status: statusRemote, errMsg: "later request answered first"},
 	))
-	// Truncated payload: a frame whose advertised length exceeds the bytes
+	// Truncated payload: a frame whose declared length exceeds the bytes
 	// behind it.
 	f.Add(valid[:len(valid)-3])
 	// Torn header.
 	f.Add(valid[:2])
-	// Oversized length prefix.
-	huge := make([]byte, frameHeader)
-	binary.BigEndian.PutUint32(huge, maxFrame+1)
+	// Oversized declared length.
+	huge := append([]byte(nil), valid[:headerSize]...)
+	le.PutUint32(huge[6:], maxFrame+1)
 	f.Add(huge)
 	// Zero-length frame followed by a valid one.
-	f.Add(append(make([]byte, frameHeader), valid...))
-	// Non-gob garbage with a plausible length prefix.
-	garbage := []byte{0, 0, 0, 8, 0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe, 0xba, 0xbe}
-	f.Add(garbage)
+	empty := append([]byte(nil), valid[:headerSize]...)
+	le.PutUint32(empty[6:], 0)
+	f.Add(append(empty, valid...))
+	// Garbage behind a plausible header.
+	f.Add(append(append([]byte(nil), valid[:headerSize]...), 0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe, 0xba, 0xbe))
+	// A lying length: maxFrame declared, one byte of body.
+	f.Add(lyingFrame())
+	// Every message type, each direction, alone and as one stream.
+	for _, m := range msgs {
+		f.Add(encodeFrames(f, m))
+	}
+	f.Add(encodeFrames(f, msgs...))
+	// Bare bodies for the raw pass: each sample whole, and cut short at
+	// every offset of its structure (thinned out over the bulk bytes).
+	for _, m := range msgs {
+		raw := rawBody(encodeFrames(f, m))
+		for cut := len(raw); cut > 0; cut-- {
+			if cut <= 256 || cut%61 == 0 || cut == len(raw) {
+				f.Add(raw[:cut:cut])
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 {
+			checkRawDecode(t, msgType(data[0])&^respBit, data[1:])
+			checkRawDecode(t, msgType(data[0])|respBit, data[1:])
+		}
 		fr := newFrameReader(bytes.NewReader(data))
-		dec := gob.NewDecoder(fr)
-		for decoded := 0; ; decoded++ {
-			var env respEnvelope
-			if err := dec.Decode(&env); err != nil {
+		var m message
+		fb := new(frameBuf)
+		for frames, off := 0, 0; ; frames++ {
+			typ, payload, err := fr.next(nil)
+			if err != nil {
 				return // every malformed stream must end in an error or EOF
 			}
-			if fr.consumed() > int64(len(data)) {
-				t.Fatalf("reader claims %d consumed bytes of a %d-byte input", fr.consumed(), len(data))
+			if fr.n > int64(len(data)) {
+				t.Fatalf("reader claims %d consumed bytes of a %d-byte input", fr.n, len(data))
 			}
-			if decoded > len(data) {
-				t.Fatalf("decoded %d envelopes from %d bytes; decoder is spinning", decoded, len(data))
+			if frames > len(data) {
+				t.Fatalf("read %d frames from %d bytes; reader is spinning", frames, len(data))
+			}
+			frame := data[off:fr.n]
+			off = int(fr.n)
+			if err := decode(typ, payload, &m); err != nil {
+				if !errors.Is(err, ErrBadPayload) {
+					t.Fatalf("decode failed with %v, want ErrBadPayload", err)
+				}
+				continue
+			}
+			if err := fb.encode(&m); err != nil {
+				t.Fatalf("re-encode of a decoded %v: %v", typ, err)
+			}
+			if !bytes.Equal(fb.wire(), frame) {
+				t.Fatalf("%v does not re-encode to the frame it was decoded from", typ)
 			}
 		}
 	})
+}
+
+// TestLyingLengthIsNotAllocated pins the reader's allocation bound: a
+// header may declare a gigabyte, but memory follows the bytes that
+// actually arrive — here one — plus at most growStep.
+func TestLyingLengthIsNotAllocated(t *testing.T) {
+	data := lyingFrame()
+	fr := newFrameReader(bytes.NewReader(data))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := fr.next(nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("lying frame read as %v, want ErrTruncated", err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+growStep+4096); got > limit {
+		t.Fatalf("reading %d bytes behind a %d-byte declared length allocated %d bytes, want at most %d", len(data), maxFrame, got, limit)
+	}
 }
 
 // TestFrameDecodeInterleavedIDs pins the codec-level half of response
@@ -76,42 +274,51 @@ func FuzzFrameDecode(f *testing.F) {
 // with their request IDs and payloads intact, so the client's reader can
 // route each to its caller.
 func TestFrameDecodeInterleavedIDs(t *testing.T) {
-	envs := []*respEnvelope{
-		{ID: 2, Resp: &Response{IDs: []uint64{20}}},
-		{ID: 0, Resp: &Response{IDs: []uint64{10}}},
-		{ID: 1, Resp: &Response{Err: "third"}},
+	msgs := []*message{
+		{typ: msgProfileIDs | respBit, id: 2, ids: []uint64{20}},
+		{typ: msgProfileIDs | respBit, id: 0, ids: []uint64{10}},
+		{typ: msgPing | respBit, id: 1, status: statusRemote, errMsg: "third"},
 	}
-	wire := encodeFrames(t, envs...)
-	fr := newFrameReader(bytes.NewReader(wire))
-	dec := gob.NewDecoder(fr)
-	for i, want := range envs {
-		var got respEnvelope
-		if err := dec.Decode(&got); err != nil {
+	fr := newFrameReader(bytes.NewReader(encodeFrames(t, msgs...)))
+	for i, want := range msgs {
+		typ, payload, err := fr.next(nil)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		var got message
+		if err := decode(typ, payload, &got); err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
-		if got.ID != want.ID {
-			t.Fatalf("frame %d carried ID %d, want %d", i, got.ID, want.ID)
+		if got.id != want.id {
+			t.Fatalf("frame %d carried ID %d, want %d", i, got.id, want.id)
 		}
-		if want.Resp.Err != "" && got.Resp.Err != want.Resp.Err {
-			t.Fatalf("frame %d error %q, want %q", i, got.Resp.Err, want.Resp.Err)
+		if got.errMsg != want.errMsg {
+			t.Fatalf("frame %d error %q, want %q", i, got.errMsg, want.errMsg)
 		}
-		if len(want.Resp.IDs) > 0 && (len(got.Resp.IDs) != len(want.Resp.IDs) || got.Resp.IDs[0] != want.Resp.IDs[0]) {
-			t.Fatalf("frame %d payload %v, want %v", i, got.Resp.IDs, want.Resp.IDs)
+		if len(want.ids) > 0 && (len(got.ids) != len(want.ids) || got.ids[0] != want.ids[0]) {
+			t.Fatalf("frame %d payload %v, want %v", i, got.ids, want.ids)
 		}
 	}
-	var extra respEnvelope
-	if err := dec.Decode(&extra); err != io.EOF {
+	if _, _, err := fr.next(nil); err != io.EOF {
 		t.Fatalf("stream must end cleanly, got %v", err)
 	}
 }
 
 // TestFrameReaderRejectsOversizedFrame pins the fail-fast path for a
-// corrupt length prefix.
+// corrupt length field.
 func TestFrameReaderRejectsOversizedFrame(t *testing.T) {
-	hdr := make([]byte, frameHeader)
-	binary.BigEndian.PutUint32(hdr, maxFrame+1)
-	fr := newFrameReader(bytes.NewReader(hdr))
-	if _, err := fr.Read(make([]byte, 1)); err == nil {
-		t.Fatal("oversized frame accepted")
+	hdr := encodeFrames(t, &message{typ: msgPing})[:headerSize]
+	le.PutUint32(hdr[6:], maxFrame+1)
+	if _, _, err := newFrameReader(bytes.NewReader(hdr)).next(nil); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame read as %v, want ErrFrameTooLarge", err)
 	}
+}
+
+// wire returns the encoded frame as one contiguous slice.
+func (fb *frameBuf) wire() []byte {
+	var out []byte
+	for _, b := range fb.vec {
+		out = append(out, b...)
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"net"
 	"reflect"
 	"sync"
@@ -92,25 +91,28 @@ func TestLateResponseSkippedByID(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := gob.NewDecoder(newFrameReader(conn))
-		fw := newFrameWriter(conn)
+		fr, fw := newFrameReader(conn), &frameWriter{w: conn}
 		first := true
 		for {
-			var env reqEnvelope
-			if err := dec.Decode(&env); err != nil {
+			typ, payload, err := fr.next(nil)
+			if err != nil {
 				return
 			}
-			resp := &Response{}
+			var req message
+			if err := decode(typ, payload, &req); err != nil {
+				return
+			}
+			resp := &message{typ: typ | respBit, id: req.id}
 			var delay time.Duration
 			if first {
 				first = false
 				delay = 400 * time.Millisecond
-				resp.Err = "stale response that must be skipped"
+				resp.status, resp.errMsg = statusRemote, "stale response that must be skipped"
 			}
-			go func(id uint64, resp *Response, delay time.Duration) {
+			go func(resp *message, delay time.Duration) {
 				time.Sleep(delay)
-				fw.writeFrame(&respEnvelope{ID: id, Resp: resp})
-			}(env.ID, resp, delay)
+				sendFrames(fw, resp) // the test may be over; nobody is left to fail
+			}(resp, delay)
 		}
 	}()
 
@@ -140,8 +142,8 @@ func TestLateResponseSkippedByID(t *testing.T) {
 }
 
 // TestSecRecBatchOverTransport checks the discovery endpoint end to end: a
-// batch of q over TCP (split into sub-batches past maxBatchPerRPC) must
-// match q batches of one exactly.
+// batch of q over TCP (one request frame, one response frame) must match q
+// batches of one exactly.
 func TestSecRecBatchOverTransport(t *testing.T) {
 	_, client := startServer(t)
 	f := testFrontend(t)

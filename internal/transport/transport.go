@@ -4,20 +4,24 @@
 // storage, dynamic bucket fetch/store) to remote front ends and user
 // clients.
 //
-// Wire format: every message is one length-prefixed frame — a 4-byte
-// big-endian payload length followed by the gob bytes of a request or
-// response envelope carrying a connection-unique request ID. Each direction
-// of a connection is one persistent gob stream chunked into those frames
-// (type descriptions travel once, encode/decode buffers stay warm across
-// messages), owned by a single writer and a single reader goroutine.
-// Because responses are dispatched by ID, many callers can pipeline
-// requests on one connection concurrently: the client writes frames as
-// callers arrive and its reader goroutine routes each response to the
-// caller that requested it, in whatever order the server finishes them. The
-// server, symmetrically, decodes frames as they arrive and executes each
-// request on a bounded per-connection worker pool instead of one-at-a-time,
-// so a single connection saturates the hardware rather than sustaining at
-// most one request per round trip.
+// Wire format: every message is one self-delimiting binary frame (wire.go)
+// carrying a connection-unique request ID and, on a request, the caller's
+// remaining deadline budget. Each direction of a connection is owned by a
+// single reader goroutine and a write lock. Because responses are
+// dispatched by ID, many callers can pipeline requests on one connection
+// concurrently: the client writes frames as callers arrive and its reader
+// goroutine routes each response to the caller that requested it, in
+// whatever order the server finishes them. The server, symmetrically,
+// reads frames as they arrive and executes each request on a bounded
+// per-connection worker pool instead of one-at-a-time, so a single
+// connection saturates the hardware rather than sustaining at most one
+// request per round trip.
+//
+// Ciphertexts are never copied into a message on their way through. The
+// server writes an answer as a small header followed by the profile
+// store's own slices, one writev per frame; the client reads a frame into
+// one buffer and hands its ciphertexts out as sub-slices of it (ownership
+// rule: whoever retains one beyond the call copies it).
 //
 // The interesting security properties (constant bandwidth per discovery,
 // one round per operation) are those of the scheme, not of the wire format.
@@ -26,14 +30,9 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -81,157 +80,6 @@ type RemoteError struct {
 }
 
 func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
-
-// Method names of the wire protocol.
-const (
-	MethodSecRecBatch   = "SecRecBatch"
-	MethodFetchProfiles = "FetchProfiles"
-	MethodPutProfile    = "PutProfile"
-	MethodDeleteProfile = "DeleteProfile"
-	MethodFetchBuckets  = "FetchBuckets"
-	MethodStoreBuckets  = "StoreBuckets"
-	MethodStoreImage    = "StoreImage"
-	MethodFetchImages   = "FetchImages"
-	MethodPing          = "Ping"
-	MethodInstallIndex  = "InstallIndex"
-	MethodInstallDyn    = "InstallDynIndex"
-)
-
-// Request is the single wire request envelope body.
-type Request struct {
-	Method    string
-	Trapdoors []*core.Trapdoor
-	Refs      []core.BucketRef
-	Buckets   []core.DynBucket
-	IDs       []uint64
-	UserID    uint64
-	Blob      []byte
-	Profiles  map[uint64][]byte
-	Index     *core.Index
-	DynIndex  *core.DynIndex
-	// Version carries a replication write version: on SetVersion it is the
-	// version to record, on StoreBuckets a non-zero value selects the
-	// versioned store (buckets + version applied atomically).
-	Version uint64
-}
-
-// Response is the single wire response envelope body.
-type Response struct {
-	Err           string
-	IDs           []uint64
-	Profiles      [][]byte
-	Buckets       []core.DynBucket
-	Blobs         [][]byte
-	BatchIDs      [][]uint64
-	BatchProfiles [][][]byte
-	// Version answers a Version request: the server's last recorded
-	// replication write version.
-	Version uint64
-}
-
-// reqEnvelope frames one request with its connection-unique ID.
-type reqEnvelope struct {
-	ID  uint64
-	Req *Request
-}
-
-// respEnvelope frames one response with the ID of the request it answers.
-type respEnvelope struct {
-	ID   uint64
-	Resp *Response
-}
-
-const (
-	frameHeader = 4
-	// maxFrame bounds a single frame; an index install for millions of
-	// users fits, a corrupt length prefix fails fast.
-	maxFrame = 1 << 30
-	// readBufSize sizes the connection read buffer; large discovery
-	// responses arrive in few reads.
-	readBufSize = 1 << 16
-)
-
-// frameWriter owns one direction of a connection: a persistent gob encoder
-// writing into a reusable buffer whose contents ship as one length-prefixed
-// frame per message. Reusing the encoder sends type descriptions once and
-// keeps the buffer's capacity warm, so a steady stream of large responses
-// costs one memcpy and one write each instead of regrowing encode state
-// from zero. Safe for concurrent use; an encode failure leaves the gob
-// stream desynchronized, so callers must treat any error as fatal for the
-// connection.
-type frameWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf bytes.Buffer
-	enc *gob.Encoder
-}
-
-func newFrameWriter(w io.Writer) *frameWriter {
-	fw := &frameWriter{w: w}
-	fw.enc = gob.NewEncoder(&fw.buf)
-	return fw
-}
-
-// writeFrame encodes env and writes it as one frame, returning the wire
-// bytes written.
-func (fw *frameWriter) writeFrame(env interface{}) (int, error) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	fw.buf.Reset()
-	fw.buf.Write(make([]byte, frameHeader))
-	if err := fw.enc.Encode(env); err != nil {
-		return 0, err
-	}
-	frame := fw.buf.Bytes()
-	binary.BigEndian.PutUint32(frame[:frameHeader], uint32(len(frame)-frameHeader))
-	return fw.w.Write(frame)
-}
-
-// frameReader strips the length prefixes off the incoming frame sequence
-// and presents the payloads to a persistent gob decoder as one continuous
-// byte stream, enforcing the frame size limit and counting consumed wire
-// bytes. EOF at a frame boundary is a clean EOF; EOF inside a header or
-// payload surfaces as io.ErrUnexpectedEOF.
-type frameReader struct {
-	r    *bufio.Reader
-	left int   // payload bytes remaining in the current frame
-	n    int64 // total wire bytes consumed, headers included
-}
-
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, readBufSize)}
-}
-
-func (fr *frameReader) Read(p []byte) (int, error) {
-	for fr.left == 0 {
-		var hdr [frameHeader]byte
-		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				return 0, err // torn header
-			}
-			return 0, err // clean EOF between frames
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxFrame {
-			return 0, fmt.Errorf("frame of %d bytes exceeds limit", n)
-		}
-		fr.left = int(n)
-		fr.n += frameHeader
-	}
-	if len(p) > fr.left {
-		p = p[:fr.left]
-	}
-	n, err := fr.r.Read(p)
-	fr.left -= n
-	fr.n += int64(n)
-	if err == io.EOF && fr.left > 0 {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-// consumed returns the total wire bytes read so far.
-func (fr *frameReader) consumed() int64 { return fr.n }
 
 // Server serves a cloud.Server over TCP.
 type Server struct {
@@ -324,9 +172,38 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn decodes request frames as they arrive and hands each to the
+// exchange is the reusable state of one request on a connection: the
+// buffer its frame was read into, the decoded request (whose byte strings
+// are sub-slices of that buffer — every server-side sink copies what it
+// keeps) and the answer under construction.
+type exchange struct {
+	typ     msgType
+	payload []byte
+	arrival time.Time // no later than the frame's first bytes came off the socket; see serveConn
+	req     message
+	resp    message
+}
+
+// keepScratch is the largest request buffer a connection holds on to
+// between requests. Steady-state requests (a trapdoor, a handful of
+// buckets) are a few KB; an upload or index-install frame is read into a
+// buffer of its own that dies with the request, so no connection pins a
+// shard's worth of ciphertext for its lifetime.
+const keepScratch = 256 << 10
+
+// serveConn reads request frames as they arrive and hands each to the
 // connection's worker pool; responses are written back in completion
 // order, matched to callers by request ID.
+//
+// Each frame is stamped for the deadline-budget check in answer. With every
+// worker busy this loop parks at the semaphore and stops reading, so what
+// the budget measures is the wait the server can see: the frame parked
+// there, and the frames behind it that the same socket read had already
+// pulled into the read-ahead — those inherit the stamp of the read that
+// brought them in, not the moment the loop got round to them. A request
+// still in the kernel's socket buffer has no stamp until it is read, and
+// its wait there is not counted: a request is only ever aged too little,
+// never expired early.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -337,115 +214,154 @@ func (s *Server) serveConn(conn net.Conn) {
 		tmet.srvConns.Add(-1)
 	}()
 	var (
-		wg   sync.WaitGroup
-		sem  = make(chan struct{}, s.workers)
-		fr   = newFrameReader(conn)
-		dec  = gob.NewDecoder(fr)
-		fw   = newFrameWriter(conn)
-		dead atomic.Bool
-		read int64
+		wg  sync.WaitGroup
+		sem = make(chan struct{}, s.workers)
+		// scratch recycles exchanges between this connection's requests: at
+		// most s.workers are executing while one more is being read.
+		scratch = make(chan *exchange, s.workers+1)
+		fr      = newFrameReader(conn)
+		fw      = &frameWriter{w: conn}
+		dead    atomic.Bool
+		read    int64
+		arrival time.Time
 	)
 	defer wg.Wait()
 	for {
-		var env reqEnvelope
-		if err := dec.Decode(&env); err != nil {
-			return // connection closed or corrupt stream
+		var ex *exchange
+		select {
+		case ex = <-scratch:
+		default:
+			ex = new(exchange)
 		}
+		var err error
+		queued := fr.r.Buffered() > 0 // its first bytes came off the socket with an earlier frame
+		if ex.typ, ex.payload, err = fr.next(ex.payload); err != nil {
+			return // connection closed, or framing lost: nothing after this can be delimited
+		}
+		if !queued {
+			arrival = time.Now()
+		}
+		ex.arrival = arrival
 		tmet.srvFrames.Inc()
-		tmet.srvBytesIn.Add(fr.consumed() - read)
-		read = fr.consumed()
+		tmet.srvBytesIn.Add(fr.n - read)
+		read = fr.n
 		if dead.Load() {
 			return
 		}
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(env reqEnvelope) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			resp := s.dispatch(env.Req)
-			if _, err := fw.writeFrame(&respEnvelope{ID: env.ID, Resp: resp}); err != nil {
+			if err := s.answer(ex, fw); err != nil {
 				dead.Store(true)
 				conn.Close()
 			}
-		}(env)
+			if cap(ex.payload) <= keepScratch {
+				select {
+				case scratch <- ex:
+				default:
+				}
+			}
+		}()
 	}
 }
 
-// dispatch executes one request against the cloud server.
-func (s *Server) dispatch(req *Request) *Response {
-	resp := &Response{}
-	if req == nil {
-		resp.Err = "transport: empty request envelope"
-		return resp
-	}
-	switch req.Method {
-	case MethodPing:
-	case MethodInstallIndex:
-		if req.Index == nil {
-			resp.Err = "transport: missing index"
-			break
-		}
-		s.cs.SetIndex(req.Index)
-	case MethodInstallDyn:
-		if req.DynIndex == nil {
-			resp.Err = "transport: missing dynamic index"
-			break
-		}
-		s.cs.SetDynIndex(req.DynIndex)
-	case MethodSecRecBatch:
-		// The server owns this request's lifetime: a caller that gave up
-		// simply never reads the response.
-		ids, profiles, err := s.cs.SecRecBatch(context.Background(), req.Trapdoors)
-		if err != nil {
-			resp.Err = err.Error()
-			break
-		}
-		resp.BatchIDs = ids
-		resp.BatchProfiles = profiles
-	case MethodFetchProfiles:
-		profiles, err := s.cs.FetchProfiles(req.IDs)
-		if err != nil {
-			resp.Err = err.Error()
-			break
-		}
-		resp.Profiles = profiles
-	case MethodPutProfile:
-		for id, ct := range req.Profiles {
-			s.cs.PutProfile(id, ct)
-		}
-	case MethodDeleteProfile:
-		s.cs.DeleteProfile(req.UserID)
-	case MethodFetchBuckets:
-		buckets, err := s.cs.FetchBuckets(req.Refs)
-		if err != nil {
-			resp.Err = err.Error()
-			break
-		}
-		resp.Buckets = buckets
-	case MethodStoreBuckets:
-		if req.Version > 0 {
-			if err := s.cs.StoreBucketsVersioned(req.Refs, req.Buckets, req.Version); err != nil {
-				resp.Err = err.Error()
-			}
-			break
-		}
-		if err := s.cs.StoreBuckets(req.Refs, req.Buckets); err != nil {
-			resp.Err = err.Error()
-		}
-	case MethodVersion:
-		resp.Version = s.cs.Version()
-	case MethodSetVersion:
-		s.cs.ApplyVersion(req.Version)
-	case MethodProfileIDs:
-		resp.IDs = s.cs.ProfileIDs()
-	case MethodStoreImage:
-		s.cs.StoreImages(req.UserID, req.Blob)
-	case MethodFetchImages:
-		resp.Blobs = s.cs.Images(req.UserID)
+// answer executes one request and writes its response frame. An error
+// means the connection is finished (the write failed); everything else —
+// a body that does not parse, an expired budget, an application error, an
+// answer too large to frame — is reported to the caller in the response
+// and the connection carries on.
+func (s *Server) answer(ex *exchange, fw *frameWriter) error {
+	req, resp := &ex.req, &ex.resp
+	err := decode(ex.typ, ex.payload, req)
+	*resp = message{typ: ex.typ | respBit, id: req.id}
+	switch {
+	case err != nil:
+		resp.status, resp.errMsg = statusBadPayload, err.Error()
+	case ex.typ&respBit != 0:
+		resp.status, resp.errMsg = statusBadPayload, fmt.Sprintf("%v sent as a request", ex.typ)
+	case req.budget > 0 && time.Since(ex.arrival) > req.budget:
+		// The caller gave up while this request waited for a worker: say
+		// so without touching the index. The budget is relative, so no
+		// clock is compared across machines.
+		resp.status = statusExpired
 	default:
-		resp.Err = fmt.Sprintf("transport: unknown method %q", req.Method)
+		if err := s.dispatch(req, resp); err != nil {
+			resp.refuse(err)
+		}
 	}
-	return resp
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	if err := fb.encode(resp); err != nil {
+		resp.refuse(err)
+		if err := fb.encode(resp); err != nil {
+			return err
+		}
+	}
+	// The frame references the profile store's slices directly, after
+	// SecRecBatch/FetchProfiles dropped the read lock. That is safe because
+	// the store never mutates a stored slice: PutProfile installs a fresh
+	// copy and DeleteProfile only unlinks (TestWireAnswersRaceProfileStore).
+	err = fw.write(fb)
+	*resp = message{}
+	return err
+}
+
+// refuse turns a response into the application-error answer for err.
+func (m *message) refuse(err error) {
+	*m = message{typ: m.typ, id: m.id, status: statusRemote, errMsg: err.Error()}
+}
+
+// dispatch executes one request against the cloud server, filling resp's
+// body; an error is the application's refusal.
+func (s *Server) dispatch(req, resp *message) (err error) {
+	switch req.typ {
+	case msgPing:
+	case msgInstallIndex:
+		idx := new(core.Index)
+		if err = idx.UnmarshalBinary(req.blobs[0]); err == nil {
+			s.cs.SetIndex(idx)
+		}
+	case msgInstallDynIndex:
+		idx := new(core.DynIndex)
+		if err = idx.UnmarshalBinary(req.blobs[0]); err == nil {
+			s.cs.SetDynIndex(idx)
+		}
+	case msgSecRecBatch:
+		// The server owns this request's lifetime from here: a caller that
+		// gives up now simply never reads the response.
+		resp.batchIDs, resp.batchBlobs, err = s.cs.SecRecBatch(context.Background(), req.trapdoors)
+	case msgFetchProfiles:
+		resp.blobs, err = s.cs.FetchProfiles(req.ids)
+	case msgPutProfiles:
+		for i, id := range req.ids {
+			s.cs.PutProfile(id, req.blobs[i])
+		}
+	case msgDeleteProfile:
+		s.cs.DeleteProfile(req.user)
+	case msgFetchBuckets:
+		resp.buckets, err = s.cs.FetchBuckets(req.refs)
+	case msgStoreBuckets:
+		// A non-zero version selects the versioned store: buckets and
+		// version applied atomically.
+		if req.version > 0 {
+			err = s.cs.StoreBucketsVersioned(req.refs, req.buckets, req.version)
+		} else {
+			err = s.cs.StoreBuckets(req.refs, req.buckets)
+		}
+	case msgVersion:
+		resp.version = s.cs.Version()
+	case msgSetVersion:
+		s.cs.ApplyVersion(req.version)
+	case msgProfileIDs:
+		resp.ids = s.cs.ProfileIDs()
+	case msgStoreImage:
+		s.cs.StoreImages(req.user, req.blobs[0])
+	case msgFetchImages:
+		resp.blobs = s.cs.Images(req.user)
+	}
+	return err
 }
 
 // Shutdown stops accepting, closes every connection and waits for all
@@ -480,19 +396,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // dispatched by request ID from a single reader goroutine.
 type Client struct {
 	conn net.Conn
-	fw   *frameWriter  // the connection's outbound gob stream
+	fw   *frameWriter  // the connection's outbound half; counts sent bytes
 	done chan struct{} // closed when readLoop has exited
 
 	mu      sync.Mutex
-	pending map[uint64]chan *Response
+	pending map[uint64]chan inbound
 	nextID  uint64
 	timeout time.Duration
 	broken  error // set once the connection is unusable; sticky
 
-	// sentBytes / recvBytes accumulate exact framed wire traffic for the
-	// bandwidth experiments.
-	sentBytes atomic.Int64
+	// recvBytes accumulates exact framed inbound traffic for the bandwidth
+	// experiments (the outbound half is fw.total).
 	recvBytes atomic.Int64
+}
+
+// inbound is a response frame on its way from the reader goroutine to the
+// caller that decodes it. payload is the frame's own buffer: everything
+// the call returns is cut from it, and it dies with the caller's result.
+type inbound struct {
+	typ     msgType
+	payload []byte
 }
 
 // Compile-time checks: the client presents the same surfaces as the
@@ -522,7 +445,7 @@ func DialWith(addr string, dial Dialer) (*Client, error) {
 		tmet.dialErrors.Inc()
 		return nil, &ConnError{Op: "dial", Err: err}
 	}
-	c := &Client{conn: conn, fw: newFrameWriter(conn), done: make(chan struct{}), pending: make(map[uint64]chan *Response)}
+	c := &Client{conn: conn, fw: &frameWriter{w: conn}, done: make(chan struct{}), pending: make(map[uint64]chan inbound)}
 	go c.readLoop()
 	return c, nil
 }
@@ -548,36 +471,40 @@ func (c *Client) SetTimeout(d time.Duration) {
 	c.timeout = d
 }
 
-// Traffic returns the cumulative framed request and response bytes.
+// Traffic returns the cumulative framed request and response bytes: every
+// frame written whole and every frame received intact, headers and
+// checksums included. After Close both figures are final.
 func (c *Client) Traffic() (sent, received int64) {
-	return c.sentBytes.Load(), c.recvBytes.Load()
+	return c.fw.total(), c.recvBytes.Load()
 }
 
-// readLoop is the single response reader: it decodes response frames as
-// the server finishes requests (not necessarily in request order) and
-// routes each to the waiting caller by ID. Responses whose caller gave up
-// (timeout or cancellation) find no pending entry and are dropped.
+// readLoop is the single response reader: it delimits and verifies
+// response frames as the server finishes requests (not necessarily in
+// request order) and routes each to the waiting caller by ID, which
+// decodes it. Responses whose caller gave up (timeout or cancellation)
+// find no pending entry and are dropped. A framing error ends the loop and
+// the connection.
 func (c *Client) readLoop() {
 	defer close(c.done)
 	fr := newFrameReader(c.conn)
-	dec := gob.NewDecoder(fr)
 	for {
-		var env respEnvelope
-		if err := dec.Decode(&env); err != nil {
+		typ, payload, err := fr.next(nil)
+		if err != nil {
 			c.fail(&ConnError{Op: "receive", Err: err})
 			return
 		}
 		tmet.framesIn.Inc()
-		tmet.bytesIn.Add(fr.consumed() - c.recvBytes.Load())
-		c.recvBytes.Store(fr.consumed())
+		tmet.bytesIn.Add(fr.n - c.recvBytes.Load())
+		c.recvBytes.Store(fr.n)
+		id := le.Uint64(payload)
 		c.mu.Lock()
-		ch, ok := c.pending[env.ID]
+		ch, ok := c.pending[id]
 		if ok {
-			delete(c.pending, env.ID)
+			delete(c.pending, id)
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- env.Resp // buffered; never blocks
+			ch <- inbound{typ, payload} // buffered; never blocks
 		} else {
 			tmet.lateDrops.Inc()
 		}
@@ -592,7 +519,7 @@ func (c *Client) fail(err error) {
 		tmet.connFails.Inc()
 	}
 	waiting := c.pending
-	c.pending = make(map[uint64]chan *Response)
+	c.pending = make(map[uint64]chan inbound)
 	c.mu.Unlock()
 	for _, ch := range waiting {
 		close(ch)
@@ -609,11 +536,15 @@ func (c *Client) forget(id uint64) {
 }
 
 // call performs one pipelined exchange bounded by ctx and the
-// connection-global timeout (earlier wins). The request frame is written
-// immediately — concurrent calls interleave on the connection — and the
-// caller waits only for its own response. Expiry or cancellation abandons
-// the call without disturbing the connection.
-func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
+// connection-global timeout (earlier wins); what is left of that bound at
+// send time travels with the request as its deadline budget. The request
+// frame is written immediately — concurrent calls interleave on the
+// connection — and the caller waits only for its own response. Expiry or
+// cancellation abandons the call without disturbing the connection, and so
+// does a request that cannot be encoded or a response whose body does not
+// parse: only a failed write or a framing error on the read side is fatal
+// to the connection.
+func (c *Client) call(ctx context.Context, req *message) (*message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &ConnError{Op: "call", Err: err}
 	}
@@ -623,26 +554,39 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
-	id := c.nextID
+	req.id = c.nextID
 	c.nextID++
-	ch := make(chan *Response, 1)
-	c.pending[id] = ch
+	ch := make(chan inbound, 1)
+	c.pending[req.id] = ch
 	timeout := c.timeout
 	c.mu.Unlock()
 	tmet.inflight.Add(1)
 	defer tmet.inflight.Add(-1)
 
-	n, werr := c.fw.writeFrame(&reqEnvelope{ID: id, Req: req})
+	req.budget = timeout
+	if deadline, ok := ctx.Deadline(); ok {
+		if left := max(time.Until(deadline), 1); req.budget == 0 || left < req.budget {
+			req.budget = left
+		}
+	}
+	fb := frameBufs.Get().(*frameBuf)
+	if err := fb.encode(req); err != nil {
+		fb.release()
+		c.forget(req.id)
+		return nil, fmt.Errorf("%v: %w", req.typ, err)
+	}
+	werr := c.fw.write(fb)
+	size := int64(fb.size)
+	fb.release()
 	if werr != nil {
-		// Both encode and write failures poison the outbound gob stream;
-		// the connection cannot be trusted for further calls.
-		c.forget(id)
+		// A failed write may have left a torn frame on the stream; the
+		// connection cannot be trusted for further calls.
+		c.forget(req.id)
 		c.fail(&ConnError{Op: "send", Err: werr})
 		return nil, &ConnError{Op: "send", Err: werr}
 	}
-	c.sentBytes.Add(int64(n))
 	tmet.framesOut.Inc()
-	tmet.bytesOut.Add(int64(n))
+	tmet.bytesOut.Add(size)
 
 	var timer *time.Timer
 	var expired <-chan time.Time
@@ -652,154 +596,156 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 		expired = timer.C
 	}
 	select {
-	case resp, ok := <-ch:
+	case in, ok := <-ch:
 		if !ok {
 			c.mu.Lock()
 			err := c.broken
 			c.mu.Unlock()
 			return nil, err
 		}
-		if resp.Err != "" {
-			return nil, &RemoteError{Msg: resp.Err}
-		}
-		return resp, nil
+		return open(req.typ, in)
 	case <-ctx.Done():
-		c.forget(id)
+		c.forget(req.id)
 		tmet.timeouts.Inc()
 		return nil, &ConnError{Op: "call", Err: ctx.Err()}
 	case <-expired:
-		c.forget(id)
+		c.forget(req.id)
 		tmet.timeouts.Inc()
 		return nil, &ConnError{Op: "call", Err: context.DeadlineExceeded}
 	}
 }
 
+// open decodes the response frame to a request of type typ and turns its
+// status into the call's outcome.
+func open(typ msgType, in inbound) (*message, error) {
+	resp := new(message)
+	if err := decode(in.typ, in.payload, resp); err != nil {
+		return nil, fmt.Errorf("%v: %w", typ, err)
+	}
+	if resp.typ != typ|respBit {
+		return nil, fmt.Errorf("%w: %v answered with a %v", ErrBadPayload, typ, resp.typ)
+	}
+	switch resp.status {
+	case statusOK:
+		return resp, nil
+	case statusRemote:
+		return nil, &RemoteError{Msg: resp.errMsg}
+	case statusExpired:
+		return nil, &ConnError{Op: "call", Err: ErrExpired}
+	case statusBadPayload:
+		return nil, fmt.Errorf("%v: %w: server: %s", typ, ErrBadPayload, resp.errMsg)
+	default:
+		return nil, fmt.Errorf("%v: %w: response status %d", typ, ErrBadPayload, resp.status)
+	}
+}
+
 // The methods below are one per RPC. Those without a ctx parameter are
-// bounded by SetTimeout alone (context.TODO marks where ROADMAP item 3
+// bounded by SetTimeout alone (context.TODO marks where ROADMAP item 4
 // threads a deadline through the dynamic path).
 
 // InstallIndex outsources a freshly built static index to the cloud.
 func (c *Client) InstallIndex(idx *core.Index) error {
-	_, err := c.call(context.TODO(), &Request{Method: MethodInstallIndex, Index: idx})
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	_, err = c.call(context.TODO(), &message{typ: msgInstallIndex, blobs: [][]byte{blob}})
 	return err
 }
 
 // InstallDynIndex outsources a dynamic index to the cloud.
 func (c *Client) InstallDynIndex(idx *core.DynIndex) error {
-	_, err := c.call(context.TODO(), &Request{Method: MethodInstallDyn, DynIndex: idx})
+	blob, err := idx.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	_, err = c.call(context.TODO(), &message{typ: msgInstallDynIndex, blobs: [][]byte{blob}})
 	return err
 }
 
 // Ping checks liveness, bounded by ctx.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, &Request{Method: MethodPing})
+	_, err := c.call(ctx, &message{typ: msgPing})
 	return err
 }
 
-// maxBatchPerRPC caps how many trapdoors ride in a single SecRecBatch
-// wire exchange. Each recalled profile is a few hundred KB of ciphertext,
-// and gob allocates a fresh buffer for every message it reads — once a
-// response message crosses ~10 MB the stdlib additionally grows that
-// buffer by chunked appends, copying the payload several times over.
-// Keeping messages bounded and pipelining the sub-batches concurrently
-// on the multiplexed connection is strictly faster than one giant frame.
-const maxBatchPerRPC = 8
-
-// SecRecBatch is the discovery exchange, bounded by ctx: q trapdoors
-// resolved with result q independent of what else rides in the batch (a
-// single discovery is a batch of one). Large batches are split into
-// sub-batches of maxBatchPerRPC queries issued concurrently over the
-// shared connection, so the server streams bounded response messages
-// instead of one giant frame. It implements frontend.BatchDiscoveryServer
-// and the fan-out primitive a shard pool puts a per-shard deadline on.
+// SecRecBatch is the discovery exchange, bounded by ctx: q trapdoors in
+// one request frame, q answers in one response frame, result q independent
+// of what else rides in the batch (a single discovery is a batch of one).
+// The returned ciphertexts are sub-slices of the response frame's buffer.
+// It implements frontend.BatchDiscoveryServer and the fan-out primitive a
+// shard pool puts a per-shard deadline on.
 func (c *Client) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) ([][]uint64, [][][]byte, error) {
-	ids := make([][]uint64, len(ts))
-	profiles := make([][][]byte, len(ts))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	sub := func(lo, hi int) {
-		defer wg.Done()
-		resp, err := c.call(ctx, &Request{Method: MethodSecRecBatch, Trapdoors: ts[lo:hi]})
-		if err == nil && (len(resp.BatchIDs) != hi-lo || len(resp.BatchProfiles) != hi-lo) {
-			err = fmt.Errorf("transport: sub-batch of %d queries answered with %d/%d results",
-				hi-lo, len(resp.BatchIDs), len(resp.BatchProfiles))
-		}
-		if err != nil {
-			errOnce.Do(func() { firstErr = err })
-			return
-		}
-		copy(ids[lo:hi], resp.BatchIDs)
-		copy(profiles[lo:hi], resp.BatchProfiles)
+	if len(ts) == 0 {
+		return [][]uint64{}, [][][]byte{}, nil
 	}
-	for lo := 0; lo < len(ts); lo += maxBatchPerRPC {
-		wg.Add(1)
-		if hi := lo + maxBatchPerRPC; hi < len(ts) {
-			go sub(lo, hi)
-		} else {
-			sub(lo, len(ts)) // the last (usually only) sub-batch rides the caller's goroutine
-		}
+	resp, err := c.call(ctx, &message{typ: msgSecRecBatch, trapdoors: ts})
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if len(resp.batchIDs) != len(ts) {
+		return nil, nil, fmt.Errorf("transport: batch of %d queries answered with %d results", len(ts), len(resp.batchIDs))
 	}
-	return ids, profiles, nil
+	return resp.batchIDs, resp.batchBlobs, nil
 }
 
 // FetchProfiles implements frontend.ProfileFetcher remotely: aligned with
 // the request, an empty entry for an identifier the server does not hold.
 func (c *Client) FetchProfiles(ids []uint64) ([][]byte, error) {
-	resp, err := c.call(context.TODO(), &Request{Method: MethodFetchProfiles, IDs: ids})
+	resp, err := c.call(context.TODO(), &message{typ: msgFetchProfiles, ids: ids})
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Profiles) != len(ids) {
-		return nil, fmt.Errorf("transport: %d ids answered with %d profiles", len(ids), len(resp.Profiles))
+	if len(resp.blobs) != len(ids) {
+		return nil, fmt.Errorf("transport: %d ids answered with %d profiles", len(ids), len(resp.blobs))
 	}
-	return resp.Profiles, nil
+	return resp.blobs, nil
 }
 
-// PutProfiles uploads encrypted profiles.
+// PutProfiles uploads encrypted profiles in one frame; a caller with more
+// than a frame should hold sends several (shard.Remote does).
 func (c *Client) PutProfiles(profiles map[uint64][]byte) error {
-	_, err := c.call(context.TODO(), &Request{Method: MethodPutProfile, Profiles: profiles})
+	req := &message{typ: msgPutProfiles, ids: make([]uint64, 0, len(profiles)), blobs: make([][]byte, 0, len(profiles))}
+	for id, ct := range profiles {
+		req.ids = append(req.ids, id)
+		req.blobs = append(req.blobs, ct)
+	}
+	_, err := c.call(context.TODO(), req)
 	return err
 }
 
 // DeleteProfile removes an encrypted profile.
 func (c *Client) DeleteProfile(id uint64) error {
-	_, err := c.call(context.TODO(), &Request{Method: MethodDeleteProfile, UserID: id})
+	_, err := c.call(context.TODO(), &message{typ: msgDeleteProfile, user: id})
 	return err
 }
 
 // FetchBuckets implements core.BucketStore remotely.
 func (c *Client) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, error) {
-	resp, err := c.call(context.TODO(), &Request{Method: MethodFetchBuckets, Refs: refs})
+	resp, err := c.call(context.TODO(), &message{typ: msgFetchBuckets, refs: refs})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Buckets, nil
+	return resp.buckets, nil
 }
 
 // StoreBuckets implements core.BucketStore remotely.
 func (c *Client) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
-	_, err := c.call(context.TODO(), &Request{Method: MethodStoreBuckets, Refs: refs, Buckets: buckets})
+	_, err := c.call(context.TODO(), &message{typ: msgStoreBuckets, refs: refs, buckets: buckets})
 	return err
 }
 
 // StoreImage uploads one encrypted image blob for a user.
 func (c *Client) StoreImage(userID uint64, blob []byte) error {
-	_, err := c.call(context.TODO(), &Request{Method: MethodStoreImage, UserID: userID, Blob: blob})
+	_, err := c.call(context.TODO(), &message{typ: msgStoreImage, user: userID, blobs: [][]byte{blob}})
 	return err
 }
 
 // FetchImages downloads a user's encrypted images.
 func (c *Client) FetchImages(userID uint64) ([][]byte, error) {
-	resp, err := c.call(context.TODO(), &Request{Method: MethodFetchImages, UserID: userID})
+	resp, err := c.call(context.TODO(), &message{typ: msgFetchImages, user: userID})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Blobs, nil
+	return resp.blobs, nil
 }

@@ -407,7 +407,7 @@ func TestConnErrorOnServerClosedMidCall(t *testing.T) {
 
 func TestConnErrorOnTruncatedFrame(t *testing.T) {
 	// A server that answers with garbage bytes and closes: a truncated /
-	// corrupt gob frame is a connection-level error, not an application
+	// corrupt frame is a connection-level error, not an application
 	// error.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -439,6 +439,9 @@ func TestConnErrorOnTruncatedFrame(t *testing.T) {
 	}
 	if ce.Op != "receive" {
 		t.Errorf("ConnError.Op = %q, want receive", ce.Op)
+	}
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("err = %v, want errors.Is(ErrTruncated)", err)
 	}
 }
 

@@ -274,7 +274,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 			}
 			got, partial, err := w.f.DynSearchSharded(w.shards, w.nodes, target, w.bigK(), 0)
 			if err != nil {
-				if !isTransportFault(err) {
+				if !isTransportFault(err) && !w.lostProfile(err) {
 					t.Fatalf("op %d: search failed with non-transport error %T: %v", op, err, err)
 				}
 				failures++

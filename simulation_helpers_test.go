@@ -445,6 +445,22 @@ func (w *dynWorld) markUpdateFailed(id uint64) {
 	w.shaky[w.owner(id)] = true
 }
 
+// lostProfile reports whether err is a search's refusal of exactly the
+// damage markUpdateFailed records: frontend.ErrUnknownProfile naming an
+// id whose insert or delete failed under faults, so its index entry and
+// its profile may have parted ways. It is for the churn-under-faults
+// search site only; ErrUnknownProfile naming any other id — a mis-sliced
+// answer, an empty FetchProfiles entry for a stored profile — stays fatal
+// there, and any ErrUnknownProfile stays fatal everywhere else.
+func (w *dynWorld) lostProfile(err error) bool {
+	if !errors.Is(err, frontend.ErrUnknownProfile) {
+		return false
+	}
+	msg := err.Error()
+	id, perr := strconv.ParseUint(msg[strings.LastIndexByte(msg, ' ')+1:], 10, 64)
+	return perr == nil && w.uncertain[id]
+}
+
 // pickCertain draws a certainly-live user deterministically from the
 // seeded rng (map iteration order is runtime-randomized, so sort first).
 // Returns 0 when none exist.
