@@ -1,9 +1,11 @@
 package frontend
 
 import (
+	"cmp"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"pisd/internal/core"
@@ -76,13 +78,16 @@ type heldProfile struct {
 // invalidation under dynamic churn. Plaintext profiles live only in
 // trusted-frontend memory — the same trust domain as the keys — so caching
 // them adds no leakage while sparing every hit the per-candidate MAC + AES
-// work.
+// work. el is the entry's element in the LRU while it is live, in the
+// retired FIFO once it is retired.
 type cacheEntry struct {
 	key  CacheKey
 	refs []core.BucketRef
 	ids  []uint64
 	tags []profileTag
 	vecs [][]float64
+	el   *list.Element
+	seq  uint64 // Put order
 }
 
 // ResultCache is a bounded LRU of cloud answers keyed by search pattern.
@@ -94,10 +99,14 @@ type cacheEntry struct {
 // covers every bucket a mutation can touch.
 //
 // Under the entries sits one content-addressed plaintext profile table:
-// every distinct profile the live entries list is held once, keyed by its
-// ciphertext's tag and reference-counted by the candidates that list it. A
-// vector leaves the table with its last entry, so the table never holds
-// more than the entries pin and its bound is the entry bound.
+// every distinct profile the entries list is held once, keyed by its
+// ciphertext's tag and reference-counted by the candidates that list it.
+// An invalidated entry stops answering at once but becomes a retired
+// answer: its listings keep their profiles held, so the miss that re-fetches
+// the same candidates decrypts nothing. Live plus retired answers never
+// exceed the entry bound — retired answers go first, oldest first — so the
+// table never holds more than the bound's worth of answers pin, and its
+// bound is the entry bound.
 //
 // A nil *ResultCache is the disabled cache: Get always misses, Put is a
 // no-op and no profile is ever held.
@@ -107,7 +116,10 @@ type ResultCache struct {
 	entries  map[CacheKey]*list.Element // values are *cacheEntry
 	lru      *list.List                 // front = most recently used
 	byRef    map[core.BucketRef]map[*cacheEntry]struct{}
+	retired  *list.List               // values are *cacheEntry; front = oldest
+	listedBy map[uint64][]*cacheEntry // retired answers listing each id
 	profiles map[profileTag]*heldProfile
+	puts     uint64
 }
 
 // NewResultCache returns a cache bounded to max entries; max <= 0 returns
@@ -116,13 +128,19 @@ func NewResultCache(max int) *ResultCache {
 	if max <= 0 {
 		return nil
 	}
-	return &ResultCache{
-		cap:      max,
-		entries:  make(map[CacheKey]*list.Element),
-		lru:      list.New(),
-		byRef:    make(map[core.BucketRef]map[*cacheEntry]struct{}),
-		profiles: make(map[profileTag]*heldProfile),
-	}
+	c := &ResultCache{cap: max, lru: list.New(), retired: list.New()}
+	c.reset()
+	return c
+}
+
+// reset empties every map. Callers hold c.mu or own c.
+func (c *ResultCache) reset() {
+	c.entries = make(map[CacheKey]*list.Element)
+	c.byRef = make(map[core.BucketRef]map[*cacheEntry]struct{})
+	c.listedBy = make(map[uint64][]*cacheEntry)
+	c.profiles = make(map[profileTag]*heldProfile)
+	c.lru.Init()
+	c.retired.Init()
 }
 
 // Get returns the cached candidate set for key: identifiers and
@@ -173,9 +191,10 @@ func (c *ResultCache) held(encProfiles [][]byte, vecs [][]float64) (tags []profi
 // for the static index, which is immutable). tags[i] is the tag of the
 // ciphertext vecs[i] was decrypted from: a profile the table already holds
 // is adopted — vecs[i] is repointed at the table's vector and the caller's
-// copy dropped — so every entry references the one held copy. Evicts
-// least-recently-used entries beyond the bound. An answer whose slices
-// disagree in length is not stored.
+// copy dropped — so every entry references the one held copy. Beyond the
+// bound it expires retired answers, oldest first, then evicts
+// least-recently-used entries. An answer whose slices disagree in length
+// is not stored.
 func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, tags []profileTag, vecs [][]float64) {
 	if c == nil || len(tags) != len(vecs) || len(ids) != len(vecs) {
 		return
@@ -196,8 +215,10 @@ func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, tag
 		h.refs++
 		vecs[i] = h.vec
 	}
-	e := &cacheEntry{key: key, refs: refs, ids: ids, tags: tags, vecs: vecs}
-	c.entries[key] = c.lru.PushFront(e)
+	c.puts++
+	e := &cacheEntry{key: key, refs: refs, ids: ids, tags: tags, vecs: vecs, seq: c.puts}
+	e.el = c.lru.PushFront(e)
+	c.entries[key] = e.el
 	for _, r := range refs {
 		set := c.byRef[r]
 		if set == nil {
@@ -206,8 +227,12 @@ func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, tag
 		}
 		set[e] = struct{}{}
 	}
-	for c.lru.Len() > c.cap {
-		c.remove(c.lru.Back().Value.(*cacheEntry))
+	for c.lru.Len()+c.retired.Len() > c.cap {
+		if oldest := c.retired.Front(); oldest != nil {
+			c.expire(oldest.Value.(*cacheEntry))
+		} else {
+			c.remove(c.lru.Back().Value.(*cacheEntry))
+		}
 	}
 }
 
@@ -231,36 +256,66 @@ func (c *ResultCache) lookup(key CacheKey, refs []core.BucketRef, fill func() (c
 	return cands, nil
 }
 
-// InvalidateRefs drops every entry whose read set intersects refs and
-// returns how many were dropped.
+// InvalidateRefs retires every entry whose read set intersects refs and
+// returns how many were retired. A retired entry never answers again.
 func (c *ResultCache) InvalidateRefs(refs []core.BucketRef) int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped := 0
+	var dropped []*cacheEntry
 	for _, r := range refs {
 		for e := range c.byRef[r] {
-			c.remove(e)
-			dropped++
+			c.unlink(e)
+			dropped = append(dropped, e)
 		}
 	}
-	if dropped > 0 {
-		fmet.cacheInvalids.Add(int64(dropped))
+	// Retired in the order they were stored, so which answers expire first
+	// does not depend on map iteration order.
+	slices.SortFunc(dropped, func(a, b *cacheEntry) int { return cmp.Compare(a.seq, b.seq) })
+	for _, e := range dropped {
+		c.retire(e)
 	}
-	return dropped
+	if len(dropped) > 0 {
+		fmet.cacheInvalids.Add(int64(len(dropped)))
+	}
+	return len(dropped)
 }
 
-// remove unlinks e from the LRU, the key map and the reverse ref index,
-// and releases its profile references: a profile leaves the table with the
-// last entry listing it. Callers hold c.mu.
-func (c *ResultCache) remove(e *cacheEntry) {
-	el, ok := c.entries[e.key]
-	if !ok || el.Value.(*cacheEntry) != e {
+// forget releases every retired listing of id — the profile of a user just
+// deleted — so its vector leaves the table unless a live entry still lists
+// it, and expires retired answers left listing nothing.
+func (c *ResultCache) forget(id uint64) {
+	if c == nil {
 		return
 	}
-	c.lru.Remove(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.listedBy[id] {
+		// Rebuilt, not edited in place: a reader may still hold the ids the
+		// entry answered with while it was live.
+		var ids []uint64
+		var tags []profileTag
+		for i, listed := range e.ids {
+			if listed == id {
+				c.release(e.tags[i])
+				continue
+			}
+			ids, tags = append(ids, listed), append(tags, e.tags[i])
+		}
+		e.ids, e.tags = ids, tags
+		if len(ids) == 0 {
+			c.retired.Remove(e.el)
+		}
+	}
+	delete(c.listedBy, id)
+}
+
+// unlink takes live entry e out of the LRU, the key map and the reverse
+// ref index. Callers hold c.mu.
+func (c *ResultCache) unlink(e *cacheEntry) {
+	c.lru.Remove(e.el)
 	delete(c.entries, e.key)
 	for _, r := range e.refs {
 		if set := c.byRef[r]; set != nil {
@@ -270,12 +325,51 @@ func (c *ResultCache) remove(e *cacheEntry) {
 			}
 		}
 	}
+}
+
+// remove drops live entry e and releases its listings. Callers hold c.mu.
+func (c *ResultCache) remove(e *cacheEntry) {
+	c.unlink(e)
 	for _, tag := range e.tags {
-		h := c.profiles[tag]
-		if h.refs--; h.refs == 0 {
-			delete(c.profiles, tag)
-			fmet.profHeld.Add(-1)
+		c.release(tag)
+	}
+}
+
+// retire moves unlinked entry e to the back of the retired FIFO, keeping
+// its listings. Callers hold c.mu.
+func (c *ResultCache) retire(e *cacheEntry) {
+	e.refs, e.vecs = nil, nil
+	e.el = c.retired.PushBack(e)
+	for _, id := range e.ids {
+		c.listedBy[id] = append(c.listedBy[id], e)
+	}
+}
+
+// expire drops retired answer e and releases its listings. Callers hold
+// c.mu.
+func (c *ResultCache) expire(e *cacheEntry) {
+	c.retired.Remove(e.el)
+	for i, id := range e.ids {
+		c.release(e.tags[i])
+		by := c.listedBy[id]
+		if at := slices.Index(by, e); at >= 0 {
+			by = slices.Delete(by, at, at+1)
 		}
+		if len(by) == 0 {
+			delete(c.listedBy, id)
+		} else {
+			c.listedBy[id] = by
+		}
+	}
+}
+
+// release drops one listing of tag: a profile leaves the table with the
+// last listing. Callers hold c.mu.
+func (c *ResultCache) release(tag profileTag) {
+	h := c.profiles[tag]
+	if h.refs--; h.refs == 0 {
+		delete(c.profiles, tag)
+		fmet.profHeld.Add(-1)
 	}
 }
 
@@ -289,16 +383,14 @@ func (c *ResultCache) Len() int {
 	return c.lru.Len()
 }
 
-// Flush empties the cache and, with it, the profile table.
+// Flush empties the cache, its retired answers and, with them, the profile
+// table.
 func (c *ResultCache) Flush() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[CacheKey]*list.Element)
-	c.byRef = make(map[core.BucketRef]map[*cacheEntry]struct{})
-	c.lru.Init()
 	fmet.profHeld.Add(-int64(len(c.profiles)))
-	c.profiles = make(map[profileTag]*heldProfile)
+	c.reset()
 }

@@ -4,13 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"net"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"pisd/internal/cloud"
 	"pisd/internal/core"
 	"pisd/internal/crypt"
+	"pisd/internal/dataset"
 	"pisd/internal/obs"
+	"pisd/internal/shard"
+	"pisd/internal/transport"
 )
 
 // The plaintext profile table under the result cache (DESIGN.md §15.1): one
@@ -21,21 +30,27 @@ import (
 func counter(name string) int64 { return obs.Default.Counter(name).Load() }
 
 // checkProfileTable asserts the table invariants on c: its keys are exactly
-// the tags live entries reference, each refcount is the number of
-// references, every entry vector is pointer-identical to the table's, and
-// the entry maps agree with the LRU. It returns the live key set.
+// the tags live and retired answers list, each refcount is the number of
+// those listings, every live entry vector is pointer-identical to the
+// table's, live plus retired answers fit the bound, no retired answer is
+// reachable through the key map, the retired-listing index names exactly
+// the retired answers' ids, and the entry maps agree with the LRU. It
+// returns the live key set.
 func checkProfileTable(t *testing.T, c *ResultCache) map[CacheKey]bool {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lru.Len() != len(c.entries) || c.lru.Len() > c.cap {
-		t.Fatalf("lru holds %d entries, key map %d, bound %d", c.lru.Len(), len(c.entries), c.cap)
+	if c.lru.Len() != len(c.entries) || c.lru.Len()+c.retired.Len() > c.cap {
+		t.Fatalf("lru holds %d entries, key map %d, %d retired, bound %d", c.lru.Len(), len(c.entries), c.retired.Len(), c.cap)
 	}
 	live := make(map[CacheKey]bool)
 	refs := make(map[profileTag]int)
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		live[e.key] = true
+		if e.el != el || c.entries[e.key] != el {
+			t.Fatalf("entry %x: not the key map's element", e.key[:4])
+		}
 		if len(e.tags) != len(e.vecs) || len(e.ids) != len(e.vecs) {
 			t.Fatalf("entry %x: %d ids, %d tags, %d vecs", e.key[:4], len(e.ids), len(e.tags), len(e.vecs))
 		}
@@ -50,8 +65,40 @@ func checkProfileTable(t *testing.T, c *ResultCache) map[CacheKey]bool {
 			}
 		}
 	}
+	listed := make(map[uint64]map[*cacheEntry]int)
+	for el := c.retired.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		if e.el != el || len(e.ids) == 0 || len(e.ids) != len(e.tags) || e.vecs != nil || e.refs != nil {
+			t.Fatalf("retired answer %x: %d ids, %d tags, vecs %v, refs %v", e.key[:4], len(e.ids), len(e.tags), e.vecs != nil, e.refs != nil)
+		}
+		if live := c.entries[e.key]; live != nil && live.Value.(*cacheEntry) == e {
+			t.Fatalf("retired answer %x still reachable by its key", e.key[:4])
+		}
+		for i, tag := range e.tags {
+			refs[tag]++
+			if c.profiles[tag] == nil {
+				t.Fatalf("retired answer %x candidate %d: tag %x not in the table", e.key[:4], i, tag[:4])
+			}
+			if listed[e.ids[i]] == nil {
+				listed[e.ids[i]] = make(map[*cacheEntry]int)
+			}
+			listed[e.ids[i]][e]++
+		}
+	}
+	if len(c.listedBy) != len(listed) {
+		t.Fatalf("retired-listing index names %d ids, retired answers list %d", len(c.listedBy), len(listed))
+	}
+	for id, by := range c.listedBy {
+		got := make(map[*cacheEntry]int)
+		for _, e := range by {
+			got[e]++
+		}
+		if !maps.Equal(got, listed[id]) {
+			t.Fatalf("id %d: retired-listing index disagrees with the retired answers", id)
+		}
+	}
 	if len(c.profiles) != len(refs) {
-		t.Fatalf("table holds %d profiles, live entries reference %d", len(c.profiles), len(refs))
+		t.Fatalf("table holds %d profiles, answers reference %d", len(c.profiles), len(refs))
 	}
 	for tag, h := range c.profiles {
 		if h.refs != refs[tag] {
@@ -61,22 +108,28 @@ func checkProfileTable(t *testing.T, c *ResultCache) map[CacheKey]bool {
 	return live
 }
 
-// modelEntry is the reference model's view of one cache entry.
+// modelEntry is the reference model's view of one cache answer: live, or
+// retired by an invalidation.
 type modelEntry struct {
 	key  CacheKey
 	refs []core.BucketRef
+	ids  []uint64
+	seq  int
 }
 
 // profileTableModel drives one seeded sequence of Put (fresh key, replace
-// in place, LRU eviction), Get, InvalidateRefs and Flush against a small
-// cache and a slice-backed reference LRU, checking the table invariants
-// and the live key set after every operation.
+// in place, eviction), Get, InvalidateRefs, forget (a deleted user) and
+// Flush against a small cache and a slice-backed reference — a live LRU
+// plus a retired FIFO — checking the table invariants, the live key set
+// and the retired answers after every operation.
 func profileTableModel(t *testing.T, seed int64, ops int) {
 	const bound, keys, pool, buckets = 6, 14, 12, 9
 	rng := rand.New(rand.NewSource(seed))
 	c := NewResultCache(bound)
 	heldBase := fmet.profHeld.Load()
-	var model []modelEntry // front = most recently used
+	var model []modelEntry   // live; front = most recently used
+	var retired []modelEntry // front = oldest
+	puts := 0
 
 	// Ciphertext p is all padding but its tag, which is all the table reads.
 	cts := make([][]byte, pool)
@@ -84,21 +137,24 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 		cts[p] = make([]byte, crypt.Overhead+8)
 		cts[p][len(cts[p])-1] = byte(p + 1)
 	}
-	drop := func(keep func(modelEntry) bool) {
+	drop := func(keep func(modelEntry) bool) (dropped []modelEntry) {
 		kept := model[:0]
 		for _, m := range model {
 			if keep(m) {
 				kept = append(kept, m)
+			} else {
+				dropped = append(dropped, m)
 			}
 		}
 		model = kept
+		return dropped
 	}
 
 	for op := 0; op < ops; op++ {
 		var key CacheKey
 		key[0] = byte(rng.Intn(keys))
 		switch u := rng.Intn(100); {
-		case u < 60: // Put: one answer of 1..5 candidates, some repeated
+		case u < 55: // Put: one answer of 1..5 candidates, some repeated
 			n := 1 + rng.Intn(5)
 			ids := make([]uint64, n)
 			enc := make([][]byte, n)
@@ -130,12 +186,17 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 				refs = append(refs, core.BucketRef{Table: 0, Pos: uint64(rng.Intn(buckets))})
 			}
 			c.Put(key, refs, ids, tags, vecs)
+			puts++
 			drop(func(m modelEntry) bool { return m.key != key })
-			model = append([]modelEntry{{key: key, refs: refs}}, model...)
-			if len(model) > bound {
-				model = model[:bound]
+			model = append([]modelEntry{{key: key, refs: refs, ids: slices.Clone(ids), seq: puts}}, model...)
+			for len(model)+len(retired) > bound {
+				if len(retired) > 0 {
+					retired = retired[1:]
+				} else {
+					model = model[:len(model)-1]
+				}
 			}
-		case u < 80: // Get promotes
+		case u < 72: // Get promotes
 			_, _, ok := c.Get(key)
 			at := -1
 			for i, m := range model {
@@ -151,13 +212,12 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 				copy(model[1:at+1], model[:at])
 				model[0] = m
 			}
-		case u < 97: // InvalidateRefs over 1..2 written buckets
+		case u < 89: // InvalidateRefs over 1..2 written buckets
 			written := []core.BucketRef{{Table: 0, Pos: uint64(rng.Intn(buckets))}}
 			if rng.Intn(2) == 0 {
 				written = append(written, core.BucketRef{Table: 0, Pos: uint64(rng.Intn(buckets))})
 			}
-			before := len(model)
-			drop(func(m modelEntry) bool {
+			hit := drop(func(m modelEntry) bool {
 				for _, r := range m.refs {
 					for _, w := range written {
 						if r == w {
@@ -167,12 +227,25 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 				}
 				return true
 			})
-			if got := c.InvalidateRefs(written); got != before-len(model) {
-				t.Fatalf("op %d: InvalidateRefs dropped %d entries, model %d", op, got, before-len(model))
+			slices.SortFunc(hit, func(a, b modelEntry) int { return a.seq - b.seq })
+			retired = append(retired, hit...)
+			if got := c.InvalidateRefs(written); got != len(hit) {
+				t.Fatalf("op %d: InvalidateRefs dropped %d entries, model %d", op, got, len(hit))
 			}
+		case u < 98: // a deleted user: its retired listings are released
+			id := uint64(1 + rng.Intn(pool))
+			c.forget(id)
+			kept := retired[:0]
+			for _, m := range retired {
+				m.ids = slices.DeleteFunc(slices.Clone(m.ids), func(listed uint64) bool { return listed == id })
+				if len(m.ids) > 0 {
+					kept = append(kept, m)
+				}
+			}
+			retired = kept
 		default:
 			c.Flush()
-			model = nil
+			model, retired = nil, nil
 		}
 
 		live := checkProfileTable(t, c)
@@ -184,14 +257,34 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 				t.Fatalf("op %d: key %d live in the model, absent from the cache", op, m.key[0])
 			}
 		}
+		c.mu.Lock()
+		var got []modelEntry
+		for el := c.retired.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*cacheEntry)
+			got = append(got, modelEntry{key: e.key, ids: e.ids})
+		}
+		c.mu.Unlock()
+		if len(got) != len(retired) {
+			t.Fatalf("op %d: %d retired answers, model %d", op, len(got), len(retired))
+		}
+		for i, m := range retired {
+			if got[i].key != m.key || !slices.Equal(got[i].ids, m.ids) {
+				t.Fatalf("op %d: retired answer %d is key %d listing %v, model key %d listing %v", op, i, got[i].key[0], got[i].ids, m.key[0], m.ids)
+			}
+			if !live[m.key] {
+				if _, _, ok := c.Get(m.key); ok {
+					t.Fatalf("op %d: retired answer under key %d returned by Get", op, m.key[0])
+				}
+			}
+		}
 		if got := fmet.profHeld.Load() - heldBase; got != int64(len(c.profiles)) {
 			t.Fatalf("op %d: frontend.profiles_held moved by %d, table holds %d", op, got, len(c.profiles))
 		}
 	}
 	c.Flush()
 	checkProfileTable(t, c)
-	if len(c.profiles) != 0 || fmet.profHeld.Load() != heldBase {
-		t.Fatalf("emptied cache still holds %d profiles", len(c.profiles))
+	if len(c.profiles) != 0 || c.retired.Len() != 0 || fmet.profHeld.Load() != heldBase {
+		t.Fatalf("emptied cache still holds %d profiles and %d retired answers", len(c.profiles), c.retired.Len())
 	}
 }
 
@@ -416,6 +509,178 @@ func TestDynServingReinsertNewTag(t *testing.T) {
 		t.Fatalf("new tag held %v, want %d references", h, listed)
 	}
 	checkProfileTable(t, serv.Cache())
+}
+
+// tcpDynServing builds an n-member 2-shard dynamic deployment behind real
+// transport servers, each cloud with its own metric registry, and the
+// cached serving path over it. The population carries spare profiles past
+// n for inserts.
+func tcpDynServing(t *testing.T, n, spare int) (*Frontend, *dataset.Dataset, []Upload, []*obs.Registry, *DynServing) {
+	t.Helper()
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := testPopulation(t, n+spare)
+	ups := uploadsFrom(ds, f)[:n]
+	built, err := f.BuildShardedDynamicIndex(ups, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := make([]*obs.Registry, len(built))
+	nodes := make([]DynNode, len(built))
+	for s := range built {
+		cs := cloud.New()
+		regs[s] = obs.NewRegistry()
+		cs.SetRegistry(regs[s])
+		srv := transport.NewServer(cs)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Serve(ln); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(ctx) // a slow shutdown only leaves this test's goroutines behind
+		})
+		remote := shard.NewRemote(ln.Addr().String())
+		t.Cleanup(func() { remote.Close() })
+		if err := remote.InstallDynIndex(built[s].Index); err != nil {
+			t.Fatal(err)
+		}
+		if err := remote.PutProfiles(built[s].EncProfiles); err != nil {
+			t.Fatal(err)
+		}
+		nodes[s] = remote
+	}
+	serv, err := f.NewDynServing(built, nodes, nil, ServingConfig{CacheEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, ds, ups, regs, serv
+}
+
+// counterDelta returns the non-zero per-counter movement between two
+// snapshots.
+func counterDelta(before, after map[string]int64) map[string]int64 {
+	out := make(map[string]int64)
+	for k, v := range after {
+		if d := v - before[k]; d != 0 {
+			out[k] = d
+		}
+	}
+	return out
+}
+
+// TestDynServingDecryptsOnceAcrossInvalidation: an insert that invalidates
+// a cached search retires the answer, whose profiles stay held, so the
+// same search's next miss decrypts nothing — while the cloud sees exactly
+// what it saw for the first miss: equal cloud and transport counter
+// deltas, and the answer is the oracle's.
+func TestDynServingDecryptsOnceAcrossInvalidation(t *testing.T) {
+	const n, spare, k = 300, 60, 5
+	// The transport registry is restored by the first-registered cleanup,
+	// which runs last, after every client and server is closed.
+	treg := obs.NewRegistry()
+	transport.SetRegistry(treg)
+	t.Cleanup(func() { transport.SetRegistry(obs.Default) })
+	f, ds, ups, regs, serv := tcpDynServing(t, n, spare)
+	oracle := f.NewDynOracle(ups)
+	target, exclude := ups[3].Profile, ups[3].ID
+	readSet, err := serv.legs[0].client.Refs(f.family.Hash(target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := make(map[core.BucketRef]bool)
+	for _, r := range readSet {
+		reads[r] = true
+	}
+
+	type miss struct {
+		ids         []uint64
+		decrypted   int64
+		cloud, wire []map[string]int64
+		matches     []Match
+	}
+	search := func() miss {
+		t.Helper()
+		before := make([]map[string]int64, len(regs))
+		for s, reg := range regs {
+			before[s] = reg.Snapshot().Counters
+		}
+		wire := treg.Snapshot().Counters
+		decrypted, misses := counter("frontend.profiles_decrypted"), counter("frontend.cache_misses")
+		got, partial, err := serv.Search(target, k, exclude)
+		if err != nil || partial {
+			t.Fatalf("search: partial=%v err=%v", partial, err)
+		}
+		if counter("frontend.cache_misses") != misses+1 {
+			t.Fatal("search after an invalidating insert hit the cache")
+		}
+		m := miss{decrypted: counter("frontend.profiles_decrypted") - decrypted, matches: got}
+		for s, reg := range regs {
+			m.cloud = append(m.cloud, counterDelta(before[s], reg.Snapshot().Counters))
+		}
+		m.wire = []map[string]int64{counterDelta(wire, treg.Snapshot().Counters)}
+		serv.cache.mu.Lock()
+		m.ids = slices.Clone(serv.cache.entries[refsKey(readSet)].Value.(*cacheEntry).ids)
+		serv.cache.mu.Unlock()
+		return m
+	}
+
+	first := search()
+	if first.decrypted == 0 {
+		t.Fatal("the first miss decrypted nothing")
+	}
+	// An insert invalidates the entry when its write set meets the read set;
+	// it leaves the candidate set alone when the new id lands outside it and
+	// kicks nothing across. Take the first spare profile that does both.
+	for i := n; i < n+spare; i++ {
+		id, profile := uint64(i+1), ds.Profiles[i]
+		writes, err := serv.legs[0].client.Refs(f.family.Hash(profile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(writes, func(r core.BucketRef) bool { return reads[r] }) {
+			continue
+		}
+		invalidations := counter("frontend.cache_invalidations")
+		if err := serv.Insert(id, profile); err != nil {
+			t.Fatal(err)
+		}
+		oracle.PutProfile(id, profile)
+		if counter("frontend.cache_invalidations") == invalidations {
+			t.Fatalf("insert %d wrote a bucket the search read and invalidated nothing", id)
+		}
+		second := search()
+		if !slices.Equal(second.ids, first.ids) {
+			first = second
+			continue
+		}
+		if second.decrypted != 0 {
+			t.Fatalf("the miss after an invalidating insert decrypted %d profiles, want 0", second.decrypted)
+		}
+		if !reflect.DeepEqual(second.cloud, first.cloud) || !reflect.DeepEqual(second.wire, first.wire) {
+			t.Fatalf("second miss moved cloud %v wire %v, first miss cloud %v wire %v", second.cloud, second.wire, first.cloud, first.wire)
+		}
+		ids := make([]uint64, len(second.matches))
+		for j, m := range second.matches {
+			ids[j] = m.ID
+		}
+		want, err := oracle.RankCandidates(target, ids, len(ids), exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := EqualMatches(second.matches, want); err != nil {
+			t.Fatalf("second miss disagrees with the oracle: %v", err)
+		}
+		checkProfileTable(t, serv.Cache())
+		return
+	}
+	t.Fatal("no spare profile invalidated the search without changing its candidates")
 }
 
 // tamperingFanout records the tag of every ciphertext it relays and, once

@@ -192,28 +192,45 @@ func (s *DynServing) candidates(meta lsh.Metadata, sp *obs.Span) (candidates, er
 // Insert routes a dynamic insertion to the owning shard with the cache
 // invalidation hook installed on that shard's bucket store. After the
 // insert succeeds, attached subscriptions are evaluated against the new
-// profile frontend-side — zero additional cloud operations (§18).
+// profile frontend-side — zero additional cloud operations (§18). Routing,
+// hashing, encryption and the subscription write set are pure and run
+// before the insert takes the churn lock.
 func (s *DynServing) Insert(id uint64, profile []float64) error {
-	s.churn.Lock()
-	defer s.churn.Unlock()
-	if err := s.f.DynInsertSharded(s.shards, s.writes, s.owner, id, profile); err != nil {
+	u, err := s.f.prepareInsert(s.shards, s.nodes, s.owner, id, profile)
+	if err != nil {
 		return err
 	}
-	s.notifyInsert(id, profile)
+	written := s.insertWrites(u)
+	s.churn.Lock()
+	defer s.churn.Unlock()
+	if err := dynInsert(s.shards, s.writes, u); err != nil {
+		return err
+	}
+	if written != nil {
+		s.subsm.OnInsert(id, profile, written)
+	}
 	return nil
 }
 
 // Delete routes a secure deletion to the owning shard with the cache
 // invalidation hook installed on that shard's bucket store. After the
-// delete succeeds, the profile is evicted from every attached standing
-// result, promoting runners-up.
+// delete succeeds, the profile's vector leaves the profile table and the
+// profile is evicted from every attached standing result, promoting
+// runners-up.
 func (s *DynServing) Delete(id uint64, profile []float64) error {
-	s.churn.Lock()
-	defer s.churn.Unlock()
-	if err := s.f.DynDeleteSharded(s.shards, s.writes, s.owner, id, profile); err != nil {
+	u, err := s.f.prepareUpdate(s.shards, s.nodes, s.owner, id, profile)
+	if err != nil {
 		return err
 	}
-	s.notifyDelete(id)
+	s.churn.Lock()
+	defer s.churn.Unlock()
+	if err := dynDelete(s.shards, s.writes, u); err != nil {
+		return err
+	}
+	s.cache.forget(id)
+	if s.subsm != nil {
+		s.subsm.OnDelete(id)
+	}
 	return nil
 }
 

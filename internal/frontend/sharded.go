@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pisd/internal/core"
+	"pisd/internal/lsh"
 )
 
 // Shard is one cloud shard's installable state: the partitioned secure
@@ -132,35 +133,77 @@ type DynNode interface {
 // caller sees the shard's error directly — an unreachable owning shard
 // fails the insert (there is no other shard that may hold the user).
 func (f *Frontend) DynInsertSharded(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) error {
-	s, err := routeShard(shards, nodes, owner, id)
+	u, err := f.prepareInsert(shards, nodes, owner, id, profile)
 	if err != nil {
 		return err
 	}
-	ct, err := f.EncryptProfile(profile)
-	if err != nil {
-		return fmt.Errorf("frontend: encrypt profile %d: %w", id, err)
-	}
-	if err := shards[s].Client.Insert(nodes[s], id, f.family.Hash(profile)); err != nil {
-		return fmt.Errorf("frontend: insert %d at shard %d: %w", id, s, err)
-	}
-	if err := nodes[s].PutProfiles(map[uint64][]byte{id: ct}); err != nil {
-		return fmt.Errorf("frontend: upload profile %d to shard %d: %w", id, s, err)
-	}
-	return nil
+	return dynInsert(shards, nodes, u)
 }
 
 // DynDeleteSharded routes a secure deletion to the owning shard and
 // removes the user's encrypted profile there.
 func (f *Frontend) DynDeleteSharded(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) error {
-	s, err := routeShard(shards, nodes, owner, id)
+	u, err := f.prepareUpdate(shards, nodes, owner, id, profile)
 	if err != nil {
 		return err
 	}
-	if err := shards[s].Client.Delete(nodes[s], id, f.family.Hash(profile)); err != nil {
-		return fmt.Errorf("frontend: delete %d at shard %d: %w", id, s, err)
+	return dynDelete(shards, nodes, u)
+}
+
+// dynUpdate is one mutation's pure preparation: the owning shard, the
+// user's LSH metadata and, for an insert, the encrypted profile. It is
+// computed once and needs no lock, so a serving path can prepare an update
+// before it serializes the protocol rounds.
+type dynUpdate struct {
+	id    uint64
+	shard int
+	meta  lsh.Metadata
+	ct    []byte
+}
+
+// prepareUpdate routes id to its owning shard and hashes its profile.
+func (f *Frontend) prepareUpdate(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) (dynUpdate, error) {
+	s, err := routeShard(shards, nodes, owner, id)
+	if err != nil {
+		return dynUpdate{}, err
 	}
-	if err := nodes[s].DeleteProfile(id); err != nil {
-		return fmt.Errorf("frontend: remove profile %d at shard %d: %w", id, s, err)
+	return dynUpdate{id: id, shard: s, meta: f.family.Hash(profile)}, nil
+}
+
+// prepareInsert is prepareUpdate plus the profile's encryption.
+func (f *Frontend) prepareInsert(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) (dynUpdate, error) {
+	u, err := f.prepareUpdate(shards, nodes, owner, id, profile)
+	if err != nil {
+		return dynUpdate{}, err
+	}
+	if u.ct, err = f.EncryptProfile(profile); err != nil {
+		return dynUpdate{}, fmt.Errorf("frontend: encrypt profile %d: %w", id, err)
+	}
+	return u, nil
+}
+
+// dynInsert runs a prepared insertion's rounds and profile upload on its
+// owning shard.
+func dynInsert(shards []DynShard, nodes []DynNode, u dynUpdate) error {
+	s := u.shard
+	if err := shards[s].Client.Insert(nodes[s], u.id, u.meta); err != nil {
+		return fmt.Errorf("frontend: insert %d at shard %d: %w", u.id, s, err)
+	}
+	if err := nodes[s].PutProfiles(map[uint64][]byte{u.id: u.ct}); err != nil {
+		return fmt.Errorf("frontend: upload profile %d to shard %d: %w", u.id, s, err)
+	}
+	return nil
+}
+
+// dynDelete runs a prepared deletion's rounds and profile removal on its
+// owning shard.
+func dynDelete(shards []DynShard, nodes []DynNode, u dynUpdate) error {
+	s := u.shard
+	if err := shards[s].Client.Delete(nodes[s], u.id, u.meta); err != nil {
+		return fmt.Errorf("frontend: delete %d at shard %d: %w", u.id, s, err)
+	}
+	if err := nodes[s].DeleteProfile(u.id); err != nil {
+		return fmt.Errorf("frontend: remove profile %d at shard %d: %w", u.id, s, err)
 	}
 	return nil
 }

@@ -96,32 +96,19 @@ func tagRefs(shard int, refs []core.BucketRef) []subs.Ref {
 	return out
 }
 
-// notifyInsert evaluates subscriptions against one successful insert.
-// The write set equals the insert's own first-round bucket writes —
-// Refs(meta) on the owning shard, deduplicated — so the evaluation adds
-// zero cloud operations. Callers hold churn.
-func (s *DynServing) notifyInsert(id uint64, profile []float64) {
+// insertWrites is a prepared insert's subscription write set: its own
+// first-round bucket writes — Refs(meta) on the owning shard — so
+// evaluating subscriptions against it adds zero cloud operations. nil when
+// no manager is attached.
+func (s *DynServing) insertWrites(u dynUpdate) []subs.Ref {
 	if s.subsm == nil {
-		return
+		return nil
 	}
-	sh, err := routeShard(s.shards, s.nodes, s.owner, id)
+	refs, err := s.shards[u.shard].Client.Refs(u.meta)
 	if err != nil {
-		return
+		return nil
 	}
-	refs, err := s.shards[sh].Client.Refs(s.f.family.Hash(profile))
-	if err != nil {
-		return
-	}
-	s.subsm.OnInsert(id, profile, tagRefs(sh, refs))
-}
-
-// notifyDelete evicts one successfully deleted profile from every
-// standing result, promoting runners-up. Callers hold churn.
-func (s *DynServing) notifyDelete(id uint64) {
-	if s.subsm == nil {
-		return
-	}
-	s.subsm.OnDelete(id)
+	return tagRefs(u.shard, refs)
 }
 
 // RescoreSubscriptions re-validates every standing candidate against the

@@ -23,11 +23,18 @@
 // distance, ascending id on exact ties — which makes every transition,
 // including the evicted and promoted identifiers, deterministic and
 // therefore exactly mirrorable by a plaintext oracle.
+//
+// Both hooks update a standing result in place rather than re-ranking its
+// candidates: a matched insert costs O(k) (compare with the worst member,
+// binary-insert, drop the worst), and a delete costs O(|cands|) only when
+// it removes a standing member and a runner-up must be found.
 package subs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,6 +54,15 @@ type Ref struct {
 type Entry struct {
 	ID       uint64
 	Distance float64
+}
+
+// compareEntries is the standing-result order: ascending distance, then
+// ascending id.
+func compareEntries(a, b Entry) int {
+	if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Notification reports one disclosure: ID entered SubID's standing top-k.
@@ -81,44 +97,72 @@ type subscription struct {
 	target  []float64
 	refs    []Ref
 	cands   map[uint64]float64
-	top     map[uint64]bool
+	// top is the standing result: the k smallest candidates, ascending by
+	// (distance, id). A candidate is a member iff it does not come after
+	// top's last entry.
+	top []Entry
+	// pass is the last OnInsert pass that matched this subscription, so a
+	// match over several shared buckets is counted once without a set.
+	pass uint64
 }
 
-// topSet selects the k smallest candidates by (distance, id).
-func (s *subscription) topSet() map[uint64]bool {
-	ids := make([]uint64, 0, len(s.cands))
-	for id := range s.cands {
-		ids = append(ids, id)
+// rank recomputes the standing result from every candidate: the full
+// re-rank registration and re-scoring use.
+func (s *subscription) rank() []Entry {
+	all := make([]Entry, 0, len(s.cands))
+	for id, d := range s.cands {
+		all = append(all, Entry{ID: id, Distance: d})
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := s.cands[ids[a]], s.cands[ids[b]]
-		if da != db {
-			return da < db
+	slices.SortFunc(all, compareEntries)
+	return slices.Clone(all[:min(len(all), s.k)])
+}
+
+// admit adds e, not yet a candidate, and reports whether it entered the
+// standing result and which member it pushed out (0 when a slot was free).
+func (s *subscription) admit(e Entry) (evicted uint64, entered bool) {
+	s.cands[e.ID] = e.Distance
+	if len(s.top) == s.k {
+		worst := s.top[s.k-1]
+		if compareEntries(e, worst) > 0 {
+			return 0, false
 		}
-		return ids[a] < ids[b]
-	})
-	if len(ids) > s.k {
-		ids = ids[:s.k]
+		evicted = worst.ID
+		s.top = s.top[:s.k-1]
 	}
-	top := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		top[id] = true
-	}
-	return top
+	i, _ := slices.BinarySearchFunc(s.top, e, compareEntries)
+	s.top = slices.Insert(s.top, i, e)
+	return evicted, true
 }
 
-// entries returns the current standing result, ascending by (distance, id).
+// drop removes candidate id and returns the runner-up its departure
+// promoted into the standing result, if any. Only a member's departure
+// promotes: the runner-up is the best candidate after the old worst member.
+func (s *subscription) drop(id uint64) (promoted Entry, ok bool) {
+	e := Entry{ID: id, Distance: s.cands[id]}
+	delete(s.cands, id)
+	i, member := slices.BinarySearchFunc(s.top, e, compareEntries)
+	if !member {
+		return Entry{}, false
+	}
+	worst := s.top[len(s.top)-1]
+	s.top = slices.Delete(s.top, i, i+1)
+	if len(s.cands) == len(s.top) {
+		return Entry{}, false
+	}
+	for cid, d := range s.cands {
+		c := Entry{ID: cid, Distance: d}
+		if compareEntries(c, worst) > 0 && (!ok || compareEntries(c, promoted) < 0) {
+			promoted, ok = c, true
+		}
+	}
+	s.top = append(s.top, promoted)
+	return promoted, true
+}
+
+// entries returns a copy of the current standing result.
 func (s *subscription) entries() []Entry {
-	out := make([]Entry, 0, len(s.top))
-	for id := range s.top {
-		out = append(out, Entry{ID: id, Distance: s.cands[id]})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Distance != out[b].Distance {
-			return out[a].Distance < out[b].Distance
-		}
-		return out[a].ID < out[b].ID
-	})
+	out := make([]Entry, len(s.top))
+	copy(out, s.top)
 	return out
 }
 
@@ -129,17 +173,47 @@ type Manager struct {
 	mu    sync.Mutex
 	subs  map[uint64]*subscription
 	byRef map[Ref]map[*subscription]struct{}
-	emit  func(Notification)
-	seq   uint64
+	// holders lists, for every candidate id, the subscriptions whose
+	// candidate set holds it, ascending by subscription id.
+	holders map[uint64][]*subscription
+	emit    func(Notification)
+	seq     uint64
+	// pass numbers OnInsert calls; matched is their reused match buffer.
+	pass    uint64
+	matched []*subscription
 }
 
 // NewManager returns an empty manager delivering notifications through
 // emit (nil drops them).
 func NewManager(emit func(Notification)) *Manager {
 	return &Manager{
-		subs:  make(map[uint64]*subscription),
-		byRef: make(map[Ref]map[*subscription]struct{}),
-		emit:  emit,
+		subs:    make(map[uint64]*subscription),
+		byRef:   make(map[Ref]map[*subscription]struct{}),
+		holders: make(map[uint64][]*subscription),
+		emit:    emit,
+	}
+}
+
+func compareSubs(a, b *subscription) int { return cmp.Compare(a.id, b.id) }
+
+// hold records that s's candidate set holds id. Callers hold m.mu.
+func (m *Manager) hold(id uint64, s *subscription) {
+	hs := m.holders[id]
+	i, _ := slices.BinarySearchFunc(hs, s, compareSubs)
+	m.holders[id] = slices.Insert(hs, i, s)
+}
+
+// release records that s's candidate set no longer holds id. Callers hold
+// m.mu.
+func (m *Manager) release(id uint64, s *subscription) {
+	hs := m.holders[id]
+	i, ok := slices.BinarySearchFunc(hs, s, compareSubs)
+	switch {
+	case !ok:
+	case len(hs) == 1:
+		delete(m.holders, id)
+	default:
+		m.holders[id] = slices.Delete(hs, i, i+1)
 	}
 }
 
@@ -176,8 +250,9 @@ func (m *Manager) Register(subID uint64, k int, target []float64, excludeID uint
 			continue
 		}
 		s.cands[id] = d
+		m.hold(id, s)
 	}
-	s.top = s.topSet()
+	s.top = s.rank()
 	m.subs[subID] = s
 	for _, r := range s.refs {
 		set := m.byRef[r]
@@ -207,6 +282,9 @@ func (m *Manager) Unsubscribe(subID uint64) bool {
 				delete(m.byRef, r)
 			}
 		}
+	}
+	for id := range s.cands {
+		m.release(id, s)
 	}
 	smet.registered.Set(int64(len(m.subs)))
 	return true
@@ -241,47 +319,59 @@ func (m *Manager) OnInsert(id uint64, profile []float64, refs []Ref) int {
 	start := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	matched := make(map[*subscription]struct{})
+	m.pass++
+	matched := m.matched[:0]
 	for _, r := range refs {
 		for s := range m.byRef[r] {
-			matched[s] = struct{}{}
+			if s.pass != m.pass {
+				s.pass = m.pass
+				matched = append(matched, s)
+			}
 		}
 	}
+	slices.SortFunc(matched, compareSubs)
 	emitted := 0
-	for _, s := range sortedSubs(matched) {
+	for _, s := range matched {
 		if id == s.id || (s.exclude != 0 && id == s.exclude) {
 			continue
 		}
 		if _, ok := s.cands[id]; ok {
 			continue
 		}
-		s.cands[id] = vec.Distance(s.target, profile)
-		emitted += m.retop(s, false)
+		e := Entry{ID: id, Distance: vec.Distance(s.target, profile)}
+		m.hold(id, s)
+		if evicted, entered := s.admit(e); entered {
+			m.notify(Notification{SubID: s.id, ID: id, Distance: e.Distance, EvictedID: evicted})
+			emitted++
+		}
 	}
 	smet.evals.Add(int64(len(matched)))
+	// The buffer is kept for the next pass without pinning the matches.
+	clear(matched)
+	m.matched = matched[:0]
 	smet.evalNs.ObserveSince(start)
 	return emitted
 }
 
 // OnDelete evicts one successfully deleted profile from every standing
-// candidate set that held it, re-ranks, and emits a notification for each
-// runner-up the eviction promotes into a standing top-k (that candidate's
-// first disclosure). Returns the number of notifications emitted.
+// candidate set that held it, and emits a notification for each runner-up
+// the eviction promotes into a standing top-k (that candidate's first
+// disclosure). Only the subscriptions holding the id are visited, in
+// subscription-id order. Returns the number of notifications emitted.
 func (m *Manager) OnDelete(id uint64) int {
 	start := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	emitted, evals := 0, 0
-	for _, s := range sortedAll(m.subs) {
-		if _, ok := s.cands[id]; !ok {
-			continue
+	hs := m.holders[id]
+	delete(m.holders, id)
+	emitted := 0
+	for _, s := range hs {
+		if p, ok := s.drop(id); ok {
+			m.notify(Notification{SubID: s.id, ID: p.ID, Distance: p.Distance, Promoted: true})
+			emitted++
 		}
-		evals++
-		delete(s.cands, id)
-		delete(s.top, id)
-		emitted += m.retop(s, true)
 	}
-	smet.evals.Add(int64(evals))
+	smet.evals.Add(int64(len(hs)))
 	smet.evalNs.ObserveSince(start)
 	return emitted
 }
@@ -291,18 +381,7 @@ func (m *Manager) OnDelete(id uint64) int {
 func (m *Manager) CandidateIDs() []uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	set := make(map[uint64]struct{})
-	for _, s := range m.subs {
-		for id := range s.cands {
-			set[id] = struct{}{}
-		}
-	}
-	out := make([]uint64, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return slices.Sorted(maps.Keys(m.holders))
 }
 
 // Rescore replaces every candidate's distance with one recomputed from
@@ -317,13 +396,14 @@ func (m *Manager) Rescore(profiles map[uint64][]float64) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	changed := 0
-	for _, s := range sortedAll(m.subs) {
+	for _, subID := range slices.Sorted(maps.Keys(m.subs)) {
+		s := m.subs[subID]
 		dirty := false
 		for id, old := range s.cands {
 			p, ok := profiles[id]
 			if !ok {
 				delete(s.cands, id)
-				delete(s.top, id)
+				m.release(id, s)
 				changed++
 				dirty = true
 				continue
@@ -335,7 +415,7 @@ func (m *Manager) Rescore(profiles map[uint64][]float64) int {
 			}
 		}
 		if dirty {
-			m.retop(s, true)
+			m.rerank(s)
 		}
 		smet.evals.Inc()
 	}
@@ -343,54 +423,49 @@ func (m *Manager) Rescore(profiles map[uint64][]float64) int {
 	return changed
 }
 
-// retop recomputes s's standing top-k and emits a notification for every
-// new member, in (distance, id) order. Callers hold m.mu.
-func (m *Manager) retop(s *subscription, promoted bool) int {
-	next := s.topSet()
-	var entered []uint64
-	for id := range next {
-		if !s.top[id] {
-			entered = append(entered, id)
-		}
+// rerank replaces s's standing result with a full re-rank and notifies
+// every new member as promoted, in (distance, id) order, pairing members
+// that fell out (dropped candidates aside) with the entries positionally
+// in ascending-id order. Callers hold m.mu.
+func (m *Manager) rerank(s *subscription) {
+	next := s.rank()
+	stays := make(map[uint64]bool, len(next))
+	for _, e := range next {
+		stays[e.ID] = true
 	}
+	was := make(map[uint64]bool, len(s.top))
 	var evicted []uint64
-	for id := range s.top {
-		if !next[id] {
-			evicted = append(evicted, id)
+	for _, e := range s.top {
+		was[e.ID] = true
+		if _, live := s.cands[e.ID]; live && !stays[e.ID] {
+			evicted = append(evicted, e.ID)
 		}
 	}
+	slices.Sort(evicted)
 	s.top = next
-	if len(entered) == 0 {
-		return 0
-	}
-	sort.Slice(entered, func(a, b int) bool {
-		da, db := s.cands[entered[a]], s.cands[entered[b]]
-		if da != db {
-			return da < db
+	i := 0
+	for _, e := range next {
+		if was[e.ID] {
+			continue
 		}
-		return entered[a] < entered[b]
-	})
-	sort.Slice(evicted, func(a, b int) bool { return evicted[a] < evicted[b] })
-	for i, id := range entered {
-		n := Notification{
-			SubID:    s.id,
-			ID:       id,
-			Distance: s.cands[id],
-			Promoted: promoted,
-		}
-		// Pair entries with evictions positionally; a promotion caused by
-		// a delete has no eviction of its own.
+		n := Notification{SubID: s.id, ID: e.ID, Distance: e.Distance, Promoted: true}
 		if i < len(evicted) {
 			n.EvictedID = evicted[i]
 		}
-		m.seq++
-		n.Seq = m.seq
-		smet.notifications.Inc()
-		if m.emit != nil {
-			m.emit(n)
-		}
+		i++
+		m.notify(n)
 	}
-	return len(entered)
+}
+
+// notify stamps n with the next sequence number and emits it. Callers hold
+// m.mu.
+func (m *Manager) notify(n Notification) {
+	m.seq++
+	n.Seq = m.seq
+	smet.notifications.Inc()
+	if m.emit != nil {
+		m.emit(n)
+	}
 }
 
 // dedupRefs drops duplicate references, preserving first-seen order.
@@ -404,25 +479,5 @@ func dedupRefs(refs []Ref) []Ref {
 		seen[r] = struct{}{}
 		out = append(out, r)
 	}
-	return out
-}
-
-// sortedSubs orders a matched set by subscription id so emission order is
-// deterministic for a given mutation.
-func sortedSubs(set map[*subscription]struct{}) []*subscription {
-	out := make([]*subscription, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-	return out
-}
-
-func sortedAll(subs map[uint64]*subscription) []*subscription {
-	out := make([]*subscription, 0, len(subs))
-	for _, s := range subs {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
 	return out
 }
