@@ -438,6 +438,42 @@ func TestCompactProfileCodec(t *testing.T) {
 	}
 }
 
+// TestDecodedProfileMatchesDecProfile: DecodedProfile predicts, bit for
+// bit, what decryption returns in both encodings, and leaves its input
+// alone.
+func TestDecodedProfileMatchesDecProfile(t *testing.T) {
+	ks := testKeys(t, 1)
+	s := []float64{0.1, 1.0 / 3, 0.25, math.Pi / 7, 0, 1e-40}
+	orig := append([]float64(nil), s...)
+	for _, compact := range []bool{false, true} {
+		enc := EncProfile
+		if compact {
+			enc = EncProfileCompact
+		}
+		ct, err := enc(ks.KS, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecProfile(ks.KS, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := DecodedProfile(s, compact)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("compact=%v: entry %d is %v, decryption gives %v", compact, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("compact=%v: %d entries, decryption gives %d", compact, len(got), len(want))
+		}
+		got[0] = -1
+		if s[0] != orig[0] {
+			t.Fatalf("compact=%v: DecodedProfile aliases its input", compact)
+		}
+	}
+}
+
 func TestCompactProfilePrecision(t *testing.T) {
 	// Unit-norm profile entries survive float32 with relative error
 	// far below any ranking-visible threshold.

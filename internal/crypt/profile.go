@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -73,6 +74,19 @@ func EncProfile(key EncKey, s []float64) ([]byte, error) {
 // producing the paper-sized ~4 KB ciphertext for 1000-dim profiles.
 func EncProfileCompact(key EncKey, s []float64) ([]byte, error) {
 	return Enc(key, EncodeProfileCompact(s))
+}
+
+// DecodedProfile returns what DecProfile returns for EncProfile's
+// ciphertext of s, or EncProfileCompact's when compact: a copy of s, each
+// entry rounded through float32 in the compact encoding.
+func DecodedProfile(s []float64, compact bool) []float64 {
+	v := slices.Clone(s)
+	if compact {
+		for i, x := range v {
+			v[i] = float64(float32(x))
+		}
+	}
+	return v
 }
 
 // plainScratchPool holds the plaintext staging buffers of DecProfile: the

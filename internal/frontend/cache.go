@@ -1,11 +1,9 @@
 package frontend
 
 import (
-	"cmp"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"slices"
 	"sync"
 
 	"pisd/internal/core"
@@ -63,11 +61,25 @@ func refsKey(refs []core.BucketRef) CacheKey {
 type profileTag = [crypt.MACSize]byte
 
 // heldProfile is one profile-table slot: the vector decrypted and
-// authenticated the first time its tag was seen, and how many cache-entry
-// candidates list it.
+// authenticated the first time its tag was seen, and how many listings —
+// cache-entry candidates and held-set ids — name it.
 type heldProfile struct {
 	vec  []float64
 	refs int
+}
+
+// heldID is one held-set listing: the tag of the id's current ciphertext
+// and the sequence number of the profile leg that last carried it.
+type heldID struct {
+	tag profileTag
+	leg uint64
+}
+
+// heldLeg is one profile leg the held set keeps: the ids whose ciphertext
+// crossed the wire in it, in the order it carried them.
+type heldLeg struct {
+	seq uint64
+	ids []uint64
 }
 
 // cacheEntry is one cached cloud answer: the candidate identifiers the
@@ -78,8 +90,7 @@ type heldProfile struct {
 // invalidation under dynamic churn. Plaintext profiles live only in
 // trusted-frontend memory — the same trust domain as the keys — so caching
 // them adds no leakage while sparing every hit the per-candidate MAC + AES
-// work. el is the entry's element in the LRU while it is live, in the
-// retired FIFO once it is retired.
+// work. el is the entry's element in the LRU.
 type cacheEntry struct {
 	key  CacheKey
 	refs []core.BucketRef
@@ -87,7 +98,6 @@ type cacheEntry struct {
 	tags []profileTag
 	vecs [][]float64
 	el   *list.Element
-	seq  uint64 // Put order
 }
 
 // ResultCache is a bounded LRU of cloud answers keyed by search pattern.
@@ -100,13 +110,11 @@ type cacheEntry struct {
 //
 // Under the entries sits one content-addressed plaintext profile table:
 // every distinct profile the entries list is held once, keyed by its
-// ciphertext's tag and reference-counted by the candidates that list it.
-// An invalidated entry stops answering at once but becomes a retired
-// answer: its listings keep their profiles held, so the miss that re-fetches
-// the same candidates decrypts nothing. Live plus retired answers never
-// exceed the entry bound — retired answers go first, oldest first — so the
-// table never holds more than the bound's worth of answers pin, and its
-// bound is the entry bound.
+// ciphertext's tag and reference-counted by the candidates that list it
+// and by the held set, the ids whose current ciphertext crossed the wire in
+// the last bound-many profile legs. An invalidated entry is dropped at
+// once; the miss that re-reads its candidates finds them in the held set
+// and neither fetches nor decrypts them again.
 //
 // A nil *ResultCache is the disabled cache: Get always misses, Put is a
 // no-op and no profile is ever held.
@@ -116,10 +124,10 @@ type ResultCache struct {
 	entries  map[CacheKey]*list.Element // values are *cacheEntry
 	lru      *list.List                 // front = most recently used
 	byRef    map[core.BucketRef]map[*cacheEntry]struct{}
-	retired  *list.List               // values are *cacheEntry; front = oldest
-	listedBy map[uint64][]*cacheEntry // retired answers listing each id
 	profiles map[profileTag]*heldProfile
-	puts     uint64
+	holds    map[uint64]heldID // H: ids whose current ciphertext a kept leg carried
+	legs     []heldLeg         // H's legs in receipt order; front = oldest
+	legSeq   uint64
 }
 
 // NewResultCache returns a cache bounded to max entries; max <= 0 returns
@@ -128,7 +136,7 @@ func NewResultCache(max int) *ResultCache {
 	if max <= 0 {
 		return nil
 	}
-	c := &ResultCache{cap: max, lru: list.New(), retired: list.New()}
+	c := &ResultCache{cap: max, lru: list.New()}
 	c.reset()
 	return c
 }
@@ -137,10 +145,10 @@ func NewResultCache(max int) *ResultCache {
 func (c *ResultCache) reset() {
 	c.entries = make(map[CacheKey]*list.Element)
 	c.byRef = make(map[core.BucketRef]map[*cacheEntry]struct{})
-	c.listedBy = make(map[uint64][]*cacheEntry)
 	c.profiles = make(map[profileTag]*heldProfile)
+	c.holds = make(map[uint64]heldID)
+	c.legs = nil
 	c.lru.Init()
-	c.retired.Init()
 }
 
 // Get returns the cached candidate set for key: identifiers and
@@ -162,18 +170,22 @@ func (c *ResultCache) Get(key CacheKey) (ids []uint64, vecs [][]float64, ok bool
 }
 
 // held resolves a cloud answer's ciphertexts against the profile table:
-// tags[i] is profile i's tag and vecs[i] is set to the vector already held
-// under it; reused counts the slots filled. An unseen tag, or a ciphertext
-// too short to carry one, leaves vecs[i] nil for the decrypt step. A nil
-// cache holds nothing and returns nil tags.
-func (c *ResultCache) held(encProfiles [][]byte, vecs [][]float64) (tags []profileTag, reused int) {
+// tags[i] is set to profile i's tag and vecs[i] to the vector already held
+// under it; reused counts the slots filled, including slots the held set
+// filled before the fetch (vecs[i] already set, no ciphertext). An unseen
+// tag, or a ciphertext too short to carry one, leaves vecs[i] nil for the
+// decrypt step. A nil cache holds nothing and leaves tags alone.
+func (c *ResultCache) held(encProfiles [][]byte, tags []profileTag, vecs [][]float64) (reused int) {
 	if c == nil {
-		return nil, 0
+		return 0
 	}
-	tags = make([]profileTag, len(encProfiles))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, ct := range encProfiles {
+		if vecs[i] != nil {
+			reused++
+			continue
+		}
 		var ok bool
 		if tags[i], ok = crypt.Tag(ct); !ok {
 			continue
@@ -183,7 +195,71 @@ func (c *ResultCache) held(encProfiles [][]byte, vecs [][]float64) (tags []profi
 			reused++
 		}
 	}
-	return tags, reused
+	return reused
+}
+
+// elide splits a shard's search answer against the held set: for each id
+// H lists, tags[i] and vecs[i] are set to its current ciphertext's tag and
+// the table's vector; the rest are returned, in order, as the ids left to
+// fetch. A nil cache holds nothing and returns ids.
+func (c *ResultCache) elide(ids []uint64, tags []profileTag, vecs [][]float64) (fetch []uint64) {
+	if c == nil {
+		return ids
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, id := range ids {
+		if h, ok := c.holds[id]; ok {
+			tags[i], vecs[i] = h.tag, c.profiles[h.tag].vec
+			continue
+		}
+		fetch = append(fetch, id)
+	}
+	return fetch
+}
+
+// hold records one profile leg in the held set: the candidates ids[i]
+// whose ciphertext cts[i] crossed the wire, tagged tags[i] and decrypted to
+// vecs[i], which is repointed at the table's vector; candidates without a
+// ciphertext did not cross and are skipped, and a leg that carried none is
+// no leg. A re-held id moves to this leg under its new tag. When the leg is
+// the cap+1st kept, the oldest leaves and releases the ids it last carried.
+func (c *ResultCache) hold(ids []uint64, cts [][]byte, tags []profileTag, vecs [][]float64) {
+	if c == nil {
+		return
+	}
+	var carried []uint64
+	for i, ct := range cts {
+		if ct != nil {
+			carried = append(carried, ids[i])
+		}
+	}
+	if len(carried) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.legSeq++
+	for i, id := range ids {
+		if cts[i] == nil {
+			continue
+		}
+		if old, ok := c.holds[id]; ok {
+			c.release(old.tag)
+		}
+		vecs[i] = c.pin(tags[i], vecs[i])
+		c.holds[id] = heldID{tag: tags[i], leg: c.legSeq}
+	}
+	c.legs = append(c.legs, heldLeg{seq: c.legSeq, ids: carried})
+	if len(c.legs) > c.cap {
+		oldest := c.legs[0]
+		c.legs = c.legs[1:]
+		for _, id := range oldest.ids {
+			if h, ok := c.holds[id]; ok && h.leg == oldest.seq {
+				c.unhold(id, h)
+			}
+		}
+	}
 }
 
 // Put stores one decrypted cloud answer under key, recording refs as its
@@ -192,9 +268,8 @@ func (c *ResultCache) held(encProfiles [][]byte, vecs [][]float64) (tags []profi
 // ciphertext vecs[i] was decrypted from: a profile the table already holds
 // is adopted — vecs[i] is repointed at the table's vector and the caller's
 // copy dropped — so every entry references the one held copy. Beyond the
-// bound it expires retired answers, oldest first, then evicts
-// least-recently-used entries. An answer whose slices disagree in length
-// is not stored.
+// bound it evicts least-recently-used entries. An answer whose slices
+// disagree in length is not stored.
 func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, tags []profileTag, vecs [][]float64) {
 	if c == nil || len(tags) != len(vecs) || len(ids) != len(vecs) {
 		return
@@ -206,17 +281,9 @@ func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, tag
 		c.remove(el.Value.(*cacheEntry))
 	}
 	for i, tag := range tags {
-		h := c.profiles[tag]
-		if h == nil {
-			h = &heldProfile{vec: vecs[i]}
-			c.profiles[tag] = h
-			fmet.profHeld.Add(1)
-		}
-		h.refs++
-		vecs[i] = h.vec
+		vecs[i] = c.pin(tag, vecs[i])
 	}
-	c.puts++
-	e := &cacheEntry{key: key, refs: refs, ids: ids, tags: tags, vecs: vecs, seq: c.puts}
+	e := &cacheEntry{key: key, refs: refs, ids: ids, tags: tags, vecs: vecs}
 	e.el = c.lru.PushFront(e)
 	c.entries[key] = e.el
 	for _, r := range refs {
@@ -227,12 +294,8 @@ func (c *ResultCache) Put(key CacheKey, refs []core.BucketRef, ids []uint64, tag
 		}
 		set[e] = struct{}{}
 	}
-	for c.lru.Len()+c.retired.Len() > c.cap {
-		if oldest := c.retired.Front(); oldest != nil {
-			c.expire(oldest.Value.(*cacheEntry))
-		} else {
-			c.remove(c.lru.Back().Value.(*cacheEntry))
-		}
+	for c.lru.Len() > c.cap {
+		c.remove(c.lru.Back().Value.(*cacheEntry))
 	}
 }
 
@@ -256,65 +319,44 @@ func (c *ResultCache) lookup(key CacheKey, refs []core.BucketRef, fill func() (c
 	return cands, nil
 }
 
-// InvalidateRefs retires every entry whose read set intersects refs and
-// returns how many were retired. A retired entry never answers again.
+// InvalidateRefs drops every entry whose read set intersects refs and
+// returns how many were dropped.
 func (c *ResultCache) InvalidateRefs(refs []core.BucketRef) int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var dropped []*cacheEntry
+	dropped := 0
 	for _, r := range refs {
 		for e := range c.byRef[r] {
-			c.unlink(e)
-			dropped = append(dropped, e)
+			c.remove(e)
+			dropped++
 		}
 	}
-	// Retired in the order they were stored, so which answers expire first
-	// does not depend on map iteration order.
-	slices.SortFunc(dropped, func(a, b *cacheEntry) int { return cmp.Compare(a.seq, b.seq) })
-	for _, e := range dropped {
-		c.retire(e)
+	if dropped > 0 {
+		fmet.cacheInvalids.Add(int64(dropped))
 	}
-	if len(dropped) > 0 {
-		fmet.cacheInvalids.Add(int64(len(dropped)))
-	}
-	return len(dropped)
+	return dropped
 }
 
-// forget releases every retired listing of id — the profile of a user just
-// deleted — so its vector leaves the table unless a live entry still lists
-// it, and expires retired answers left listing nothing.
+// forget drops id's held-set listing — the profile of a user just deleted,
+// or one whose stored ciphertext is in doubt — so its vector leaves the
+// table unless a live entry still lists it.
 func (c *ResultCache) forget(id uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.listedBy[id] {
-		// Rebuilt, not edited in place: a reader may still hold the ids the
-		// entry answered with while it was live.
-		var ids []uint64
-		var tags []profileTag
-		for i, listed := range e.ids {
-			if listed == id {
-				c.release(e.tags[i])
-				continue
-			}
-			ids, tags = append(ids, listed), append(tags, e.tags[i])
-		}
-		e.ids, e.tags = ids, tags
-		if len(ids) == 0 {
-			c.retired.Remove(e.el)
-		}
+	if h, ok := c.holds[id]; ok {
+		c.unhold(id, h)
 	}
-	delete(c.listedBy, id)
 }
 
-// unlink takes live entry e out of the LRU, the key map and the reverse
-// ref index. Callers hold c.mu.
-func (c *ResultCache) unlink(e *cacheEntry) {
+// remove takes entry e out of the LRU, the key map and the reverse ref
+// index, and releases its listings. Callers hold c.mu.
+func (c *ResultCache) remove(e *cacheEntry) {
 	c.lru.Remove(e.el)
 	delete(c.entries, e.key)
 	for _, r := range e.refs {
@@ -325,42 +367,29 @@ func (c *ResultCache) unlink(e *cacheEntry) {
 			}
 		}
 	}
-}
-
-// remove drops live entry e and releases its listings. Callers hold c.mu.
-func (c *ResultCache) remove(e *cacheEntry) {
-	c.unlink(e)
 	for _, tag := range e.tags {
 		c.release(tag)
 	}
 }
 
-// retire moves unlinked entry e to the back of the retired FIFO, keeping
-// its listings. Callers hold c.mu.
-func (c *ResultCache) retire(e *cacheEntry) {
-	e.refs, e.vecs = nil, nil
-	e.el = c.retired.PushBack(e)
-	for _, id := range e.ids {
-		c.listedBy[id] = append(c.listedBy[id], e)
+// pin adds one listing of tag, holding vec under it unless the table
+// already holds a vector there, and returns the table's vector. Callers
+// hold c.mu.
+func (c *ResultCache) pin(tag profileTag, vec []float64) []float64 {
+	h := c.profiles[tag]
+	if h == nil {
+		h = &heldProfile{vec: vec}
+		c.profiles[tag] = h
+		fmet.profHeld.Add(1)
 	}
+	h.refs++
+	return h.vec
 }
 
-// expire drops retired answer e and releases its listings. Callers hold
-// c.mu.
-func (c *ResultCache) expire(e *cacheEntry) {
-	c.retired.Remove(e.el)
-	for i, id := range e.ids {
-		c.release(e.tags[i])
-		by := c.listedBy[id]
-		if at := slices.Index(by, e); at >= 0 {
-			by = slices.Delete(by, at, at+1)
-		}
-		if len(by) == 0 {
-			delete(c.listedBy, id)
-		} else {
-			c.listedBy[id] = by
-		}
-	}
+// unhold drops id's held-set listing h. Callers hold c.mu.
+func (c *ResultCache) unhold(id uint64, h heldID) {
+	c.release(h.tag)
+	delete(c.holds, id)
 }
 
 // release drops one listing of tag: a profile leaves the table with the
@@ -383,8 +412,7 @@ func (c *ResultCache) Len() int {
 	return c.lru.Len()
 }
 
-// Flush empties the cache, its retired answers and, with them, the profile
-// table.
+// Flush empties the cache, the held set and, with them, the profile table.
 func (c *ResultCache) Flush() {
 	if c == nil {
 		return

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"net"
 	"reflect"
@@ -30,18 +29,18 @@ import (
 func counter(name string) int64 { return obs.Default.Counter(name).Load() }
 
 // checkProfileTable asserts the table invariants on c: its keys are exactly
-// the tags live and retired answers list, each refcount is the number of
-// those listings, every live entry vector is pointer-identical to the
-// table's, live plus retired answers fit the bound, no retired answer is
-// reachable through the key map, the retired-listing index names exactly
-// the retired answers' ids, and the entry maps agree with the LRU. It
-// returns the live key set.
+// the tags live answers and held-set ids list, each refcount is the number
+// of those listings, every live entry vector is pointer-identical to the
+// table's, live answers fit the bound, the held set keeps at most the
+// bound's worth of legs in receipt order and each held id names a kept leg
+// that carried it, and the entry maps agree with the LRU. It returns the
+// live key set.
 func checkProfileTable(t *testing.T, c *ResultCache) map[CacheKey]bool {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lru.Len() != len(c.entries) || c.lru.Len()+c.retired.Len() > c.cap {
-		t.Fatalf("lru holds %d entries, key map %d, %d retired, bound %d", c.lru.Len(), len(c.entries), c.retired.Len(), c.cap)
+	if c.lru.Len() != len(c.entries) || c.lru.Len() > c.cap {
+		t.Fatalf("lru holds %d entries, key map %d, bound %d", c.lru.Len(), len(c.entries), c.cap)
 	}
 	live := make(map[CacheKey]bool)
 	refs := make(map[profileTag]int)
@@ -65,40 +64,30 @@ func checkProfileTable(t *testing.T, c *ResultCache) map[CacheKey]bool {
 			}
 		}
 	}
-	listed := make(map[uint64]map[*cacheEntry]int)
-	for el := c.retired.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.el != el || len(e.ids) == 0 || len(e.ids) != len(e.tags) || e.vecs != nil || e.refs != nil {
-			t.Fatalf("retired answer %x: %d ids, %d tags, vecs %v, refs %v", e.key[:4], len(e.ids), len(e.tags), e.vecs != nil, e.refs != nil)
+	if len(c.legs) > c.cap {
+		t.Fatalf("held set keeps %d legs, bound %d", len(c.legs), c.cap)
+	}
+	carried := make(map[uint64]map[uint64]bool) // leg seq → ids it carried
+	for i, leg := range c.legs {
+		if len(leg.ids) == 0 || (i > 0 && leg.seq <= c.legs[i-1].seq) || leg.seq > c.legSeq {
+			t.Fatalf("held leg %d: seq %d after %d of %d, %d ids", i, leg.seq, c.legs[max(i-1, 0)].seq, c.legSeq, len(leg.ids))
 		}
-		if live := c.entries[e.key]; live != nil && live.Value.(*cacheEntry) == e {
-			t.Fatalf("retired answer %x still reachable by its key", e.key[:4])
-		}
-		for i, tag := range e.tags {
-			refs[tag]++
-			if c.profiles[tag] == nil {
-				t.Fatalf("retired answer %x candidate %d: tag %x not in the table", e.key[:4], i, tag[:4])
-			}
-			if listed[e.ids[i]] == nil {
-				listed[e.ids[i]] = make(map[*cacheEntry]int)
-			}
-			listed[e.ids[i]][e]++
+		carried[leg.seq] = make(map[uint64]bool)
+		for _, id := range leg.ids {
+			carried[leg.seq][id] = true
 		}
 	}
-	if len(c.listedBy) != len(listed) {
-		t.Fatalf("retired-listing index names %d ids, retired answers list %d", len(c.listedBy), len(listed))
-	}
-	for id, by := range c.listedBy {
-		got := make(map[*cacheEntry]int)
-		for _, e := range by {
-			got[e]++
+	for id, h := range c.holds {
+		if !carried[h.leg][id] {
+			t.Fatalf("held id %d names leg %d, which is not kept or did not carry it", id, h.leg)
 		}
-		if !maps.Equal(got, listed[id]) {
-			t.Fatalf("id %d: retired-listing index disagrees with the retired answers", id)
+		if c.profiles[h.tag] == nil {
+			t.Fatalf("held id %d: tag %x not in the table", id, h.tag[:4])
 		}
+		refs[h.tag]++
 	}
 	if len(c.profiles) != len(refs) {
-		t.Fatalf("table holds %d profiles, answers reference %d", len(c.profiles), len(refs))
+		t.Fatalf("table holds %d profiles, listings reference %d", len(c.profiles), len(refs))
 	}
 	for tag, h := range c.profiles {
 		if h.refs != refs[tag] {
@@ -108,34 +97,51 @@ func checkProfileTable(t *testing.T, c *ResultCache) map[CacheKey]bool {
 	return live
 }
 
-// modelEntry is the reference model's view of one cache answer: live, or
-// retired by an invalidation.
+// modelEntry is the reference model's view of one live cache answer.
 type modelEntry struct {
 	key  CacheKey
 	refs []core.BucketRef
 	ids  []uint64
-	seq  int
+}
+
+// modelLeg is the reference model's view of one held-set leg.
+type modelLeg struct {
+	seq int
+	ids []uint64
+}
+
+// modelHold is the reference model's view of one held id: the ciphertext
+// version it carries and the leg that last carried it.
+type modelHold struct {
+	ct, leg int
 }
 
 // profileTableModel drives one seeded sequence of Put (fresh key, replace
-// in place, eviction), Get, InvalidateRefs, forget (a deleted user) and
-// Flush against a small cache and a slice-backed reference — a live LRU
-// plus a retired FIFO — checking the table invariants, the live key set
-// and the retired answers after every operation.
+// in place, eviction), Get, InvalidateRefs, hold (a profile leg: a fetch
+// answer, or a put carrying a re-inserted id's new ciphertext), forget (a
+// deleted user) and Flush against a small cache and a slice-backed
+// reference — a live LRU and a FIFO of held legs — checking the table
+// invariants, the live key set and the held set after every operation.
 func profileTableModel(t *testing.T, seed int64, ops int) {
 	const bound, keys, pool, buckets = 6, 14, 12, 9
 	rng := rand.New(rand.NewSource(seed))
 	c := NewResultCache(bound)
 	heldBase := fmet.profHeld.Load()
-	var model []modelEntry   // live; front = most recently used
-	var retired []modelEntry // front = oldest
-	puts := 0
+	var model []modelEntry // front = most recently used
+	var legs []modelLeg    // front = oldest
+	holds := make(map[uint64]modelHold)
+	legSeq := 0
 
 	// Ciphertext p is all padding but its tag, which is all the table reads.
-	cts := make([][]byte, pool)
+	// Id p+1 carries ciphertext p, or p+pool once re-inserted.
+	cts := make([][]byte, 2*pool)
 	for p := range cts {
 		cts[p] = make([]byte, crypt.Overhead+8)
 		cts[p][len(cts[p])-1] = byte(p + 1)
+	}
+	tagOf := func(p int) profileTag {
+		tag, _ := crypt.Tag(cts[p])
+		return tag
 	}
 	drop := func(keep func(modelEntry) bool) (dropped []modelEntry) {
 		kept := model[:0]
@@ -153,7 +159,7 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 	for op := 0; op < ops; op++ {
 		var key CacheKey
 		key[0] = byte(rng.Intn(keys))
-		switch u := rng.Intn(100); {
+		switch u := rng.Intn(112); {
 		case u < 55: // Put: one answer of 1..5 candidates, some repeated
 			n := 1 + rng.Intn(5)
 			ids := make([]uint64, n)
@@ -163,7 +169,8 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 				ids[i], enc[i] = uint64(p+1), cts[p]
 			}
 			vecs := make([][]float64, n)
-			tags, reused := c.held(enc, vecs)
+			tags := make([]profileTag, n)
+			reused := c.held(enc, tags, vecs)
 			for i := range vecs {
 				known := c.profiles[tags[i]] != nil
 				if (vecs[i] != nil) != known {
@@ -186,15 +193,10 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 				refs = append(refs, core.BucketRef{Table: 0, Pos: uint64(rng.Intn(buckets))})
 			}
 			c.Put(key, refs, ids, tags, vecs)
-			puts++
 			drop(func(m modelEntry) bool { return m.key != key })
-			model = append([]modelEntry{{key: key, refs: refs, ids: slices.Clone(ids), seq: puts}}, model...)
-			for len(model)+len(retired) > bound {
-				if len(retired) > 0 {
-					retired = retired[1:]
-				} else {
-					model = model[:len(model)-1]
-				}
+			model = append([]modelEntry{{key: key, refs: refs, ids: slices.Clone(ids)}}, model...)
+			if len(model) > bound {
+				model = model[:bound]
 			}
 		case u < 72: // Get promotes
 			_, _, ok := c.Get(key)
@@ -227,25 +229,60 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 				}
 				return true
 			})
-			slices.SortFunc(hit, func(a, b modelEntry) int { return a.seq - b.seq })
-			retired = append(retired, hit...)
 			if got := c.InvalidateRefs(written); got != len(hit) {
 				t.Fatalf("op %d: InvalidateRefs dropped %d entries, model %d", op, got, len(hit))
 			}
-		case u < 98: // a deleted user: its retired listings are released
+		case u < 98: // a deleted user: its held listing is released
 			id := uint64(1 + rng.Intn(pool))
 			c.forget(id)
-			kept := retired[:0]
-			for _, m := range retired {
-				m.ids = slices.DeleteFunc(slices.Clone(m.ids), func(listed uint64) bool { return listed == id })
-				if len(m.ids) > 0 {
-					kept = append(kept, m)
+			delete(holds, id)
+		case u < 110: // hold: a leg of 1..4 distinct ids, some under a new ciphertext, some elided
+			var ids, carried []uint64
+			var enc [][]byte
+			var tags []profileTag
+			var vecs [][]float64
+			var versions []int
+			for n := 1 + rng.Intn(4); len(ids) < n; {
+				p := rng.Intn(pool)
+				if slices.Contains(ids, uint64(p+1)) {
+					continue
+				}
+				if rng.Intn(3) == 0 {
+					p += pool
+				}
+				ids = append(ids, uint64(p%pool+1))
+				if rng.Intn(4) == 0 {
+					// Answered from the held set: no ciphertext crossed.
+					enc, tags, vecs = append(enc, nil), append(tags, profileTag{}), append(vecs, nil)
+				} else {
+					enc, tags, vecs = append(enc, cts[p]), append(tags, tagOf(p)), append(vecs, []float64{float64(p)})
+					carried = append(carried, ids[len(ids)-1])
+				}
+				versions = append(versions, p)
+			}
+			c.hold(ids, enc, tags, vecs)
+			if len(carried) == 0 {
+				break
+			}
+			legSeq++
+			for i, id := range ids {
+				if enc[i] != nil {
+					holds[id] = modelHold{ct: versions[i], leg: legSeq}
 				}
 			}
-			retired = kept
+			legs = append(legs, modelLeg{seq: legSeq, ids: carried})
+			if len(legs) > bound {
+				for _, id := range legs[0].ids {
+					if holds[id].leg == legs[0].seq {
+						delete(holds, id)
+					}
+				}
+				legs = legs[1:]
+			}
 		default:
 			c.Flush()
-			model, retired = nil, nil
+			model, legs = nil, nil
+			clear(holds)
 		}
 
 		live := checkProfileTable(t, c)
@@ -258,33 +295,28 @@ func profileTableModel(t *testing.T, seed int64, ops int) {
 			}
 		}
 		c.mu.Lock()
-		var got []modelEntry
-		for el := c.retired.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			got = append(got, modelEntry{key: e.key, ids: e.ids})
+		if len(c.legs) != len(legs) || len(c.holds) != len(holds) {
+			t.Fatalf("op %d: held set keeps %d legs over %d ids, model %d legs over %d ids", op, len(c.legs), len(c.holds), len(legs), len(holds))
+		}
+		for i, leg := range legs {
+			if !slices.Equal(c.legs[i].ids, leg.ids) {
+				t.Fatalf("op %d: held leg %d carries %v, model %v", op, i, c.legs[i].ids, leg.ids)
+			}
+		}
+		for id, h := range holds {
+			if got, ok := c.holds[id]; !ok || got.tag != tagOf(h.ct) {
+				t.Fatalf("op %d: id %d held=%v, model holds it under ciphertext %d", op, id, ok, h.ct)
+			}
 		}
 		c.mu.Unlock()
-		if len(got) != len(retired) {
-			t.Fatalf("op %d: %d retired answers, model %d", op, len(got), len(retired))
-		}
-		for i, m := range retired {
-			if got[i].key != m.key || !slices.Equal(got[i].ids, m.ids) {
-				t.Fatalf("op %d: retired answer %d is key %d listing %v, model key %d listing %v", op, i, got[i].key[0], got[i].ids, m.key[0], m.ids)
-			}
-			if !live[m.key] {
-				if _, _, ok := c.Get(m.key); ok {
-					t.Fatalf("op %d: retired answer under key %d returned by Get", op, m.key[0])
-				}
-			}
-		}
 		if got := fmet.profHeld.Load() - heldBase; got != int64(len(c.profiles)) {
 			t.Fatalf("op %d: frontend.profiles_held moved by %d, table holds %d", op, got, len(c.profiles))
 		}
 	}
 	c.Flush()
 	checkProfileTable(t, c)
-	if len(c.profiles) != 0 || c.retired.Len() != 0 || fmet.profHeld.Load() != heldBase {
-		t.Fatalf("emptied cache still holds %d profiles and %d retired answers", len(c.profiles), c.retired.Len())
+	if len(c.profiles) != 0 || len(c.holds) != 0 || len(c.legs) != 0 || fmet.profHeld.Load() != heldBase {
+		t.Fatalf("emptied cache still holds %d profiles and %d held ids over %d legs", len(c.profiles), len(c.holds), len(c.legs))
 	}
 }
 
@@ -417,9 +449,10 @@ func TestServingSweepDecryptsOnce(t *testing.T) {
 // TestDynServingReinsertNewTag is the stale-reuse test: delete an id, then
 // re-insert the same id under a different profile. The re-insert is a new
 // ciphertext and hence a new tag, so the old vector can never be served for
-// it: every search equals the plaintext oracle, the old tag leaves the
-// table, and the new tag is decrypted exactly once however many later
-// misses list it.
+// it: every search equals the plaintext oracle and the old tag leaves the
+// table. The acknowledged put holds the new tag from the start, so it is
+// never decrypted however many later misses list it, and its refcount is
+// those listings plus the held set's.
 func TestDynServingReinsertNewTag(t *testing.T) {
 	const n, k = 300, 5
 	f, ups, _, nodes, _, serv := dynServingFixture(t, n)
@@ -484,6 +517,9 @@ func TestDynServingReinsertNewTag(t *testing.T) {
 	if serv.Cache().profiles[oldTag] != nil {
 		t.Fatal("deleted profile's vector still held")
 	}
+	if h := serv.Cache().profiles[newTag]; h == nil || h.refs != 1 || serv.Cache().holds[victim.ID].tag != newTag {
+		t.Fatalf("re-inserted profile not held from its put: %v", h)
+	}
 
 	// Every member searches: distinct read sets, so all miss; the ones near
 	// the donor list the re-inserted id.
@@ -502,11 +538,11 @@ func TestDynServingReinsertNewTag(t *testing.T) {
 			}
 		}
 	}
-	if listed < 2 || newTagDecrypts != 1 {
-		t.Fatalf("re-inserted profile listed by %d misses, decrypted %d times, want >=2 and exactly 1", listed, newTagDecrypts)
+	if listed < 2 || newTagDecrypts != 0 {
+		t.Fatalf("re-inserted profile listed by %d misses, decrypted %d times, want >=2 and 0", listed, newTagDecrypts)
 	}
-	if h := serv.Cache().profiles[newTag]; h == nil || h.refs != listed {
-		t.Fatalf("new tag held %v, want %d references", h, listed)
+	if h := serv.Cache().profiles[newTag]; h == nil || h.refs != listed+1 {
+		t.Fatalf("new tag held %v, want %d references", h, listed+1)
 	}
 	checkProfileTable(t, serv.Cache())
 }
@@ -576,10 +612,13 @@ func counterDelta(before, after map[string]int64) map[string]int64 {
 }
 
 // TestDynServingDecryptsOnceAcrossInvalidation: an insert that invalidates
-// a cached search retires the answer, whose profiles stay held, so the
-// same search's next miss decrypts nothing — while the cloud sees exactly
-// what it saw for the first miss: equal cloud and transport counter
-// deltas, and the answer is the oracle's.
+// a cached search drops the answer, but the held set still covers every
+// candidate the first miss fetched, so the same search's next miss
+// decrypts nothing and fetches nothing: it
+// reads exactly the first miss's buckets, no profile is served, and the
+// first miss's profile legs are gone from the wire — its cloud and
+// transport deltas are exactly the first miss's minus what replaying those
+// legs costs. The answer is the oracle's.
 func TestDynServingDecryptsOnceAcrossInvalidation(t *testing.T) {
 	const n, spare, k = 300, 60, 5
 	// The transport registry is restored by the first-registered cleanup,
@@ -589,6 +628,7 @@ func TestDynServingDecryptsOnceAcrossInvalidation(t *testing.T) {
 	t.Cleanup(func() { transport.SetRegistry(obs.Default) })
 	f, ds, ups, regs, serv := tcpDynServing(t, n, spare)
 	oracle := f.NewDynOracle(ups)
+	owner := core.DefaultOwner(len(serv.nodes))
 	target, exclude := ups[3].Profile, ups[3].ID
 	readSet, err := serv.legs[0].client.Refs(f.family.Hash(target))
 	if err != nil {
@@ -599,42 +639,84 @@ func TestDynServingDecryptsOnceAcrossInvalidation(t *testing.T) {
 		reads[r] = true
 	}
 
-	type miss struct {
-		ids         []uint64
-		decrypted   int64
+	type traffic struct {
 		cloud, wire []map[string]int64
-		matches     []Match
 	}
-	search := func() miss {
-		t.Helper()
+	measure := func(op func()) traffic {
 		before := make([]map[string]int64, len(regs))
 		for s, reg := range regs {
 			before[s] = reg.Snapshot().Counters
 		}
 		wire := treg.Snapshot().Counters
-		decrypted, misses := counter("frontend.profiles_decrypted"), counter("frontend.cache_misses")
-		got, partial, err := serv.Search(target, k, exclude)
-		if err != nil || partial {
-			t.Fatalf("search: partial=%v err=%v", partial, err)
+		op()
+		var tr traffic
+		for s, reg := range regs {
+			tr.cloud = append(tr.cloud, counterDelta(before[s], reg.Snapshot().Counters))
 		}
+		tr.wire = []map[string]int64{counterDelta(wire, treg.Snapshot().Counters)}
+		return tr
+	}
+	minus := func(a, b traffic) traffic {
+		sub := func(x, y []map[string]int64) []map[string]int64 {
+			out := make([]map[string]int64, len(x))
+			for i := range x {
+				out[i] = counterDelta(y[i], x[i])
+			}
+			return out
+		}
+		return traffic{cloud: sub(a.cloud, b.cloud), wire: sub(a.wire, b.wire)}
+	}
+	type miss struct {
+		ids       []uint64
+		decrypted int64
+		traffic
+		legs    []heldLeg
+		matches []Match
+	}
+	search := func() miss {
+		t.Helper()
+		serv.cache.mu.Lock()
+		seq := serv.cache.legSeq
+		serv.cache.mu.Unlock()
+		decrypted, misses := counter("frontend.profiles_decrypted"), counter("frontend.cache_misses")
+		var m miss
+		m.traffic = measure(func() {
+			var partial bool
+			if m.matches, partial, err = serv.Search(target, k, exclude); err != nil || partial {
+				t.Fatalf("search: partial=%v err=%v", partial, err)
+			}
+		})
 		if counter("frontend.cache_misses") != misses+1 {
 			t.Fatal("search after an invalidating insert hit the cache")
 		}
-		m := miss{decrypted: counter("frontend.profiles_decrypted") - decrypted, matches: got}
-		for s, reg := range regs {
-			m.cloud = append(m.cloud, counterDelta(before[s], reg.Snapshot().Counters))
-		}
-		m.wire = []map[string]int64{counterDelta(wire, treg.Snapshot().Counters)}
+		m.decrypted = counter("frontend.profiles_decrypted") - decrypted
 		serv.cache.mu.Lock()
 		m.ids = slices.Clone(serv.cache.entries[refsKey(readSet)].Value.(*cacheEntry).ids)
+		for _, leg := range serv.cache.legs {
+			if leg.seq > seq {
+				m.legs = append(m.legs, leg)
+			}
+		}
 		serv.cache.mu.Unlock()
 		return m
 	}
-
-	first := search()
-	if first.decrypted == 0 {
-		t.Fatal("the first miss decrypted nothing")
+	// cold is a miss over an empty profile table and held set: it decrypts
+	// and fetches every candidate.
+	cold := func() miss {
+		t.Helper()
+		serv.Cache().Flush()
+		m := search()
+		fetched := 0
+		for _, leg := range m.legs {
+			fetched += len(leg.ids)
+		}
+		if m.decrypted != int64(len(m.ids)) || fetched != len(m.ids) {
+			t.Fatalf("cold miss over %d candidates decrypted %d and fetched %d", len(m.ids), m.decrypted, fetched)
+		}
+		return m
 	}
+
+	first := cold()
 	// An insert invalidates the entry when its write set meets the read set;
 	// it leaves the candidate set alone when the new id lands outside it and
 	// kicks nothing across. Take the first spare profile that does both.
@@ -655,16 +737,41 @@ func TestDynServingDecryptsOnceAcrossInvalidation(t *testing.T) {
 		if counter("frontend.cache_invalidations") == invalidations {
 			t.Fatalf("insert %d wrote a bucket the search read and invalidated nothing", id)
 		}
+		elided := counter("frontend.profiles_elided")
 		second := search()
 		if !slices.Equal(second.ids, first.ids) {
-			first = second
+			first = cold()
 			continue
 		}
 		if second.decrypted != 0 {
 			t.Fatalf("the miss after an invalidating insert decrypted %d profiles, want 0", second.decrypted)
 		}
-		if !reflect.DeepEqual(second.cloud, first.cloud) || !reflect.DeepEqual(second.wire, first.wire) {
-			t.Fatalf("second miss moved cloud %v wire %v, first miss cloud %v wire %v", second.cloud, second.wire, first.cloud, first.wire)
+		if len(second.legs) != 0 || counter("frontend.profiles_elided")-elided != int64(len(second.ids)) {
+			t.Fatalf("the miss after an invalidating insert fetched %d legs and elided %d of %d candidates, want none fetched",
+				len(second.legs), counter("frontend.profiles_elided")-elided, len(second.ids))
+		}
+		// What the first miss's profile legs cost, replayed leg by leg.
+		legs := measure(func() {
+			for _, leg := range first.legs {
+				if _, err := serv.nodes[owner(leg.ids[0])].FetchProfiles(leg.ids); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		served := int64(0)
+		for _, c := range legs.cloud {
+			served += c["cloud.profiles_served"]
+			if len(c) > 1 || (len(c) == 1 && c["cloud.profiles_served"] == 0) {
+				t.Fatalf("replayed profile legs moved cloud counters %v", c)
+			}
+		}
+		if served != int64(len(first.ids)) || legs.wire[0]["transport.frames_out"] != int64(len(first.legs)) {
+			t.Fatalf("replayed %d profile legs served %d profiles and sent %d frames, want %d and %d",
+				len(first.legs), served, legs.wire[0]["transport.frames_out"], len(first.ids), len(first.legs))
+		}
+		if want := minus(first.traffic, legs); !reflect.DeepEqual(second.traffic, want) {
+			t.Fatalf("second miss moved cloud %v wire %v, want the first miss's less its profile legs: cloud %v wire %v",
+				second.cloud, second.wire, want.cloud, want.wire)
 		}
 		ids := make([]uint64, len(second.matches))
 		for j, m := range second.matches {

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -197,4 +198,59 @@ func TestRescoreThroughDecoratedNodes(t *testing.T) {
 	if top, _ := mgr.TopK(sub.ID); len(top) == 0 || top[0].ID != standing[1].ID {
 		t.Fatalf("runner-up %d not promoted: top %v", standing[1].ID, top)
 	}
+}
+
+// TestDynServingConcurrentHeldSet runs concurrent searches through a cache
+// of four entries — four held legs, so the held set turns over on almost
+// every miss while other misses read it — between serial inserts and
+// deletes. Every answer must equal the uncached sharded search over the
+// same state, and the profile table's invariants must hold after each
+// concurrent phase.
+func TestDynServingConcurrentHeldSet(t *testing.T) {
+	const n, k, targets, workers = 300, 5, 40, 4
+	d := newDynDeployment(t, n, 2)
+	serv, err := d.f.NewDynServing(d.shards, d.nodes, nil, ServingConfig{CacheEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := d.uploads
+	phase := func(name string) {
+		t.Helper()
+		want := make([][]Match, targets)
+		for i := range want {
+			if want[i], _, err = d.f.DynSearchSharded(d.shards, d.nodes, ups[i].Profile, k, ups[i].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < 2*targets; r++ {
+					i := (r*(g+1) + g) % targets
+					got, partial, err := serv.Search(ups[i].Profile, k, ups[i].ID)
+					if err != nil || partial {
+						t.Errorf("%s: worker %d target %d: partial=%v err=%v", name, g, i, partial, err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("%s: worker %d target %d: got %v, want %v", name, g, i, got, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		checkProfileTable(t, serv.Cache())
+	}
+
+	phase("before churn")
+	if err := serv.Insert(n+1, ups[7].Profile); err != nil {
+		t.Fatal(err)
+	}
+	if err := serv.Delete(ups[12].ID, ups[12].Profile); err != nil {
+		t.Fatal(err)
+	}
+	phase("after churn")
 }

@@ -29,6 +29,7 @@ var fmet struct {
 	cacheInvalids *obs.Counter // cache entries evicted by dynamic updates
 	profReused    *obs.Counter // candidate profiles served from the cache's profile table
 	profDecrypted *obs.Counter // candidate profiles that paid MAC + AES-CTR + decode
+	profElided    *obs.Counter // dynamic candidates answered from the held set without a fetch
 	profHeld      *obs.Gauge   // distinct plaintext profiles the profile tables hold
 	admitRejected *obs.Counter // discoveries rejected with ErrOverloaded
 	admitInflight *obs.Gauge   // admitted discoveries currently in flight
@@ -55,6 +56,7 @@ func SetRegistry(r *obs.Registry) {
 	fmet.cacheInvalids = r.Counter("frontend.cache_invalidations")
 	fmet.profReused = r.Counter("frontend.profiles_reused")
 	fmet.profDecrypted = r.Counter("frontend.profiles_decrypted")
+	fmet.profElided = r.Counter("frontend.profiles_elided")
 	fmet.profHeld = r.Gauge("frontend.profiles_held")
 	fmet.admitRejected = r.Counter("frontend.admission_rejected")
 	fmet.admitInflight = r.Gauge("frontend.admission_inflight")

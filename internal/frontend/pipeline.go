@@ -68,7 +68,7 @@ func (f *Frontend) fetchStatic(ctx context.Context, pool FanoutBatchServer, cach
 	sp.Mark("fanout", fmet.fanoutNs)
 	out := make([]candidates, len(tds))
 	err = parallelFor(len(tds), func(q int) (err error) {
-		out[q], err = f.decryptProfiles(cache, ids[q], encProfiles[q])
+		out[q], err = f.decryptProfiles(cache, candidates{ids: ids[q]}, encProfiles[q])
 		out[q].partial = partial
 		return err
 	})
@@ -117,22 +117,60 @@ func dynLegs(shards []DynShard, nodes []DynNode) ([]dynLeg, error) {
 	return legs, nil
 }
 
-// fetchDynamic is the dynamic candidate source: every shard's client
-// searches its own bucket store and fetches the matching profiles there,
-// concurrently; answers merge in shard order and are decrypted (through
-// cache's profile table when there is one). Failed shards are skipped
-// (partial); only all shards failing is an error. It closes the span's
-// fanout stage; the caller closes decrypt.
-func (f *Frontend) fetchDynamic(legs []dynLeg, cache *ResultCache, meta lsh.Metadata, sp *obs.Span) (candidates, error) {
-	shardIDs := make([][]uint64, len(legs))
-	shardProfiles := make([][][]byte, len(legs))
-	errs := perShard(len(legs), func(s int) (err error) {
-		if shardIDs[s], err = legs[s].client.Search(legs[s].store, meta); err == nil {
-			shardProfiles[s], err = fetchAll(legs[s].fetch, shardIDs[s])
-		}
+// dynAnswer is one shard's part of a dynamic miss: the ids its bucket read
+// recovered, in Search order, and per id either the ciphertext its profile
+// leg fetched or — for an id the held set answered — no ciphertext and its
+// tag and vector; at is where the answer starts in the merged candidates.
+type dynAnswer struct {
+	ids  []uint64
+	cts  [][]byte
+	tags []profileTag
+	vecs [][]float64
+	at   int
+}
+
+// read runs one shard's search leg: the bucket read, then a profile read
+// of only the ids cache's held set does not cover — none at all when it
+// covers every one.
+func (a *dynAnswer) read(leg dynLeg, cache *ResultCache, meta lsh.Metadata) (err error) {
+	if a.ids, err = leg.client.Search(leg.store, meta); err != nil {
 		return err
+	}
+	a.vecs = make([][]float64, len(a.ids))
+	if cache != nil {
+		a.tags = make([]profileTag, len(a.ids))
+	}
+	fetch := cache.elide(a.ids, a.tags, a.vecs)
+	fmet.profElided.Add(int64(len(a.ids) - len(fetch)))
+	a.cts = make([][]byte, len(a.ids))
+	if len(fetch) == 0 {
+		return nil
+	}
+	cts, err := fetchAll(leg.fetch, fetch)
+	if err != nil {
+		return err
+	}
+	for i := range a.ids {
+		if a.vecs[i] == nil {
+			a.cts[i], cts = cts[0], cts[1:]
+		}
+	}
+	return nil
+}
+
+// fetchDynamic is the dynamic candidate source: every shard's client
+// searches its own bucket store and fetches there the matching profiles the
+// held set does not cover, concurrently; answers merge in shard order and
+// are decrypted (through cache's profile table when there is one). Each
+// profile leg that crossed the wire then joins the held set, in shard
+// order. Failed shards are skipped (partial); only all shards failing is an
+// error. It closes the span's fanout stage; the caller closes decrypt.
+func (f *Frontend) fetchDynamic(legs []dynLeg, cache *ResultCache, meta lsh.Metadata, sp *obs.Span) (candidates, error) {
+	answers := make([]dynAnswer, len(legs))
+	errs := perShard(len(legs), func(s int) error {
+		return answers[s].read(legs[s], cache, meta)
 	})
-	var ids []uint64
+	var c candidates
 	var encProfiles [][]byte
 	var firstErr error
 	failed := 0
@@ -144,45 +182,64 @@ func (f *Frontend) fetchDynamic(legs []dynLeg, cache *ResultCache, meta lsh.Meta
 			}
 			continue
 		}
-		ids = append(ids, shardIDs[s]...)
-		encProfiles = append(encProfiles, shardProfiles[s]...)
+		a := &answers[s]
+		a.at = len(c.ids)
+		c.ids = append(c.ids, a.ids...)
+		c.tags = append(c.tags, a.tags...)
+		c.vecs = append(c.vecs, a.vecs...)
+		encProfiles = append(encProfiles, a.cts...)
 	}
 	if failed == len(legs) {
 		return candidates{}, fmt.Errorf("frontend: dynamic search: all %d shards failed: %w", len(legs), firstErr)
 	}
 	sp.Mark("fanout", fmet.fanoutNs)
-	c, err := f.decryptProfiles(cache, ids, encProfiles)
+	c, err := f.decryptProfiles(cache, c, encProfiles)
 	c.partial = failed > 0
-	return c, err
+	if err != nil || cache == nil {
+		return c, err
+	}
+	for s, a := range answers {
+		if errs[s] == nil {
+			end := a.at + len(a.ids)
+			cache.hold(a.ids, a.cts, c.tags[a.at:end], c.vecs[a.at:end])
+		}
+	}
+	return c, nil
 }
 
-// decryptProfiles is the pipeline's one decrypt step. A profile whose tag
+// decryptProfiles is the pipeline's one decrypt step over c's candidates,
+// encProfiles[i] being candidate i's ciphertext. A profile whose tag
 // cache's table already holds reuses the vector the frontend decrypted and
-// authenticated when it first saw that ciphertext; only unseen tags pay
-// MAC + AES-CTR + decode, parallel across candidates. The frontend is
-// trusted and holds KS, so plaintext in its memory adds no leakage — which
-// lets the result cache store the output and spare every hit, and every
-// miss over known profiles, the per-candidate work. A nil cache decrypts
-// everything.
-func (f *Frontend) decryptProfiles(cache *ResultCache, ids []uint64, encProfiles [][]byte) (candidates, error) {
-	if len(ids) != len(encProfiles) {
-		return candidates{}, fmt.Errorf("frontend: %d ids but %d profiles", len(ids), len(encProfiles))
+// authenticated when it first saw that ciphertext — as does a slot the held
+// set filled before the fetch, which carries its tag and vector and no
+// ciphertext; only unseen tags pay MAC + AES-CTR + decode, parallel across
+// candidates. The frontend is trusted and holds KS, so plaintext in its
+// memory adds no leakage — which lets the result cache store the output
+// and spare every hit, and every miss over known profiles, the
+// per-candidate work. A nil cache decrypts everything.
+func (f *Frontend) decryptProfiles(cache *ResultCache, c candidates, encProfiles [][]byte) (candidates, error) {
+	if len(c.ids) != len(encProfiles) {
+		return candidates{}, fmt.Errorf("frontend: %d ids but %d profiles", len(c.ids), len(encProfiles))
 	}
-	c := candidates{ids: ids, vecs: make([][]float64, len(ids))}
-	var reused int
-	c.tags, reused = cache.held(encProfiles, c.vecs)
+	if c.vecs == nil {
+		c.vecs = make([][]float64, len(c.ids))
+	}
+	if cache != nil && c.tags == nil {
+		c.tags = make([]profileTag, len(c.ids))
+	}
+	reused := cache.held(encProfiles, c.tags, c.vecs)
 	fmet.profReused.Add(int64(reused))
-	fmet.profDecrypted.Add(int64(len(ids) - reused))
-	if reused == len(ids) {
+	fmet.profDecrypted.Add(int64(len(c.ids) - reused))
+	if reused == len(c.ids) {
 		return c, nil
 	}
-	err := parallelFor(len(ids), func(i int) error {
+	err := parallelFor(len(c.ids), func(i int) error {
 		if c.vecs[i] != nil {
 			return nil
 		}
 		s, err := crypt.DecProfile(f.keys.KS, encProfiles[i])
 		if err != nil {
-			return fmt.Errorf("frontend: decrypt match %d: %w", ids[i], err)
+			return fmt.Errorf("frontend: decrypt match %d: %w", c.ids[i], err)
 		}
 		c.vecs[i] = s
 		return nil

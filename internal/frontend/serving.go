@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"pisd/internal/core"
+	"pisd/internal/crypt"
 	"pisd/internal/lsh"
 	"pisd/internal/obs"
 	"pisd/internal/subs"
@@ -191,21 +192,35 @@ func (s *DynServing) candidates(meta lsh.Metadata, sp *obs.Span) (candidates, er
 
 // Insert routes a dynamic insertion to the owning shard with the cache
 // invalidation hook installed on that shard's bucket store. After the
-// insert succeeds, attached subscriptions are evaluated against the new
+// insert succeeds, its acknowledged profile put joins the held set as a leg
+// of one id, and attached subscriptions are evaluated against the new
 // profile frontend-side — zero additional cloud operations (§18). Routing,
 // hashing, encryption and the subscription write set are pure and run
-// before the insert takes the churn lock.
+// before the insert takes the churn lock. An insert that fails at its
+// profile upload drops the id from the held set: the cloud may hold either
+// ciphertext, and the upload named the id in clear. One that fails in the
+// bucket rounds never sent the upload and leaves the held set alone.
 func (s *DynServing) Insert(id uint64, profile []float64) error {
 	u, err := s.f.prepareInsert(s.shards, s.nodes, s.owner, id, profile)
 	if err != nil {
 		return err
 	}
 	written := s.insertWrites(u)
+	var tag profileTag
+	var vec []float64
+	if s.cache != nil {
+		tag, _ = crypt.Tag(u.ct)
+		vec = crypt.DecodedProfile(profile, s.f.cfg.CompactProfiles)
+	}
 	s.churn.Lock()
 	defer s.churn.Unlock()
-	if err := dynInsert(s.shards, s.writes, u); err != nil {
+	if sent, err := dynInsert(s.shards, s.writes, u); err != nil {
+		if sent {
+			s.cache.forget(id)
+		}
 		return err
 	}
+	s.cache.hold([]uint64{id}, [][]byte{u.ct}, []profileTag{tag}, [][]float64{vec})
 	if written != nil {
 		s.subsm.OnInsert(id, profile, written)
 	}
@@ -216,7 +231,9 @@ func (s *DynServing) Insert(id uint64, profile []float64) error {
 // invalidation hook installed on that shard's bucket store. After the
 // delete succeeds, the profile's vector leaves the profile table and the
 // profile is evicted from every attached standing result, promoting
-// runners-up.
+// runners-up. A delete that fails at its profile removal drops the id from
+// the held set too: the cloud may no longer hold its ciphertext. One that
+// fails in the bucket rounds never sent the removal and leaves it alone.
 func (s *DynServing) Delete(id uint64, profile []float64) error {
 	u, err := s.f.prepareUpdate(s.shards, s.nodes, s.owner, id, profile)
 	if err != nil {
@@ -224,10 +241,13 @@ func (s *DynServing) Delete(id uint64, profile []float64) error {
 	}
 	s.churn.Lock()
 	defer s.churn.Unlock()
-	if err := dynDelete(s.shards, s.writes, u); err != nil {
+	sent, err := dynDelete(s.shards, s.writes, u)
+	if sent {
+		s.cache.forget(id)
+	}
+	if err != nil {
 		return err
 	}
-	s.cache.forget(id)
 	if s.subsm != nil {
 		s.subsm.OnDelete(id)
 	}

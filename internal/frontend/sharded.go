@@ -137,7 +137,8 @@ func (f *Frontend) DynInsertSharded(shards []DynShard, nodes []DynNode, owner fu
 	if err != nil {
 		return err
 	}
-	return dynInsert(shards, nodes, u)
+	_, err = dynInsert(shards, nodes, u)
+	return err
 }
 
 // DynDeleteSharded routes a secure deletion to the owning shard and
@@ -147,7 +148,8 @@ func (f *Frontend) DynDeleteSharded(shards []DynShard, nodes []DynNode, owner fu
 	if err != nil {
 		return err
 	}
-	return dynDelete(shards, nodes, u)
+	_, err = dynDelete(shards, nodes, u)
+	return err
 }
 
 // dynUpdate is one mutation's pure preparation: the owning shard, the
@@ -183,29 +185,33 @@ func (f *Frontend) prepareInsert(shards []DynShard, nodes []DynNode, owner func(
 }
 
 // dynInsert runs a prepared insertion's rounds and profile upload on its
-// owning shard.
-func dynInsert(shards []DynShard, nodes []DynNode, u dynUpdate) error {
+// owning shard. sent reports whether the upload, which names the id in
+// clear, was issued: a failure before it left the id's stored ciphertext
+// as it was.
+func dynInsert(shards []DynShard, nodes []DynNode, u dynUpdate) (sent bool, err error) {
 	s := u.shard
 	if err := shards[s].Client.Insert(nodes[s], u.id, u.meta); err != nil {
-		return fmt.Errorf("frontend: insert %d at shard %d: %w", u.id, s, err)
+		return false, fmt.Errorf("frontend: insert %d at shard %d: %w", u.id, s, err)
 	}
 	if err := nodes[s].PutProfiles(map[uint64][]byte{u.id: u.ct}); err != nil {
-		return fmt.Errorf("frontend: upload profile %d to shard %d: %w", u.id, s, err)
+		return true, fmt.Errorf("frontend: upload profile %d to shard %d: %w", u.id, s, err)
 	}
-	return nil
+	return true, nil
 }
 
 // dynDelete runs a prepared deletion's rounds and profile removal on its
-// owning shard.
-func dynDelete(shards []DynShard, nodes []DynNode, u dynUpdate) error {
+// owning shard. sent reports whether the removal, which names the id in
+// clear, was issued: a failure before it left the id's stored ciphertext
+// as it was.
+func dynDelete(shards []DynShard, nodes []DynNode, u dynUpdate) (sent bool, err error) {
 	s := u.shard
 	if err := shards[s].Client.Delete(nodes[s], u.id, u.meta); err != nil {
-		return fmt.Errorf("frontend: delete %d at shard %d: %w", u.id, s, err)
+		return false, fmt.Errorf("frontend: delete %d at shard %d: %w", u.id, s, err)
 	}
 	if err := nodes[s].DeleteProfile(u.id); err != nil {
-		return fmt.Errorf("frontend: remove profile %d at shard %d: %w", u.id, s, err)
+		return true, fmt.Errorf("frontend: remove profile %d at shard %d: %w", u.id, s, err)
 	}
-	return nil
+	return true, nil
 }
 
 // routeShard resolves the shard owning id and validates the pairing.

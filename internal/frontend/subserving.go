@@ -161,7 +161,7 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 			}
 		}
 	}
-	c, err := s.f.decryptProfiles(s.cache, live, liveCts)
+	c, err := s.f.decryptProfiles(s.cache, candidates{ids: live}, liveCts)
 	if err != nil {
 		return 0, fmt.Errorf("frontend: rescore: %w", err)
 	}

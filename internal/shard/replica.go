@@ -265,29 +265,37 @@ func readGroup[T any](g *ReplicaGroup, ctx context.Context, call func(ctx contex
 // is updated from its outcome. A replica that fails (or is skipped while
 // down) is marked lagging — ambiguity-safe, since a failed call may still
 // have been applied server-side — and drops out of reads until repaired.
-// The write succeeds if at least one replica applied it.
+// The write succeeds if at least one replica current before it applied it:
+// a lagging replica's copy is overwritten by its repair. A write no current
+// replica acknowledged is settled rather than left to strand the group.
 func (g *ReplicaGroup) write(op string, fn func(n ReplicaNode, v uint64) error) error {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
 
 	type target struct {
-		i int
-		n ReplicaNode
+		i       int
+		n       ReplicaNode
+		current bool // current before this write
 	}
 	g.mu.Lock()
 	g.version++
 	v := g.version
 	targets := make([]target, 0, len(g.reps))
+	var skipped []int // replicas current before the write that it skips while down
 	for i, rep := range g.reps {
 		if rep.down {
+			if rep.current(v - 1) {
+				skipped = append(skipped, i)
+			}
 			rep.lagging = true
 			continue
 		}
-		targets = append(targets, target{i: i, n: rep.node})
+		targets = append(targets, target{i: i, n: rep.node, current: rep.current(v - 1)})
 	}
 	g.mu.Unlock()
 	defer g.syncLagMetric()
 	if len(targets) == 0 {
+		g.settle(v, nil, skipped)
 		return fmt.Errorf("shard: group %d: %s: no live replica", g.id, op)
 	}
 
@@ -302,7 +310,8 @@ func (g *ReplicaGroup) write(op string, fn func(n ReplicaNode, v uint64) error) 
 	}
 	wg.Wait()
 
-	ok := 0
+	acked := false
+	var failed []int // replicas current before the write that failed it
 	var lastErr error
 	g.mu.Lock()
 	for k, t := range targets {
@@ -311,20 +320,81 @@ func (g *ReplicaGroup) write(op string, fn func(n ReplicaNode, v uint64) error) 
 			rep.lagging = true
 			rep.writeFails++
 			lastErr = errs[k]
+			if t.current {
+				failed = append(failed, t.i)
+			}
 			continue
 		}
-		ok++
 		// Advance the applied prefix only if this write extends it: a
 		// lagging replica accepting new writes still misses older ones.
 		if !rep.lagging && rep.applied == v-1 {
 			rep.applied = v
+			acked = true
 		}
 	}
 	g.mu.Unlock()
-	if ok == 0 {
-		return fmt.Errorf("shard: group %d: %s failed on all %d replicas: %w", g.id, op, len(targets), lastErr)
+	if acked || g.settle(v, failed, skipped) {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("shard: group %d: %s failed on every current replica: %w", g.id, op, lastErr)
+}
+
+// settle resolves write v after no replica current before it acknowledged
+// it. It asks each such replica that failed the write (failed) for its
+// server-side version, which every write records as its last step.
+// Replicas reporting v applied the write and lost the response: they are
+// current again, and the write stands — settle reports true. When none
+// reports v, the group version rolls back to v−1 and exactly one source of
+// truth is kept current: the first failed replica that still reports v−1,
+// or, when none answers so, the replicas the write skipped while down
+// (skipped), which never received it and so agree with each other. Only
+// one failed replica can be kept: a profile write is two calls, the body
+// and then its version record, so a replica reporting v−1 may still hold
+// the body, and two such replicas may disagree. Every other replica stays
+// lagging for the repairer, which copies the source over it, as does every
+// replica that was lagging already, even one that applied the write.
+// Callers hold wmu.
+func (g *ReplicaGroup) settle(v uint64, failed, skipped []int) (applied bool) {
+	versions := make([]uint64, len(failed))
+	errs := make([]error, len(failed))
+	var wg sync.WaitGroup
+	for k, i := range failed {
+		wg.Add(1)
+		go func(k int, n ReplicaNode) {
+			defer wg.Done()
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
+			if g.cfg.Timeout > 0 {
+				ctx, cancel = context.WithTimeout(ctx, g.cfg.Timeout)
+			}
+			defer cancel()
+			versions[k], errs[k] = n.Version(ctx)
+		}(k, g.Replica(i))
+	}
+	wg.Wait()
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for k, i := range failed {
+		if errs[k] == nil && versions[k] == v {
+			g.reps[i].applied, g.reps[i].lagging = v, false
+			applied = true
+		}
+	}
+	if applied {
+		return true
+	}
+	g.version = v - 1
+	for k, i := range failed {
+		// One that answers with less restarted onto lost state.
+		if errs[k] == nil && versions[k] == v-1 {
+			g.reps[i].lagging = false
+			return false
+		}
+	}
+	for _, i := range skipped {
+		g.reps[i].lagging = false
+	}
+	return false
 }
 
 // Ping implements Node: the group is alive if any current replica is.

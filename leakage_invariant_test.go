@@ -3,14 +3,19 @@ package pisd_test
 import (
 	"context"
 	"errors"
+	"maps"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"pisd"
+	"pisd/internal/cloud"
 	"pisd/internal/core"
 	"pisd/internal/dataset"
 	"pisd/internal/frontend"
 	"pisd/internal/obs"
+	"pisd/internal/shard"
 	"pisd/internal/transport"
 )
 
@@ -643,5 +648,333 @@ func TestLeakageInvariantReplicated(t *testing.T) {
 	dstFetch := counters(dstReg)["cloud.dyn_buckets_fetched"] - db["cloud.dyn_buckets_fetched"]
 	if srcFetch != dstFetch || srcFetch <= 0 {
 		t.Errorf("post-repair search budgets differ: source fetched %d, repaired replica fetched %d", srcFetch, dstFetch)
+	}
+}
+
+// wireEvent is one cloud-visible call on one shard: a bucket read or
+// write with the positions it addresses, a profile read with the ids it
+// names, a profile put, or a profile delete.
+type wireEvent struct {
+	op   string
+	refs []core.BucketRef
+	ids  []uint64
+}
+
+// transcriptNode records every call its shard's cloud sees, in order.
+type transcriptNode struct {
+	frontend.DynNode
+	mu  sync.Mutex
+	log []wireEvent
+}
+
+func (n *transcriptNode) record(e wireEvent) {
+	n.mu.Lock()
+	n.log = append(n.log, e)
+	n.mu.Unlock()
+}
+
+func (n *transcriptNode) FetchBuckets(refs []core.BucketRef) ([]core.DynBucket, error) {
+	n.record(wireEvent{op: "fetch buckets", refs: slices.Clone(refs)})
+	return n.DynNode.FetchBuckets(refs)
+}
+
+func (n *transcriptNode) StoreBuckets(refs []core.BucketRef, buckets []core.DynBucket) error {
+	n.record(wireEvent{op: "store buckets", refs: slices.Clone(refs)})
+	return n.DynNode.StoreBuckets(refs, buckets)
+}
+
+func (n *transcriptNode) FetchProfiles(ids []uint64) ([][]byte, error) {
+	n.record(wireEvent{op: "fetch profiles", ids: slices.Clone(ids)})
+	return n.DynNode.FetchProfiles(ids)
+}
+
+func (n *transcriptNode) PutProfiles(profiles map[uint64][]byte) error {
+	n.record(wireEvent{op: "put profiles", ids: slices.Sorted(maps.Keys(profiles))})
+	return n.DynNode.PutProfiles(profiles)
+}
+
+func (n *transcriptNode) DeleteProfile(id uint64) error {
+	n.record(wireEvent{op: "delete profile", ids: []uint64{id}})
+	return n.DynNode.DeleteProfile(id)
+}
+
+// heldScriptOp is one step of the held-set script: a search for a
+// profile, an insert of id under a profile, a delete of id, or a duplicate
+// insert of an indexed id under its own profile, which the bucket rounds
+// refuse before any profile request is sent.
+type heldScriptOp struct {
+	kind    string
+	id      uint64
+	profile []float64
+}
+
+// heldSetRun is one run of the script against a fresh 2-shard dynamic
+// deployment built from fixed seeds: per op, the transcript each shard
+// recorded, the ids each shard's bucket read recovers just before the op,
+// and what the op answered.
+type heldSetRun struct {
+	events  [][][]wireEvent // [op][shard]
+	found   [][][]uint64    // [op][shard], search ops only
+	matches [][]pisd.Match
+	hits    []bool
+}
+
+// runHeldScript boots the deployment and runs script through a DynServing
+// with the given cache bound.
+func runHeldScript(t *testing.T, script []heldScriptOp, uploads []pisd.Upload, entries int) heldSetRun {
+	t.Helper()
+	sf, _, _ := leakageFixture(t, "leakage-held-set")
+	built, err := sf.BuildShardedDynamicIndex(uploads, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := make([]frontend.DynNode, len(built))
+	recs := make([]*transcriptNode, len(built))
+	nodes := make([]frontend.DynNode, len(built))
+	for s, sh := range built {
+		cs := cloud.New()
+		cs.SetDynIndex(sh.Index)
+		cs.PutProfiles(sh.EncProfiles)
+		inner[s] = shard.NewLocal(cs)
+		recs[s] = &transcriptNode{DynNode: inner[s]}
+		nodes[s] = recs[s]
+	}
+	serv, err := sf.NewDynServing(built, nodes, nil, pisd.ServingConfig{CacheEntries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freg := obs.NewRegistry()
+	frontend.SetRegistry(freg)
+	defer frontend.SetRegistry(obs.Default)
+
+	var run heldSetRun
+	for i, op := range script {
+		var found [][]uint64
+		if op.kind == "search" {
+			// What each shard's bucket read recovers, read beside the
+			// recorded transcript: the reference needs it to predict the
+			// profile leg.
+			for s, sh := range built {
+				ids, err := sh.Client.Search(inner[s], sf.ComputeMeta(op.profile))
+				if err != nil {
+					t.Fatal(err)
+				}
+				found = append(found, ids)
+			}
+		}
+		marks := make([]int, len(recs))
+		for s, r := range recs {
+			marks[s] = len(r.log)
+		}
+		hits := counters(freg)["frontend.cache_hits"]
+		var matches []pisd.Match
+		switch op.kind {
+		case "search":
+			var partial bool
+			matches, partial, err = serv.Search(op.profile, 5, 0)
+			if err == nil && partial {
+				t.Fatalf("op %d: partial answer from a healthy deployment", i)
+			}
+		case "insert":
+			err = serv.Insert(op.id, op.profile)
+		case "duplicate insert":
+			if err = serv.Insert(op.id, op.profile); !errors.Is(err, core.ErrAlreadyIndexed) {
+				t.Fatalf("op %d: duplicate insert of %d: %v, want %v", i, op.id, err, core.ErrAlreadyIndexed)
+			}
+			err = nil
+		case "delete":
+			err = serv.Delete(op.id, op.profile)
+		}
+		if err != nil {
+			t.Fatalf("op %d (%s %d): %v", i, op.kind, op.id, err)
+		}
+		events := make([][]wireEvent, len(recs))
+		for s, r := range recs {
+			events[s] = slices.Clone(r.log[marks[s]:])
+		}
+		run.events = append(run.events, events)
+		run.found = append(run.found, found)
+		run.matches = append(run.matches, matches)
+		run.hits = append(run.hits, counters(freg)["frontend.cache_hits"] > hits)
+	}
+	if counters(freg)["frontend.profiles_elided"] == 0 {
+		t.Fatal("no search answered a candidate from the held set")
+	}
+	return run
+}
+
+// heldRef is the test-side reference for the held set, computed from the
+// recorded transcript alone: the ids carried by the last cap profile legs
+// the cloud sent (fetch answers and acknowledged puts, in order), less the
+// ids deleted since.
+type heldRef struct {
+	cap     int
+	legs    []heldRefLeg
+	holds   map[uint64]int // id → leg that last carried it
+	seq     int
+	evicted int // ids released by a leg leaving the window
+}
+
+type heldRefLeg struct {
+	seq int
+	ids []uint64
+}
+
+func (h *heldRef) leg(ids []uint64) {
+	h.seq++
+	for _, id := range ids {
+		h.holds[id] = h.seq
+	}
+	h.legs = append(h.legs, heldRefLeg{seq: h.seq, ids: ids})
+	if len(h.legs) > h.cap {
+		for _, id := range h.legs[0].ids {
+			if h.holds[id] == h.legs[0].seq {
+				delete(h.holds, id)
+				h.evicted++
+			}
+		}
+		h.legs = h.legs[1:]
+	}
+}
+
+// TestLeakageInvariantHeldSet pins DESIGN.md §17's claim for the held set:
+// which ids a dynamic miss leaves out of its profile read is a function of
+// the cloud-visible transcript, never of what the cloud cannot see. Run A
+// is a serial script of searches, inserts and deletes; run B is the same
+// script with extra repeats of earlier searches that are guaranteed cache
+// hits, which reorder the result cache's LRU. Every shard's recorded
+// transcript — bucket positions read and written, profile ids read, put
+// and deleted — must be identical across the two runs, and every profile
+// read of run A must equal the prediction of a reference that recomputes
+// the held set from the transcript alone.
+func TestLeakageInvariantHeldSet(t *testing.T) {
+	const members, entries = 130, 6
+	_, ds, all := leakageFixture(t, "leakage-held-set")
+	uploads := all[:members]
+	p := func(id uint64) []float64 { return ds.Profiles[id-1] }
+	search := func(ids ...uint64) []heldScriptOp {
+		var ops []heldScriptOp
+		for _, id := range ids {
+			ops = append(ops, heldScriptOp{kind: "search", id: id, profile: p(id)})
+		}
+		return ops
+	}
+	var a []heldScriptOp
+	// The insert lands in user 3's buckets: the search after it misses over
+	// candidates the held set covers entirely.
+	a = append(a, search(3)...)
+	a = append(a, heldScriptOp{kind: "insert", id: 131, profile: p(3)})
+	// A failed update that sent no profile request leaves the held set as
+	// the cloud reconstructs it: the search after it still elides 131.
+	a = append(a, heldScriptOp{kind: "duplicate insert", id: 131, profile: p(3)})
+	a = append(a, search(3, 1, 2, 4, 5, 6, 7, 8, 9, 10)...)
+	a = append(a, heldScriptOp{kind: "delete", id: 5, profile: p(5)})
+	a = append(a, search(5, 4, 6)...)
+	a = append(a, heldScriptOp{kind: "insert", id: 5, profile: p(135)}) // re-insert: a new ciphertext
+	a = append(a, search(5, 135, 11, 12, 13, 14, 2, 4, 6, 1)...)
+	a = append(a, heldScriptOp{kind: "insert", id: 132, profile: p(10)})
+	a = append(a, heldScriptOp{kind: "delete", id: 131, profile: p(3)})
+	a = append(a, search(3, 10, 9, 131, 7, 8, 12, 5)...)
+
+	// Run B: after every search, repeat the first search since the last
+	// update. Refreshed after every miss since, it is a guaranteed hit, and
+	// it stays cached in B long after A's LRU evicted it.
+	var b []heldScriptOp
+	var repeats []bool
+	anchor := -1
+	for i, op := range a {
+		b, repeats = append(b, op), append(repeats, false)
+		switch {
+		case op.kind != "search":
+			anchor = -1
+		case anchor < 0:
+			anchor = i
+		default:
+			b, repeats = append(b, a[anchor]), append(repeats, true)
+		}
+	}
+
+	runA := runHeldScript(t, a, uploads, entries)
+	runB := runHeldScript(t, b, uploads, entries)
+
+	// B's transcript, its repeats removed, is A's; every repeat was a hit
+	// that reached no shard, and every op answered as it did in A.
+	j := 0
+	for i := range b {
+		if repeats[i] {
+			if !runB.hits[i] {
+				t.Fatalf("run B op %d: the repeated search missed the cache", i)
+			}
+			for s, ev := range runB.events[i] {
+				if len(ev) != 0 {
+					t.Fatalf("run B op %d: a cache hit reached shard %d: %v", i, s, ev)
+				}
+			}
+			continue
+		}
+		if !reflect.DeepEqual(runB.events[i], runA.events[j]) {
+			t.Fatalf("op %d (%s %d): transcript differs between the runs:\nA %v\nB %v", j, a[j].kind, a[j].id, runA.events[j], runB.events[i])
+		}
+		if !reflect.DeepEqual(runB.matches[i], runA.matches[j]) {
+			t.Fatalf("op %d: run B answered %v, run A %v", j, runB.matches[i], runA.matches[j])
+		}
+		j++
+	}
+
+	// Each profile read of A is the reference's prediction: the recovered
+	// ids, in order, less the held set recomputed from the transcript up to
+	// the op. The shards' legs are concurrent, so they join the reference
+	// after every shard's read is predicted, in shard order.
+	ref := &heldRef{cap: entries, holds: make(map[uint64]int)}
+	elided, skipped, afterFailed := 0, 0, 0
+	for i, op := range a {
+		if op.kind == "search" && i > 0 && a[i-1].kind == "duplicate insert" {
+			// The reference must predict the failed insert's id elided.
+			dup := a[i-1].id
+			for s := range runA.events[i] {
+				if _, held := ref.holds[dup]; held && slices.Contains(runA.found[i][s], dup) {
+					afterFailed++
+				}
+			}
+		}
+		for s, events := range runA.events[i] {
+			if op.kind != "search" || len(events) == 0 {
+				continue
+			}
+			var want []uint64
+			for _, id := range runA.found[i][s] {
+				if _, held := ref.holds[id]; !held {
+					want = append(want, id)
+				}
+			}
+			elided += len(runA.found[i][s]) - len(want)
+			if len(want) == 0 {
+				skipped++
+			}
+			var got []uint64
+			reads := 0
+			for _, e := range events {
+				if e.op == "fetch profiles" {
+					got, reads = e.ids, reads+1
+				}
+			}
+			if (len(want) == 0) != (reads == 0) || reads > 1 || !slices.Equal(got, want) {
+				t.Fatalf("op %d (search %d) shard %d: profile reads %v, reference predicts %v", i, op.id, s, events, want)
+			}
+		}
+		for _, events := range runA.events[i] {
+			for _, e := range events {
+				switch e.op {
+				case "fetch profiles", "put profiles":
+					ref.leg(e.ids)
+				case "delete profile":
+					delete(ref.holds, e.ids[0])
+				}
+			}
+		}
+	}
+	t.Logf("run A: %d ops, %d candidates elided, %d profile legs skipped, %d held ids evicted by the window", len(a), elided, skipped, ref.evicted)
+	if elided == 0 || skipped == 0 || ref.evicted == 0 || afterFailed == 0 {
+		t.Fatalf("script too weak: %d elided, %d legs skipped, %d held ids evicted, %d held ids recovered right after a failed update", elided, skipped, ref.evicted, afterFailed)
 	}
 }
