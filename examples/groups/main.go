@@ -30,8 +30,14 @@ func run() error {
 		return err
 	}
 
+	// Wide LSH neighbourhoods, so a discovery reaches a whole interest
+	// community. Three atoms keep 88–114 distinct hash values per table
+	// (the hottest shared by 117 of the 1200 users); two atoms leave
+	// 28–38, the hottest shared by 258 users, far more than the d+1
+	// positions per table it addresses can hold: the cuckoo build then
+	// fails on some keys.
 	cfg := pisd.DefaultSystemConfig(400)
-	cfg.Frontend.LSH.Atoms = 2
+	cfg.Frontend.LSH.Atoms = 3
 	cfg.Frontend.LSH.Width = 0.8
 	cfg.Frontend.ProbeRange = 8
 	sys, err := pisd.NewSystem(cfg)

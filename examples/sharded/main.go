@@ -104,7 +104,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	got, partial, err := sf.DiscoverSharded(context.Background(), pool, target, topK, 5)
+	serving, err := sf.NewServing(pool, pisd.ServingConfig{})
+	if err != nil {
+		return err
+	}
+	got, partial, err := serving.Discover(context.Background(), target, topK, 5)
 	if err != nil {
 		return err
 	}
@@ -129,7 +133,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nshard %d killed\n", dead)
-	got, partial, err = sf.DiscoverSharded(context.Background(), pool, target, topK, 5)
+	got, partial, err = serving.Discover(context.Background(), target, topK, 5)
 	if err != nil {
 		return err
 	}

@@ -47,11 +47,19 @@ func run() error {
 	cs.SetDynIndex(dynIdx)
 	cs.PutProfiles(encProfiles)
 	fmt.Printf("dynamic index over %d users installed at the cloud\n", len(uploads))
+	// The dynamic serving path over the one node; a zero ServingConfig
+	// runs it without a result cache.
+	shards := []pisd.DynShard{{Client: dynClient}}
+	nodes := []pisd.DynNode{pisd.NewLocalShard(cs)}
+	dyn, err := sf.NewDynServing(shards, nodes, nil, pisd.ServingConfig{})
+	if err != nil {
+		return err
+	}
 
 	// User 42's current interests.
 	const userID = 42
 	oldProfile := ds.Profiles[userID-1]
-	matches, err := sf.DynSearch(dynClient, cs, cs, oldProfile, 5, userID)
+	matches, _, err := dyn.Search(oldProfile, 5, userID)
 	if err != nil {
 		return err
 	}
@@ -63,21 +71,15 @@ func run() error {
 	fmt.Printf("\nuser %d updates interests to topics %v\n", userID, ds.UserTopics[899])
 
 	// Secure deletion of the outdated profile...
-	if err := dynClient.Delete(cs, userID, sf.ComputeMeta(oldProfile)); err != nil {
+	if err := dyn.Delete(userID, oldProfile); err != nil {
 		return err
 	}
-	cs.DeleteProfile(userID)
 	// ...then secure insertion of the new one.
-	if err := dynClient.Insert(cs, userID, sf.ComputeMeta(newProfile)); err != nil {
+	if err := dyn.Insert(userID, newProfile); err != nil {
 		return err
 	}
-	ct, err := sf.EncryptProfile(newProfile)
-	if err != nil {
-		return err
-	}
-	cs.PutProfile(userID, ct)
 
-	matches, err = sf.DynSearch(dynClient, cs, cs, newProfile, 5, userID)
+	matches, _, err = dyn.Search(newProfile, 5, userID)
 	if err != nil {
 		return err
 	}

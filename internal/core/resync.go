@@ -65,6 +65,10 @@ func (c *DynClient) Fork() (*DynClient, error) {
 	return NewDynClient(keys, p, int64(binary.LittleEndian.Uint64(seed[:])))
 }
 
+// Width is the bucket positions per table of the client's index shape:
+// the range ResyncRange and OpenedRange address.
+func (c *DynClient) Width() int { return c.p.Width() }
+
 // ResyncRange re-syncs the buckets at positions [lo, hi) of every table
 // from src into dst: fetch the range from src, open and re-seal every
 // bucket with fresh randomness, store the range to dst. The position range
@@ -148,24 +152,4 @@ func (c *DynClient) OpenedRange(store BucketStore, lo, hi uint64) ([][]byte, err
 		out[i] = payload
 	}
 	return out, nil
-}
-
-// Resync sweeps the full bucket array from src into dst in batches of the
-// given position width per round (0 or out-of-range means one round).
-// Every bucket of dst ends up holding src's payload under fresh masks.
-func (c *DynClient) Resync(src, dst BucketStore, batch int) error {
-	w := c.p.Width()
-	if batch <= 0 || batch > w {
-		batch = w
-	}
-	for lo := 0; lo < w; lo += batch {
-		hi := lo + batch
-		if hi > w {
-			hi = w
-		}
-		if err := c.ResyncRange(src, dst, uint64(lo), uint64(hi)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

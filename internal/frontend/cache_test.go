@@ -381,7 +381,7 @@ func auditDecrypts(t *testing.T, c *ResultCache, key CacheKey, op func()) []prof
 
 // TestServingSweepDecryptsOnce sweeps a Serving whose cache is a third of
 // the target set, twice: every discovery is a cache miss, every answer must
-// equal the cache-less DiscoverSharded, and each miss decrypts exactly the
+// equal the cache-less Serving.Discover, and each miss decrypts exactly the
 // profiles no live entry pins. The population is small enough that the
 // live entries pin all of it once warm (static-sweep's steady state in
 // miniature: 4096 entries × 28 candidates over 10 000 members), so the
@@ -412,11 +412,12 @@ func TestServingSweepDecryptsOnce(t *testing.T) {
 		t.Fatalf("population has %d distinct search patterns, want %d", len(targets), 3*entries)
 	}
 
+	plain := uncached(t, d.f, d.pool)
 	for sweep := 0; sweep < 2; sweep++ {
 		decrypted := 0
 		for _, id := range targets {
 			profile := d.profiles[id-1]
-			want, _, err := d.f.DiscoverSharded(context.Background(), d.pool, profile, k, id)
+			want, _, err := plain.Discover(context.Background(), profile, k, id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -475,7 +476,7 @@ func TestDynServingReinsertNewTag(t *testing.T) {
 	}
 	search := func(target []float64, exclude uint64) []profileTag {
 		t.Helper()
-		refs, err := serv.legs[0].client.Refs(f.family.Hash(target))
+		refs, err := serv.clients[0].Refs(f.family.Hash(target))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +532,7 @@ func TestDynServingReinsertNewTag(t *testing.T) {
 				newTagDecrypts++
 			}
 		}
-		refs, _ := serv.legs[0].client.Refs(f.family.Hash(u.Profile))
+		refs, _ := serv.clients[0].Refs(f.family.Hash(u.Profile))
 		for _, tag := range serv.Cache().entries[refsKey(refs)].Value.(*cacheEntry).tags {
 			if tag == newTag {
 				listed++
@@ -630,7 +631,7 @@ func TestDynServingDecryptsOnceAcrossInvalidation(t *testing.T) {
 	oracle := f.NewDynOracle(ups)
 	owner := core.DefaultOwner(len(serv.nodes))
 	target, exclude := ups[3].Profile, ups[3].ID
-	readSet, err := serv.legs[0].client.Refs(f.family.Hash(target))
+	readSet, err := serv.clients[0].Refs(f.family.Hash(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,7 +723,7 @@ func TestDynServingDecryptsOnceAcrossInvalidation(t *testing.T) {
 	// kicks nothing across. Take the first spare profile that does both.
 	for i := n; i < n+spare; i++ {
 		id, profile := uint64(i+1), ds.Profiles[i]
-		writes, err := serv.legs[0].client.Refs(f.family.Hash(profile))
+		writes, err := serv.clients[0].Refs(f.family.Hash(profile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -844,7 +845,7 @@ func TestProfileTableTamper(t *testing.T) {
 	// A neighbour's discovery misses the cache over largely the same
 	// candidates: their tags are held, their bodies now arrive flipped.
 	neighbour := first[0].ID
-	want, _, err := d.f.DiscoverSharded(ctx, d.pool, d.profiles[neighbour-1], k, neighbour)
+	want, _, err := uncached(t, d.f, d.pool).Discover(ctx, d.profiles[neighbour-1], k, neighbour)
 	if err != nil {
 		t.Fatal(err)
 	}

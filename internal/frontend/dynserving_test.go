@@ -108,7 +108,8 @@ func TestDynServingChurnInvalidation(t *testing.T) {
 	if len(got) == 0 || got[0].ID != newID {
 		t.Fatalf("stale hit: inserted user %d not the top match of its own profile: %v", newID, got)
 	}
-	want, partial, err := f.DynSearchSharded(shards, nodes, newProfile, k, 0)
+	plain := uncachedDyn(t, f, shards, nodes)
+	want, partial, err := plain.Search(newProfile, k, 0)
 	if err != nil || partial {
 		t.Fatalf("fresh post-insert search: partial=%v err=%v", partial, err)
 	}
@@ -139,7 +140,7 @@ func TestDynServingChurnInvalidation(t *testing.T) {
 			t.Fatalf("stale hit: deleted user %d still recommended: %v", victim.ID, got)
 		}
 	}
-	want, partial, err = f.DynSearchSharded(shards, nodes, victim.Profile, k, 0)
+	want, partial, err = plain.Search(victim.Profile, k, 0)
 	if err != nil || partial {
 		t.Fatalf("fresh post-delete search: partial=%v err=%v", partial, err)
 	}
@@ -214,11 +215,12 @@ func TestDynServingConcurrentHeldSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	ups := d.uploads
+	plain := uncachedDyn(t, d.f, d.shards, d.nodes)
 	phase := func(name string) {
 		t.Helper()
 		want := make([][]Match, targets)
 		for i := range want {
-			if want[i], _, err = d.f.DynSearchSharded(d.shards, d.nodes, ups[i].Profile, k, ups[i].ID); err != nil {
+			if want[i], _, err = plain.Search(ups[i].Profile, k, ups[i].ID); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -253,4 +255,20 @@ func TestDynServingConcurrentHeldSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	phase("after churn")
+}
+
+// TestNewDynServingRejectsUnpairedShards: the shard/node pairing and every
+// shard's client are checked once, at construction, so a search can never
+// reach a shard it cannot serve.
+func TestNewDynServingRejectsUnpairedShards(t *testing.T) {
+	d := newDynDeployment(t, 40, 2)
+	if _, err := d.f.NewDynServing([]DynShard{{}}, d.nodes[:1], nil, ServingConfig{}); err == nil {
+		t.Fatal("shard without a dynamic client accepted")
+	}
+	if _, err := d.f.NewDynServing(d.shards, d.nodes[:1], nil, ServingConfig{}); err == nil {
+		t.Fatal("2 shards over 1 node accepted")
+	}
+	if _, err := d.f.NewDynServing(nil, nil, nil, ServingConfig{}); err == nil {
+		t.Fatal("empty deployment accepted")
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"pisd/internal/dataset"
 	"pisd/internal/fof"
 	"pisd/internal/lsh"
+	"pisd/internal/shard"
 	"pisd/internal/vec"
 )
 
@@ -273,11 +274,12 @@ func TestDynamicFlow(t *testing.T) {
 	cs := cloud.New()
 	cs.SetDynIndex(idx)
 	cs.PutProfiles(encProfiles)
+	dyn := uncachedDyn(t, f, []DynShard{{Client: client}}, []DynNode{shard.NewLocal(cs)})
 
 	target := ds.Profiles[7]
-	matches, err := f.DynSearch(client, cs, cs, target, 5, 0)
+	matches, _, err := dyn.Search(target, 5, 0)
 	if err != nil {
-		t.Fatalf("DynSearch: %v", err)
+		t.Fatalf("Search: %v", err)
 	}
 	if len(matches) == 0 || matches[0].ID != 8 {
 		t.Fatalf("dynamic search did not find self: %+v", matches)
@@ -299,7 +301,7 @@ func TestDynamicFlow(t *testing.T) {
 	}
 	cs.PutProfile(8, ct)
 
-	matches, err = f.DynSearch(client, cs, cs, newProfile, 5, 0)
+	matches, _, err = dyn.Search(newProfile, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func (o *Oracle) Candidates(target []float64) []uint64 {
 	return out
 }
 
-// Discover is the plaintext reference for Discover / DiscoverSharded /
+// Discover is the plaintext reference for Discover / Serving.Discover /
 // DiscoverBatch on a healthy deployment: candidates from the mirror,
 // exact distances, top-k in candidate order.
 func (o *Oracle) Discover(target []float64, k int, excludeID uint64) []Match {

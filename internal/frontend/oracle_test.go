@@ -96,7 +96,7 @@ func TestOracleMatchesShardedPartialSubsets(t *testing.T) {
 		pool := subsetPool{nodes: nodes, mask: mask}
 		for q := 0; q < 10; q++ {
 			target := ds.Profiles[(mask*13+q)%n]
-			got, _, err := f.DiscoverSharded(context.Background(), pool, target, 6, 0)
+			got, _, err := uncached(t, f, pool).Discover(context.Background(), target, 6, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

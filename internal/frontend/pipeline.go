@@ -98,25 +98,6 @@ func fetchAll(fetch ProfileFetcher, ids []uint64) ([][]byte, error) {
 	return cts, nil
 }
 
-// dynLeg is one shard's read surface for a dynamic search.
-type dynLeg struct {
-	client *core.DynClient
-	store  core.BucketStore
-	fetch  ProfileFetcher
-}
-
-// dynLegs pairs shards[s] with nodes[s].
-func dynLegs(shards []DynShard, nodes []DynNode) ([]dynLeg, error) {
-	if len(shards) == 0 || len(shards) != len(nodes) {
-		return nil, fmt.Errorf("frontend: %d shards but %d nodes", len(shards), len(nodes))
-	}
-	legs := make([]dynLeg, len(shards))
-	for s := range shards {
-		legs[s] = dynLeg{client: shards[s].Client, store: nodes[s], fetch: nodes[s]}
-	}
-	return legs, nil
-}
-
 // dynAnswer is one shard's part of a dynamic miss: the ids its bucket read
 // recovered, in Search order, and per id either the ciphertext its profile
 // leg fetched or — for an id the held set answered — no ciphertext and its
@@ -130,10 +111,10 @@ type dynAnswer struct {
 }
 
 // read runs one shard's search leg: the bucket read, then a profile read
-// of only the ids cache's held set does not cover — none at all when it
-// covers every one.
-func (a *dynAnswer) read(leg dynLeg, cache *ResultCache, meta lsh.Metadata) (err error) {
-	if a.ids, err = leg.client.Search(leg.store, meta); err != nil {
+// from the same node of only the ids cache's held set does not cover —
+// none at all when it covers every one.
+func (a *dynAnswer) read(client *core.DynClient, node DynNode, cache *ResultCache, meta lsh.Metadata) (err error) {
+	if a.ids, err = client.Search(node, meta); err != nil {
 		return err
 	}
 	a.vecs = make([][]float64, len(a.ids))
@@ -146,7 +127,7 @@ func (a *dynAnswer) read(leg dynLeg, cache *ResultCache, meta lsh.Metadata) (err
 	if len(fetch) == 0 {
 		return nil
 	}
-	cts, err := fetchAll(leg.fetch, fetch)
+	cts, err := fetchAll(node, fetch)
 	if err != nil {
 		return err
 	}
@@ -161,47 +142,47 @@ func (a *dynAnswer) read(leg dynLeg, cache *ResultCache, meta lsh.Metadata) (err
 // fetchDynamic is the dynamic candidate source: every shard's client
 // searches its own bucket store and fetches there the matching profiles the
 // held set does not cover, concurrently; answers merge in shard order and
-// are decrypted (through cache's profile table when there is one). Each
+// are decrypted (through the profile table when there is a cache). Each
 // profile leg that crossed the wire then joins the held set, in shard
 // order. Failed shards are skipped (partial); only all shards failing is an
 // error. It closes the span's fanout stage; the caller closes decrypt.
-func (f *Frontend) fetchDynamic(legs []dynLeg, cache *ResultCache, meta lsh.Metadata, sp *obs.Span) (candidates, error) {
-	answers := make([]dynAnswer, len(legs))
-	errs := perShard(len(legs), func(s int) error {
-		return answers[s].read(legs[s], cache, meta)
+func (s *DynServing) fetchDynamic(meta lsh.Metadata, sp *obs.Span) (candidates, error) {
+	answers := make([]dynAnswer, len(s.clients))
+	errs := perShard(len(s.clients), func(sh int) error {
+		return answers[sh].read(s.clients[sh], s.nodes[sh], s.cache, meta)
 	})
 	var c candidates
 	var encProfiles [][]byte
 	var firstErr error
 	failed := 0
-	for s, err := range errs {
+	for sh, err := range errs {
 		if err != nil {
 			failed++
 			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", s, err)
+				firstErr = fmt.Errorf("shard %d: %w", sh, err)
 			}
 			continue
 		}
-		a := &answers[s]
+		a := &answers[sh]
 		a.at = len(c.ids)
 		c.ids = append(c.ids, a.ids...)
 		c.tags = append(c.tags, a.tags...)
 		c.vecs = append(c.vecs, a.vecs...)
 		encProfiles = append(encProfiles, a.cts...)
 	}
-	if failed == len(legs) {
-		return candidates{}, fmt.Errorf("frontend: dynamic search: all %d shards failed: %w", len(legs), firstErr)
+	if failed == len(s.clients) {
+		return candidates{}, fmt.Errorf("frontend: dynamic search: all %d shards failed: %w", len(s.clients), firstErr)
 	}
 	sp.Mark("fanout", fmet.fanoutNs)
-	c, err := f.decryptProfiles(cache, c, encProfiles)
+	c, err := s.f.decryptProfiles(s.cache, c, encProfiles)
 	c.partial = failed > 0
-	if err != nil || cache == nil {
+	if err != nil || s.cache == nil {
 		return c, err
 	}
-	for s, a := range answers {
-		if errs[s] == nil {
+	for sh, a := range answers {
+		if errs[sh] == nil {
 			end := a.at + len(a.ids)
-			cache.hold(a.ids, a.cts, c.tags[a.at:end], c.vecs[a.at:end])
+			s.cache.hold(a.ids, a.cts, c.tags[a.at:end], c.vecs[a.at:end])
 		}
 	}
 	return c, nil

@@ -34,126 +34,102 @@ type RepairNode interface {
 	InstallDynIndex(idx *core.DynIndex) error
 }
 
-// forkClients forks each shard's dynamic client once, for exclusive use
-// by the repair machinery. Shards without a client get a nil slot; using
-// one is reported at repair time, not construction.
-func forkClients(shards []DynShard) ([]*core.DynClient, error) {
-	forks := make([]*core.DynClient, len(shards))
-	for s := range shards {
-		if shards[s].Client == nil {
-			continue
-		}
-		c, err := shards[s].Client.Fork()
-		if err != nil {
-			return nil, fmt.Errorf("frontend: fork client for shard %d: %w", s, err)
-		}
-		forks[s] = c
-	}
-	return forks, nil
-}
-
-// NewReplicaRepair returns the anti-entropy repair function for a
-// replicated dynamic deployment: repair(s, src, dst) rebuilds replica dst
-// of shard s from its healthy sibling src, after which dst holds the same
-// logical state as src under fresh masks. It wipes dst to a freshly
-// sealed empty shell (uniform for a restarted-empty and a lagging
-// replica — a half-applied state is never trusted), sweeps every bucket
-// from src through the re-masking resync in batches of the given position
-// width, and mirrors the encrypted profile store. The caller must hold
-// the group's write lock so no write interleaves the copy; the shard
-// tier's Repairer does.
-func NewReplicaRepair(shards []DynShard, batch int) (func(s int, src, dst RepairNode) error, error) {
-	forks, err := forkClients(shards)
-	if err != nil {
-		return nil, err
-	}
-	return func(s int, src, dst RepairNode) error {
-		if s < 0 || s >= len(forks) || forks[s] == nil {
-			return fmt.Errorf("frontend: repair: no dynamic client for shard %d", s)
-		}
-		c := forks[s]
-		shell, err := c.NewShell()
-		if err != nil {
-			return fmt.Errorf("frontend: repair shard %d: build shell: %w", s, err)
-		}
-		if err := dst.InstallDynIndex(shell); err != nil {
-			return fmt.Errorf("frontend: repair shard %d: install shell: %w", s, err)
-		}
-		if err := c.Resync(src, dst, batch); err != nil {
-			return fmt.Errorf("frontend: repair shard %d: %w", s, err)
-		}
-		if err := mirrorProfiles(src, dst); err != nil {
-			return fmt.Errorf("frontend: repair shard %d: %w", s, err)
-		}
-		return nil
-	}, nil
-}
-
-// ReplicaMigration is the closure set a shard-tier Rebalancer drives to
-// migrate one partition's state onto a newly joined replica in bounded
-// online chunks (prepare once, copy ranges, finish with the profile
-// store). Width is the bucket positions per table of the partition's
-// index — the range the rebalancer chunks over.
-type ReplicaMigration struct {
+// ReplicaSync is the closure set that brings one replica of a partition to
+// a healthy sibling's logical state under fresh masks: Prepare wipes dst to
+// a freshly sealed empty shell (uniform for a restarted-empty, a lagging
+// and a newly joined replica — a half-applied state is never trusted),
+// CopyRange re-syncs bucket positions [lo, hi) of every table from src
+// through the re-masking sweep, Finish mirrors the encrypted profile
+// store, and Width is the positions per table the copy ranges over. A
+// shard-tier Rebalancer drives the four in bounded online chunks; Repair
+// composes them into one anti-entropy pass for a Repairer. The caller must
+// hold the group's write lock around each step; the shard tier does.
+type ReplicaSync struct {
 	Prepare   func(s int, src, dst RepairNode) error
 	CopyRange func(s int, src, dst RepairNode, lo, hi uint64) error
 	Finish    func(s int, src, dst RepairNode) error
 	Width     func(s int) uint64
 }
 
-// NewReplicaMigration returns the migration closures for a replicated
-// dynamic deployment, backed by the same kind of pre-forked per-shard
-// clients as NewReplicaRepair, so chunked migration runs beside
-// foreground churn without lock coupling.
-func NewReplicaMigration(shards []DynShard) (ReplicaMigration, error) {
-	forks, err := forkClients(shards)
-	if err != nil {
-		return ReplicaMigration{}, err
-	}
-	client := func(s int) (*core.DynClient, error) {
-		if s < 0 || s >= len(forks) || forks[s] == nil {
-			return nil, fmt.Errorf("frontend: migrate: no dynamic client for shard %d", s)
+// NewReplicaSync returns the replica-sync closures for the serving path's
+// shards. Each shard's client is forked once, here, in shard order, for
+// the closures' exclusive use, so repair and migration run beside
+// foreground churn without lock coupling. A shard index out of range is
+// an error from Prepare and CopyRange and a zero Width.
+func (s *DynServing) NewReplicaSync() (ReplicaSync, error) {
+	forks := make([]*core.DynClient, len(s.clients))
+	for sh, c := range s.clients {
+		var err error
+		if forks[sh], err = c.Fork(); err != nil {
+			return ReplicaSync{}, fmt.Errorf("frontend: fork client for shard %d: %w", sh, err)
 		}
-		return forks[s], nil
 	}
-	return ReplicaMigration{
-		Prepare: func(s int, src, dst RepairNode) error {
-			c, err := client(s)
+	client := func(sh int) (*core.DynClient, error) {
+		if sh < 0 || sh >= len(forks) {
+			return nil, fmt.Errorf("frontend: replica sync: no dynamic client for shard %d", sh)
+		}
+		return forks[sh], nil
+	}
+	return ReplicaSync{
+		Prepare: func(sh int, src, dst RepairNode) error {
+			c, err := client(sh)
 			if err != nil {
 				return err
 			}
 			shell, err := c.NewShell()
 			if err != nil {
-				return fmt.Errorf("frontend: migrate shard %d: build shell: %w", s, err)
+				return fmt.Errorf("frontend: replica sync shard %d: build shell: %w", sh, err)
 			}
 			if err := dst.InstallDynIndex(shell); err != nil {
-				return fmt.Errorf("frontend: migrate shard %d: install shell: %w", s, err)
+				return fmt.Errorf("frontend: replica sync shard %d: install shell: %w", sh, err)
 			}
 			return nil
 		},
-		CopyRange: func(s int, src, dst RepairNode, lo, hi uint64) error {
-			c, err := client(s)
+		CopyRange: func(sh int, src, dst RepairNode, lo, hi uint64) error {
+			c, err := client(sh)
 			if err != nil {
 				return err
 			}
 			if err := c.ResyncRange(src, dst, lo, hi); err != nil {
-				return fmt.Errorf("frontend: migrate shard %d: %w", s, err)
+				return fmt.Errorf("frontend: replica sync shard %d: %w", sh, err)
 			}
 			return nil
 		},
-		Finish: func(s int, src, dst RepairNode) error {
+		Finish: func(sh int, src, dst RepairNode) error {
 			if err := mirrorProfiles(src, dst); err != nil {
-				return fmt.Errorf("frontend: migrate shard %d: %w", s, err)
+				return fmt.Errorf("frontend: replica sync shard %d: %w", sh, err)
 			}
 			return nil
 		},
-		Width: func(s int) uint64 {
-			if s < 0 || s >= len(shards) || shards[s].Index == nil {
+		Width: func(sh int) uint64 {
+			c, err := client(sh)
+			if err != nil {
 				return 0
 			}
-			return uint64(shards[s].Index.Width())
+			return uint64(c.Width())
 		},
 	}, nil
+}
+
+// Repair returns the anti-entropy repair function: repair(s, src, dst)
+// runs Prepare, then CopyRange over batch-wide position chunks (batch <= 0
+// or wider than the index means one chunk), then Finish.
+func (r ReplicaSync) Repair(batch int) func(s int, src, dst RepairNode) error {
+	return func(s int, src, dst RepairNode) error {
+		if err := r.Prepare(s, src, dst); err != nil {
+			return err
+		}
+		w, step := r.Width(s), uint64(batch)
+		if batch <= 0 || step > w {
+			step = w
+		}
+		for lo := uint64(0); lo < w; lo += step {
+			if err := r.CopyRange(s, src, dst, lo, min(lo+step, w)); err != nil {
+				return err
+			}
+		}
+		return r.Finish(s, src, dst)
+	}
 }
 
 // mirrorProfiles makes dst's encrypted-profile store equal src's: every

@@ -17,20 +17,11 @@ import (
 // profile: trapdoor → SecRec at the cloud → decrypt matches → exact
 // distance ranking → top-k recommendations (GetRec). excludeID removes the
 // target's own identifier from the results (pass 0 to keep everything).
-// A single node is a never-partial 1-shard fan-out.
+// It is Serving.Discover, without gate or cache, over the node as a
+// never-partial 1-shard fan-out.
 func (f *Frontend) Discover(server BatchDiscoveryServer, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
-	matches, _, err := f.DiscoverSharded(context.Background(), SingleFanout{S: server}, targetProfile, k, excludeID)
+	matches, _, err := (&Serving{f: f, fan: SingleFanout{S: server}}).Discover(context.Background(), targetProfile, k, excludeID)
 	return matches, err
-}
-
-// DiscoverSharded runs the discovery flow against a sharded cloud tier:
-// trapdoor → concurrent fan-out → decrypt → exact distance ranking.
-// partial reports that one or more shards were unreachable and the
-// recommendations cover only the surviving shards' users. For the same
-// dataset and keys the non-partial result is identical to Discover against
-// a single cloud node. It is Serving.Discover minus gate and cache.
-func (f *Frontend) DiscoverSharded(ctx context.Context, pool FanoutBatchServer, targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
-	return (&Serving{f: f, fan: pool}).Discover(ctx, targetProfile, k, excludeID)
 }
 
 // DiscoverBatch runs the discovery flow for many target profiles in one
@@ -48,8 +39,8 @@ func (f *Frontend) DiscoverBatch(server BatchDiscoveryServer, targets [][]float6
 // DiscoverShardedBatch runs batched discovery against a sharded cloud
 // tier: parallel trapdoor generation → one SecRecBatch call per shard →
 // per-query decrypt/rank fanned out across CPUs. Result q is byte-identical
-// to DiscoverSharded(ctx, pool, targets[q], k, excludeIDs[q]) over the same
-// set of healthy shards; partial reports that one or more shards were
+// to Serving.Discover(ctx, targets[q], k, excludeIDs[q]) over the same pool
+// and set of healthy shards; partial reports that one or more shards were
 // skipped for the whole batch. excludeIDs may be nil, or aligned with
 // targets (0 = no exclusion).
 func (f *Frontend) DiscoverShardedBatch(ctx context.Context, pool FanoutBatchServer, targets [][]float64, k int, excludeIDs []uint64) ([][]Match, bool, error) {
@@ -211,28 +202,4 @@ func BoostFoF(graph *fof.Graph, targetID uint64, matches []Match, k int) []Match
 		out[i] = byID[id]
 	}
 	return out
-}
-
-// DynSearch runs discovery against a single-node dynamic index — the
-// 1-shard case of DynSearchSharded: the client recovers candidate ids from
-// the bucket store, then fetches and ranks their encrypted profiles.
-func (f *Frontend) DynSearch(client *core.DynClient, store core.BucketStore, fetch ProfileFetcher, targetProfile []float64, k int, excludeID uint64) ([]Match, error) {
-	legs := []dynLeg{{client: client, store: store, fetch: fetch}}
-	matches, _, err := (&DynServing{f: f, legs: legs}).Search(targetProfile, k, excludeID)
-	return matches, err
-}
-
-// DynSearchSharded fans a dynamic search across all shards concurrently:
-// every shard's client searches its own bucket store, the matching
-// encrypted profiles are fetched from that shard, and the merged
-// candidates are distance-ranked. Shards that fail are skipped and the
-// result is flagged partial; an error is returned only when every shard
-// fails. shards[s] must pair with nodes[s]. It is DynServing.Search with
-// no cache or admission bound.
-func (f *Frontend) DynSearchSharded(shards []DynShard, nodes []DynNode, targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
-	legs, err := dynLegs(shards, nodes)
-	if err != nil {
-		return nil, false, err
-	}
-	return (&DynServing{f: f, legs: legs}).Search(targetProfile, k, excludeID)
 }

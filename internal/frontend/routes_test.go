@@ -73,6 +73,28 @@ func newStaticDeployment(t *testing.T, n, shards int) *staticDeployment {
 	return &staticDeployment{f: f, profiles: ds.Profiles, pool: pool, oracle: oracle}
 }
 
+// uncached is the serving path with a zero config — no cache, no gate —
+// over pool.
+func uncached(t testing.TB, f *Frontend, pool FanoutBatchServer) *Serving {
+	t.Helper()
+	s, err := f.NewServing(pool, ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// uncachedDyn is the dynamic serving path with a zero config over shards
+// paired with nodes, owned by core.DefaultOwner.
+func uncachedDyn(t testing.TB, f *Frontend, shards []DynShard, nodes []DynNode) *DynServing {
+	t.Helper()
+	s, err := f.NewDynServing(shards, nodes, nil, ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // each lifts a single-query route to the table's batch shape.
 func each(one func(target []float64, k int, exclude uint64) ([]Match, error)) func(context.Context, [][]float64, int, []uint64) ([][]Match, error) {
 	return func(_ context.Context, targets [][]float64, k int, excludes []uint64) ([][]Match, error) {
@@ -121,10 +143,8 @@ func (d *staticDeployment) routes(t *testing.T) []staticRoute {
 			run: each(func(target []float64, k int, exclude uint64) ([]Match, error) {
 				return f.Discover(node, target, k, exclude)
 			})},
-		{name: "DiscoverSharded", total: "frontend.discover", traced: true,
-			run: eachCtx(func(ctx context.Context, target []float64, k int, exclude uint64) ([]Match, bool, error) {
-				return f.DiscoverSharded(ctx, d.pool, target, k, exclude)
-			})},
+		{name: "Serving.Discover uncached", total: "frontend.discover", traced: true,
+			run: eachCtx(uncached(t, f, d.pool).Discover)},
 		{name: "DiscoverBatch", total: "frontend.discover_batch",
 			run: func(_ context.Context, targets [][]float64, k int, excludes []uint64) ([][]Match, error) {
 				return f.DiscoverBatch(node, targets, k, excludes)
@@ -208,34 +228,27 @@ func (d *dynDeployment) serving(t *testing.T) *DynServing {
 	return serv
 }
 
-// routes lists every dynamic entry point over the deployment (DynSearch
-// only when there is a single node to point it at). The two DynServing
-// rows share serv and must run in order.
-func (d *dynDeployment) routes(serv *DynServing) []dynRoute {
-	f := d.f
+// routes lists every dynamic entry point over the deployment: an uncached
+// serving path, then serv. The two rows on serv must run in order.
+func (d *dynDeployment) routes(t *testing.T, serv *DynServing) []dynRoute {
+	t.Helper()
+	plain := uncachedDyn(t, d.f, d.shards, d.nodes)
 	checked := func(m []Match, partial bool, err error) ([]Match, error) {
 		if err == nil && partial {
 			err = fmt.Errorf("partial result with every shard alive")
 		}
 		return m, err
 	}
-	var out []dynRoute
-	if len(d.shards) == 1 {
-		out = append(out, dynRoute{name: "DynSearch",
+	return []dynRoute{
+		{name: "DynServing.Search uncached",
 			run: func(target []float64, k int, exclude uint64) ([]Match, error) {
-				return f.DynSearch(d.shards[0].Client, d.nodes[0], d.nodes[0], target, k, exclude)
-			}})
-	}
-	return append(out,
-		dynRoute{name: "DynSearchSharded",
-			run: func(target []float64, k int, exclude uint64) ([]Match, error) {
-				return checked(f.DynSearchSharded(d.shards, d.nodes, target, k, exclude))
+				return checked(plain.Search(target, k, exclude))
 			}},
-		dynRoute{name: "DynServing.Search miss",
+		{name: "DynServing.Search miss",
 			run: func(target []float64, k int, exclude uint64) ([]Match, error) {
 				return checked(serv.Search(target, k, exclude))
 			}},
-		dynRoute{name: "DynServing.Search hit", hit: true,
+		{name: "DynServing.Search hit", hit: true,
 			run: func(target []float64, k int, exclude uint64) ([]Match, error) {
 				before := totalFetches(d.counters)
 				m, err := checked(serv.Search(target, k, exclude))
@@ -244,7 +257,7 @@ func (d *dynDeployment) routes(serv *DynServing) []dynRoute {
 				}
 				return m, err
 			}},
-	)
+	}
 }
 
 // TestRouteAgreement is the one-pipeline contract: over one deployment,
@@ -287,12 +300,13 @@ func TestRouteAgreement(t *testing.T) {
 			oracle := d.f.NewDynOracle(d.uploads)
 			serv := d.serving(t)
 			serv.AttachSubscriptions(nil)
+			plain := uncachedDyn(t, d.f, d.shards, d.nodes)
 			for q := 0; q < queries; q++ {
 				u := d.uploads[q*23%n]
 				// The dynamic placement is not replayable in plaintext, so
 				// the oracle ranks the full candidate set one uncached
 				// search recovers; every route must agree with that.
-				all, _, err := d.f.DynSearchSharded(d.shards, d.nodes, u.Profile, n+1, 0)
+				all, _, err := plain.Search(u.Profile, n+1, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -305,7 +319,7 @@ func TestRouteAgreement(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, r := range d.routes(serv) {
+					for _, r := range d.routes(t, serv) {
 						got, err := r.run(u.Profile, k, exclude)
 						if err != nil {
 							t.Fatalf("%s query %d: %v", r.name, q, err)

@@ -62,7 +62,7 @@ func (s *Serving) Cache() *ResultCache { return s.cache }
 
 // Discover runs one discovery through the serving path: admission →
 // trapdoor → cache → fan-out → decrypt → exact distance
-// ranking. The matches are byte-identical to DiscoverSharded over the
+// ranking. The matches are byte-identical to an uncached Serving over the
 // same healthy shards: a cache hit replays the exact candidate set the
 // cloud returned for this trapdoor, and ranking is deterministic.
 // Overload returns ErrOverloaded before any work is done.
@@ -102,14 +102,13 @@ func (s *Serving) Discover(ctx context.Context, targetProfile []float64, k int, 
 // searches so a search result can never be cached after the update that
 // outdates it.
 type DynServing struct {
-	f      *Frontend
-	shards []DynShard
-	nodes  []DynNode
-	legs   []dynLeg  // shards[s] paired with nodes[s]: the search fan-out
-	writes []DynNode // nodes behind the cache-invalidation hook: the update path
-	owner  func(uint64) int
-	cache  *ResultCache
-	gate   *AdmissionGate
+	f       *Frontend
+	clients []*core.DynClient // clients[s] holds shard s's round keys
+	nodes   []DynNode         // nodes[s] is shard s's cloud surface: the search fan-out
+	writes  []DynNode         // nodes behind the cache-invalidation hook: the update path
+	owner   func(uint64) int
+	cache   *ResultCache
+	gate    *AdmissionGate
 
 	// subsm is the attached subscription manager (nil when the serving
 	// path runs without standing queries); its hooks run under churn,
@@ -123,30 +122,37 @@ type DynServing struct {
 	churn sync.RWMutex
 }
 
-// NewDynServing builds the cached dynamic serving path. shards[s] must
-// pair with nodes[s]; a nil owner means core.DefaultOwner.
+// NewDynServing builds the dynamic serving path: the one way the front end
+// searches, inserts into, deletes from and re-syncs a dynamic shard.
+// shards[s] must pair with nodes[s] and carry shard s's client; a nil
+// owner means core.DefaultOwner. A zero cfg is the uncached, unbounded
+// path. Only the clients are kept: the shards' build-time index and
+// ciphertexts live at the cloud.
 func (f *Frontend) NewDynServing(shards []DynShard, nodes []DynNode, owner func(uint64) int, cfg ServingConfig) (*DynServing, error) {
-	legs, err := dynLegs(shards, nodes)
-	if err != nil {
-		return nil, err
+	if len(shards) == 0 || len(shards) != len(nodes) {
+		return nil, fmt.Errorf("frontend: %d shards but %d nodes", len(shards), len(nodes))
 	}
 	if owner == nil {
 		owner = core.DefaultOwner(len(shards))
 	}
 	cache := NewResultCache(cfg.CacheEntries)
+	clients := make([]*core.DynClient, len(shards))
 	writes := make([]DynNode, len(nodes))
-	for i, n := range nodes {
-		writes[i] = invalidatingNode{DynNode: n, cache: cache}
+	for s, n := range nodes {
+		if shards[s].Client == nil || n == nil {
+			return nil, fmt.Errorf("frontend: shard %d has no dynamic client or node", s)
+		}
+		clients[s] = shards[s].Client
+		writes[s] = invalidatingNode{DynNode: n, cache: cache}
 	}
 	return &DynServing{
-		f:      f,
-		shards: shards,
-		nodes:  nodes,
-		legs:   legs,
-		writes: writes,
-		owner:  owner,
-		cache:  cache,
-		gate:   NewAdmissionGate(cfg.MaxInflight),
+		f:       f,
+		clients: clients,
+		nodes:   nodes,
+		writes:  writes,
+		owner:   owner,
+		cache:   cache,
+		gate:    NewAdmissionGate(cfg.MaxInflight),
 	}, nil
 }
 
@@ -156,7 +162,7 @@ func (s *DynServing) Cache() *ResultCache { return s.cache }
 
 // Search runs one cached dynamic discovery. A hit replays the merged
 // candidate set of the last identical search with zero cloud traffic;
-// the result matches DynSearchSharded exactly as long as no intervening
+// the result matches an uncached search exactly as long as no intervening
 // update touched the addressed buckets — which the invalidation hook
 // guarantees.
 func (s *DynServing) Search(targetProfile []float64, k int, excludeID uint64) ([]Match, bool, error) {
@@ -180,13 +186,13 @@ func (s *DynServing) Search(targetProfile []float64, k int, excludeID uint64) ([
 // subscription seeding, keyed on the bucket references the cloud would
 // observe: a hit costs zero cloud traffic. Callers hold churn.
 func (s *DynServing) candidates(meta lsh.Metadata, sp *obs.Span) (candidates, error) {
-	refs, err := s.legs[0].client.Refs(meta)
+	refs, err := s.clients[0].Refs(meta)
 	if err != nil {
 		return candidates{}, err
 	}
 	sp.Mark("trapdoor", fmet.trapdoorNs)
 	return s.cache.lookup(refsKey(refs), refs, func() (candidates, error) {
-		return s.f.fetchDynamic(s.legs, s.cache, meta, sp)
+		return s.fetchDynamic(meta, sp)
 	})
 }
 
@@ -201,7 +207,7 @@ func (s *DynServing) candidates(meta lsh.Metadata, sp *obs.Span) (candidates, er
 // ciphertext, and the upload named the id in clear. One that fails in the
 // bucket rounds never sent the upload and leaves the held set alone.
 func (s *DynServing) Insert(id uint64, profile []float64) error {
-	u, err := s.f.prepareInsert(s.shards, s.nodes, s.owner, id, profile)
+	u, err := s.prepareInsert(id, profile)
 	if err != nil {
 		return err
 	}
@@ -214,7 +220,7 @@ func (s *DynServing) Insert(id uint64, profile []float64) error {
 	}
 	s.churn.Lock()
 	defer s.churn.Unlock()
-	if sent, err := dynInsert(s.shards, s.writes, u); err != nil {
+	if sent, err := s.dynInsert(u); err != nil {
 		if sent {
 			s.cache.forget(id)
 		}
@@ -235,13 +241,13 @@ func (s *DynServing) Insert(id uint64, profile []float64) error {
 // the held set too: the cloud may no longer hold its ciphertext. One that
 // fails in the bucket rounds never sent the removal and leaves it alone.
 func (s *DynServing) Delete(id uint64, profile []float64) error {
-	u, err := s.f.prepareUpdate(s.shards, s.nodes, s.owner, id, profile)
+	u, err := s.prepareUpdate(id, profile)
 	if err != nil {
 		return err
 	}
 	s.churn.Lock()
 	defer s.churn.Unlock()
-	sent, err := dynDelete(s.shards, s.writes, u)
+	sent, err := s.dynDelete(u)
 	if sent {
 		s.cache.forget(id)
 	}

@@ -57,8 +57,8 @@ func discoverConcurrently(t *testing.T, serving *Serving, targets [][]float64, k
 
 // TestServingConcurrentEquivalence is the serving path's headline
 // contract: concurrent Discover calls, each its own batch-of-one exchange
-// over the shared pool, return byte-identical matches to serial
-// DiscoverSharded. Runs with the cache disabled so every call actually
+// over the shared pool, return byte-identical matches to serial uncached
+// discoveries. Runs with the cache disabled so every call actually
 // reaches the fan-out; `go test -race` makes this double as the serving
 // path's concurrency check.
 func TestServingConcurrentEquivalence(t *testing.T) {
@@ -73,8 +73,9 @@ func TestServingConcurrentEquivalence(t *testing.T) {
 		excludes[i] = id
 	}
 	want := make([][]Match, queries)
+	plain := uncached(t, f, pool)
 	for i := range targets {
-		m, partial, err := f.DiscoverSharded(context.Background(), pool, targets[i], k, excludes[i])
+		m, partial, err := plain.Discover(context.Background(), targets[i], k, excludes[i])
 		if err != nil || partial {
 			t.Fatalf("serial discover %d: partial=%v err=%v", i, partial, err)
 		}
@@ -159,8 +160,9 @@ func TestServingConcurrentEquivalenceFaultyLatency(t *testing.T) {
 
 	targets, _ := ds.Queries(queries, 3)
 	want := make([][]Match, queries)
+	plain := uncached(t, f, pool)
 	for i, q := range targets {
-		m, partial, err := f.DiscoverSharded(context.Background(), pool, q, k, 0)
+		m, partial, err := plain.Discover(context.Background(), q, k, 0)
 		if err != nil || partial {
 			t.Fatalf("clean serial discover %d: partial=%v err=%v", i, partial, err)
 		}

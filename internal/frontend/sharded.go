@@ -1,7 +1,6 @@
 package frontend
 
 import (
-	"errors"
 	"fmt"
 
 	"pisd/internal/core"
@@ -127,31 +126,6 @@ type DynNode interface {
 	DeleteProfile(id uint64) error
 }
 
-// DynInsertSharded routes a dynamic insertion to the owning shard: the
-// shard's client runs the secure insert rounds against that shard's bucket
-// store and the encrypted profile is uploaded to the same shard. The
-// caller sees the shard's error directly — an unreachable owning shard
-// fails the insert (there is no other shard that may hold the user).
-func (f *Frontend) DynInsertSharded(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) error {
-	u, err := f.prepareInsert(shards, nodes, owner, id, profile)
-	if err != nil {
-		return err
-	}
-	_, err = dynInsert(shards, nodes, u)
-	return err
-}
-
-// DynDeleteSharded routes a secure deletion to the owning shard and
-// removes the user's encrypted profile there.
-func (f *Frontend) DynDeleteSharded(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) error {
-	u, err := f.prepareUpdate(shards, nodes, owner, id, profile)
-	if err != nil {
-		return err
-	}
-	_, err = dynDelete(shards, nodes, u)
-	return err
-}
-
 // dynUpdate is one mutation's pure preparation: the owning shard, the
 // user's LSH metadata and, for an insert, the encrypted profile. It is
 // computed once and needs no lock, so a serving path can prepare an update
@@ -164,70 +138,62 @@ type dynUpdate struct {
 }
 
 // prepareUpdate routes id to its owning shard and hashes its profile.
-func (f *Frontend) prepareUpdate(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) (dynUpdate, error) {
-	s, err := routeShard(shards, nodes, owner, id)
+func (s *DynServing) prepareUpdate(id uint64, profile []float64) (dynUpdate, error) {
+	sh, err := s.routeShard(id)
 	if err != nil {
 		return dynUpdate{}, err
 	}
-	return dynUpdate{id: id, shard: s, meta: f.family.Hash(profile)}, nil
+	return dynUpdate{id: id, shard: sh, meta: s.f.family.Hash(profile)}, nil
 }
 
 // prepareInsert is prepareUpdate plus the profile's encryption.
-func (f *Frontend) prepareInsert(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64, profile []float64) (dynUpdate, error) {
-	u, err := f.prepareUpdate(shards, nodes, owner, id, profile)
+func (s *DynServing) prepareInsert(id uint64, profile []float64) (dynUpdate, error) {
+	u, err := s.prepareUpdate(id, profile)
 	if err != nil {
 		return dynUpdate{}, err
 	}
-	if u.ct, err = f.EncryptProfile(profile); err != nil {
+	if u.ct, err = s.f.EncryptProfile(profile); err != nil {
 		return dynUpdate{}, fmt.Errorf("frontend: encrypt profile %d: %w", id, err)
 	}
 	return u, nil
 }
 
 // dynInsert runs a prepared insertion's rounds and profile upload on its
-// owning shard. sent reports whether the upload, which names the id in
-// clear, was issued: a failure before it left the id's stored ciphertext
-// as it was.
-func dynInsert(shards []DynShard, nodes []DynNode, u dynUpdate) (sent bool, err error) {
-	s := u.shard
-	if err := shards[s].Client.Insert(nodes[s], u.id, u.meta); err != nil {
-		return false, fmt.Errorf("frontend: insert %d at shard %d: %w", u.id, s, err)
+// owning shard, through the cache-invalidation hook. sent reports whether
+// the upload, which names the id in clear, was issued: a failure before it
+// left the id's stored ciphertext as it was.
+func (s *DynServing) dynInsert(u dynUpdate) (sent bool, err error) {
+	sh := u.shard
+	if err := s.clients[sh].Insert(s.writes[sh], u.id, u.meta); err != nil {
+		return false, fmt.Errorf("frontend: insert %d at shard %d: %w", u.id, sh, err)
 	}
-	if err := nodes[s].PutProfiles(map[uint64][]byte{u.id: u.ct}); err != nil {
-		return true, fmt.Errorf("frontend: upload profile %d to shard %d: %w", u.id, s, err)
+	if err := s.writes[sh].PutProfiles(map[uint64][]byte{u.id: u.ct}); err != nil {
+		return true, fmt.Errorf("frontend: upload profile %d to shard %d: %w", u.id, sh, err)
 	}
 	return true, nil
 }
 
 // dynDelete runs a prepared deletion's rounds and profile removal on its
-// owning shard. sent reports whether the removal, which names the id in
-// clear, was issued: a failure before it left the id's stored ciphertext
-// as it was.
-func dynDelete(shards []DynShard, nodes []DynNode, u dynUpdate) (sent bool, err error) {
-	s := u.shard
-	if err := shards[s].Client.Delete(nodes[s], u.id, u.meta); err != nil {
-		return false, fmt.Errorf("frontend: delete %d at shard %d: %w", u.id, s, err)
+// owning shard, through the cache-invalidation hook. sent reports whether
+// the removal, which names the id in clear, was issued: a failure before it
+// left the id's stored ciphertext as it was.
+func (s *DynServing) dynDelete(u dynUpdate) (sent bool, err error) {
+	sh := u.shard
+	if err := s.clients[sh].Delete(s.writes[sh], u.id, u.meta); err != nil {
+		return false, fmt.Errorf("frontend: delete %d at shard %d: %w", u.id, sh, err)
 	}
-	if err := nodes[s].DeleteProfile(u.id); err != nil {
-		return true, fmt.Errorf("frontend: remove profile %d at shard %d: %w", u.id, s, err)
+	if err := s.writes[sh].DeleteProfile(u.id); err != nil {
+		return true, fmt.Errorf("frontend: remove profile %d at shard %d: %w", u.id, sh, err)
 	}
 	return true, nil
 }
 
-// routeShard resolves the shard owning id and validates the pairing.
-func routeShard(shards []DynShard, nodes []DynNode, owner func(uint64) int, id uint64) (int, error) {
-	if len(shards) == 0 || len(shards) != len(nodes) {
-		return 0, fmt.Errorf("frontend: %d shards but %d nodes", len(shards), len(nodes))
+// routeShard resolves the shard owning id. The shard/node pairing was
+// checked once, by NewDynServing; only the owner's range is per id.
+func (s *DynServing) routeShard(id uint64) (int, error) {
+	sh := s.owner(id)
+	if sh < 0 || sh >= len(s.clients) {
+		return 0, fmt.Errorf("frontend: owner(%d) = %d out of range [0,%d)", id, sh, len(s.clients))
 	}
-	if owner == nil {
-		owner = core.DefaultOwner(len(shards))
-	}
-	s := owner(id)
-	if s < 0 || s >= len(shards) {
-		return 0, fmt.Errorf("frontend: owner(%d) = %d out of range [0,%d)", id, s, len(shards))
-	}
-	if shards[s].Client == nil {
-		return 0, errors.New("frontend: shard has no dynamic client")
-	}
-	return s, nil
+	return sh, nil
 }

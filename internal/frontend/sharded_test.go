@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"pisd/internal/cloud"
 	"pisd/internal/core"
+	"pisd/internal/shard"
 )
 
 // TestBuildShardedIndexRoutesProfiles checks the partitioned build: shard
@@ -95,7 +97,7 @@ func (s *fanoutStub) SecRecBatch(context.Context, []*core.Trapdoor) ([][]uint64,
 }
 
 // TestDiscoverShardedPropagatesPartial checks that the partial flag and
-// fan-out errors surface through DiscoverSharded.
+// fan-out errors surface through an uncached Serving.Discover.
 func TestDiscoverShardedPropagatesPartial(t *testing.T) {
 	const n = 60
 	f, err := New(testConfig())
@@ -113,9 +115,10 @@ func TestDiscoverShardedPropagatesPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	stub := &fanoutStub{ids: []uint64{2}, profiles: [][]byte{ct}, partial: true}
-	matches, partial, err := f.DiscoverSharded(context.Background(), stub, ds.Profiles[0], 5, 0)
+	serving := uncached(t, f, stub)
+	matches, partial, err := serving.Discover(context.Background(), ds.Profiles[0], 5, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded: %v", err)
+		t.Fatalf("Discover: %v", err)
 	}
 	if !partial {
 		t.Fatal("partial flag dropped")
@@ -125,7 +128,7 @@ func TestDiscoverShardedPropagatesPartial(t *testing.T) {
 	}
 
 	stub.err = errors.New("all shards failed")
-	if _, _, err := f.DiscoverSharded(context.Background(), stub, ds.Profiles[0], 5, 0); err == nil {
+	if _, _, err := serving.Discover(context.Background(), ds.Profiles[0], 5, 0); err == nil {
 		t.Fatal("fan-out error swallowed")
 	}
 }
@@ -141,11 +144,15 @@ func TestRouteShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.DynInsertSharded(dynShards, nil, nil, 1, ds.Profiles[0]); err == nil {
+	if _, err := f.NewDynServing(dynShards, nil, nil, ServingConfig{}); err == nil {
 		t.Fatal("mismatched shard/node lengths accepted")
 	}
-	nodes := make([]DynNode, 2)
-	if err := f.DynInsertSharded(dynShards, nodes, func(uint64) int { return 9 }, 1, ds.Profiles[0]); err == nil {
+	nodes := []DynNode{shard.NewLocal(cloud.New()), shard.NewLocal(cloud.New())}
+	dyn, err := f.NewDynServing(dynShards, nodes, func(uint64) int { return 9 }, ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn.Insert(1, ds.Profiles[0]); err == nil {
 		t.Fatal("out-of-range owner accepted")
 	}
 }

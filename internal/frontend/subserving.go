@@ -76,8 +76,8 @@ func (s *DynServing) Unsubscribe(subID uint64) bool {
 // with their shard before they meet the subscription index.
 func (s *DynServing) subRefs(meta lsh.Metadata) ([]subs.Ref, error) {
 	var out []subs.Ref
-	for sh := range s.shards {
-		refs, err := s.shards[sh].Client.Refs(meta)
+	for sh, c := range s.clients {
+		refs, err := c.Refs(meta)
 		if err != nil {
 			return nil, fmt.Errorf("frontend: shard %d refs: %w", sh, err)
 		}
@@ -104,7 +104,7 @@ func (s *DynServing) insertWrites(u dynUpdate) []subs.Ref {
 	if s.subsm == nil {
 		return nil
 	}
-	refs, err := s.shards[u.shard].Client.Refs(u.meta)
+	refs, err := s.clients[u.shard].Refs(u.meta)
 	if err != nil {
 		return nil
 	}
@@ -133,7 +133,7 @@ func (s *DynServing) RescoreSubscriptions() (int, error) {
 	}
 	byShard := make([][]uint64, len(s.nodes))
 	for _, id := range ids {
-		sh, err := routeShard(s.shards, s.nodes, s.owner, id)
+		sh, err := s.routeShard(id)
 		if err != nil {
 			return 0, err
 		}

@@ -89,7 +89,7 @@ func TestDiscoverTraced(t *testing.T) {
 
 	dd := newDynDeployment(t, n, 1)
 	target := dd.uploads[7]
-	for _, r := range dd.routes(dd.serving(t)) {
+	for _, r := range dd.routes(t, dd.serving(t)) {
 		d, _ := stageDiff(t, r.name, func(context.Context) error {
 			_, err := r.run(target.Profile, k, target.ID)
 			return err

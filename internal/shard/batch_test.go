@@ -81,9 +81,9 @@ func TestBatchPartialOnDeadShard(t *testing.T) {
 		t.Fatalf("%d results for %d queries", len(got), len(queries))
 	}
 	for qi, q := range queries {
-		want, wantPartial, err := f.DiscoverSharded(context.Background(), pool, q, n+1, 0)
+		want, wantPartial, err := uncached(t, f, pool).Discover(context.Background(), q, n+1, 0)
 		if err != nil {
-			t.Fatalf("query %d: DiscoverSharded: %v", qi, err)
+			t.Fatalf("query %d: Discover: %v", qi, err)
 		}
 		if !wantPartial {
 			t.Fatalf("query %d: serial reference not partial", qi)

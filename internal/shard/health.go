@@ -187,7 +187,7 @@ func (p *Prober) Stop() {
 // replica src: after it returns nil, dst holds the same logical state as
 // src. The frontend supplies the implementation (it holds the keys the
 // dynamic scheme's re-masking machinery needs); see
-// frontend.NewReplicaRepair.
+// frontend.ReplicaSync.Repair.
 type RepairFunc func(group int, src, dst ReplicaNode) error
 
 // Repairer is the fleet's anti-entropy loop: each round it finds, per

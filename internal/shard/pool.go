@@ -90,17 +90,7 @@ func (p *Pool) SecRecBatch(ctx context.Context, ts []*core.Trapdoor) (ids [][]ui
 		return nil, nil, false, nil
 	}
 	start := time.Now()
-	type batchLeg struct {
-		ids      [][]uint64
-		profiles [][][]byte
-	}
-	results, errs := fanout(p, ctx, func(cctx context.Context, s int) (batchLeg, error) {
-		ids, profiles, err := p.nodes[s].SecRecBatch(cctx, ts)
-		if err == nil && (len(ids) != len(ts) || len(profiles) != len(ts)) {
-			err = fmt.Errorf("shard: batch of %d queries answered with %d results", len(ts), len(ids))
-		}
-		return batchLeg{ids: ids, profiles: profiles}, err
-	})
+	results, errs := fanout(p, ctx, ts)
 
 	var firstErr error
 	failed := 0
@@ -149,11 +139,17 @@ func (p *Pool) SecRec(ctx context.Context, t *core.Trapdoor) (ids []uint64, encP
 	return batchIDs[0], batchProfiles[0], partial, nil
 }
 
-// fanout runs one retried call per shard concurrently and collects each
-// shard's result or final error. Shard failures are reported to
-// OnShardError here, once per fan-out.
-func fanout[T any](p *Pool, ctx context.Context, call func(context.Context, int) (T, error)) ([]T, []error) {
-	results := make([]T, len(p.nodes))
+// batchLeg is one shard's answer to a SecRecBatch fan-out.
+type batchLeg struct {
+	ids      [][]uint64
+	profiles [][][]byte
+}
+
+// fanout runs one retried SecRecBatch call per shard concurrently and
+// collects each shard's answer or final error. Shard failures are reported
+// to OnShardError here, once per fan-out.
+func fanout(p *Pool, ctx context.Context, ts []*core.Trapdoor) ([]batchLeg, []error) {
+	results := make([]batchLeg, len(p.nodes))
 	errs := make([]error, len(p.nodes))
 	var wg sync.WaitGroup
 	for s := range p.nodes {
@@ -161,8 +157,12 @@ func fanout[T any](p *Pool, ctx context.Context, call func(context.Context, int)
 		go func(s int) {
 			defer wg.Done()
 			start := time.Now()
-			results[s], errs[s] = attempt(p, ctx, s, func(cctx context.Context) (T, error) {
-				return call(cctx, s)
+			results[s], errs[s] = attempt(p, ctx, s, func(cctx context.Context) (batchLeg, error) {
+				ids, profiles, err := p.nodes[s].SecRecBatch(cctx, ts)
+				if err == nil && (len(ids) != len(ts) || len(profiles) != len(ts)) {
+					err = fmt.Errorf("shard: batch of %d queries answered with %d results", len(ts), len(ids))
+				}
+				return batchLeg{ids: ids, profiles: profiles}, err
 			})
 			if errs[s] == nil {
 				p.met.leg(s).ObserveSince(start)
@@ -192,8 +192,7 @@ func fanout[T any](p *Pool, ctx context.Context, call func(context.Context, int)
 // per-shard attempts/retries/timeouts counters exist precisely so those
 // swallowed intermediate faults stay visible in aggregate
 // (TestAttemptAccountsSwallowedConnError pins this down).
-func attempt[T any](p *Pool, ctx context.Context, s int, call func(context.Context) (T, error)) (T, error) {
-	var zero T
+func attempt(p *Pool, ctx context.Context, s int, call func(context.Context) (batchLeg, error)) (batchLeg, error) {
 	var lastErr error
 	for try := 0; try <= p.cfg.Retries; try++ {
 		if err := ctx.Err(); err != nil {
@@ -217,7 +216,7 @@ func attempt[T any](p *Pool, ctx context.Context, s int, call func(context.Conte
 			break
 		}
 	}
-	return zero, lastErr
+	return batchLeg{}, lastErr
 }
 
 // attemptCtx derives the per-attempt context.

@@ -30,7 +30,7 @@ func (g *ReplicaGroup) AddReplica(n ReplicaNode) (int, error) {
 // empty shell on the joiner, CopyRange re-syncs bucket positions
 // [lo, hi) of every table via the dynamic scheme's fetch/re-mask/store
 // sweep, and Finish mirrors the non-bucket state (the encrypted profile
-// store). See frontend.NewReplicaMigration.
+// store). See frontend.DynServing.NewReplicaSync.
 //
 // Correctness under concurrent churn needs no retry loop: the joiner
 // receives every write issued after AddReplica directly, each chunk copy
@@ -54,8 +54,13 @@ type Rebalancer struct {
 // Migrate copies the group's state onto the joiner (a replica index from
 // AddReplica) and admits it to read service. It is driven to completion
 // synchronously; on error the joiner stays lagging and a later Migrate —
-// or the anti-entropy repairer — can finish the job.
+// or the anti-entropy repairer — can finish the job. A zero Width is
+// refused before anything runs: it would copy nothing yet admit the
+// joiner, serving reads from an empty shell.
 func (rb *Rebalancer) Migrate(ctx context.Context, g *ReplicaGroup, joiner int) error {
+	if rb.Width == 0 {
+		return fmt.Errorf("shard: group %d: migration width is 0", g.id)
+	}
 	g.mu.Lock()
 	if joiner < 0 || joiner >= len(g.reps) {
 		g.mu.Unlock()

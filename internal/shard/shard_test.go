@@ -101,9 +101,9 @@ func TestPoolEqualsSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: Discover: %v", qi, err)
 		}
-		got, partial, err := sharded.DiscoverSharded(context.Background(), pool, q, k, 0)
+		got, partial, err := uncached(t, sharded, pool).Discover(context.Background(), q, k, 0)
 		if err != nil {
-			t.Fatalf("query %d: DiscoverSharded: %v", qi, err)
+			t.Fatalf("query %d: Discover: %v", qi, err)
 		}
 		if partial {
 			t.Fatalf("query %d: unexpected partial result with all shards alive", qi)
@@ -192,9 +192,9 @@ func TestPartialOnDeadShard(t *testing.T) {
 
 	// k > n so both calls return every candidate, making the lists
 	// directly comparable.
-	full, partial, err := f.DiscoverSharded(context.Background(), pool, q, n+1, 0)
+	full, partial, err := uncached(t, f, pool).Discover(context.Background(), q, n+1, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded (all alive): %v", err)
+		t.Fatalf("Discover (all alive): %v", err)
 	}
 	if partial {
 		t.Fatal("unexpected partial result with all shards alive")
@@ -202,9 +202,9 @@ func TestPartialOnDeadShard(t *testing.T) {
 
 	shutdownServer(t, servers[dead])
 
-	got, partial, err := f.DiscoverSharded(context.Background(), pool, q, n+1, 0)
+	got, partial, err := uncached(t, f, pool).Discover(context.Background(), q, n+1, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded (shard %d dead): %v", dead, err)
+		t.Fatalf("Discover (shard %d dead): %v", dead, err)
 	}
 	if !partial {
 		t.Fatal("expected partial result with a dead shard")
@@ -252,7 +252,7 @@ func TestAllShardsDeadErrors(t *testing.T) {
 		shutdownServer(t, srv)
 	}
 	queries, _ := ds.Queries(1, 3)
-	_, _, err := f.DiscoverSharded(context.Background(), pool, queries[0], 10, 0)
+	_, _, err := uncached(t, f, pool).Discover(context.Background(), queries[0], 10, 0)
 	if err == nil {
 		t.Fatal("expected error with every shard dead")
 	}
@@ -363,9 +363,9 @@ func TestRetryRecoversConnError(t *testing.T) {
 		fn.FailNextWrites(shardPeer(s), 1)
 	}
 	queries, _ := ds.Queries(1, 11)
-	matches, partial, err := f.DiscoverSharded(context.Background(), pool, queries[0], 10, 0)
+	matches, partial, err := uncached(t, f, pool).Discover(context.Background(), queries[0], 10, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded: %v", err)
+		t.Fatalf("Discover: %v", err)
 	}
 	if partial {
 		t.Fatal("retry should have absorbed the single fault per shard; got partial")
@@ -396,7 +396,7 @@ func TestPoolUnderSeededFaults(t *testing.T) {
 	queries, _ := ds.Queries(12, 23)
 	want := make([][]frontend.Match, len(queries))
 	for q, target := range queries {
-		m, partial, err := f.DiscoverSharded(context.Background(), pool, target, 8, 0)
+		m, partial, err := uncached(t, f, pool).Discover(context.Background(), target, 8, 0)
 		if err != nil || partial {
 			t.Fatalf("fault-free query %d: partial=%v err=%v", q, partial, err)
 		}
@@ -406,7 +406,7 @@ func TestPoolUnderSeededFaults(t *testing.T) {
 	fn.SetEnabled(true)
 	complete := 0
 	for q, target := range queries {
-		got, partial, err := f.DiscoverSharded(context.Background(), pool, target, 8, 0)
+		got, partial, err := uncached(t, f, pool).Discover(context.Background(), target, 8, 0)
 		if err != nil {
 			if !transport.IsConnError(err) {
 				t.Fatalf("query %d failed with non-transport error %T: %v", q, err, err)
@@ -461,9 +461,9 @@ func TestApplicationErrorsNotRetried(t *testing.T) {
 		}
 	}
 	queries, _ := ds.Queries(1, 13)
-	_, partial, err := f.DiscoverSharded(context.Background(), pool, queries[0], 10, 0)
+	_, partial, err := uncached(t, f, pool).Discover(context.Background(), queries[0], 10, 0)
 	if err != nil {
-		t.Fatalf("DiscoverSharded: %v", err)
+		t.Fatalf("Discover: %v", err)
 	}
 	if !partial {
 		t.Fatal("expected partial result with a failing shard")
@@ -488,6 +488,28 @@ func TestNewPoolValidation(t *testing.T) {
 	if _, err := NewPool(cfg, NewLocal(cloud.New())); err == nil {
 		t.Fatal("negative retries accepted")
 	}
+}
+
+// uncached is the static serving path with a zero config — no cache, no
+// gate — over pool.
+func uncached(t testing.TB, f *frontend.Frontend, pool frontend.FanoutBatchServer) *frontend.Serving {
+	t.Helper()
+	s, err := f.NewServing(pool, frontend.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// uncachedDyn is the dynamic serving path with a zero config over shards
+// paired with nodes.
+func uncachedDyn(t testing.TB, f *frontend.Frontend, shards []frontend.DynShard, nodes []frontend.DynNode, owner func(uint64) int) *frontend.DynServing {
+	t.Helper()
+	s, err := f.NewDynServing(shards, nodes, owner, frontend.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // dynSetup builds a sharded dynamic deployment over in-process nodes.
@@ -524,17 +546,18 @@ func TestDynShardedSearchAndUpdate(t *testing.T) {
 	f := testFrontend(t, "shard-dyn")
 	uploads, ds := testUploads(t, f, n)
 	dynShards, nodes, pool := dynSetup(t, f, uploads, shards)
+	dyn := uncachedDyn(t, f, dynShards, nodes, pool.Owner)
 
 	// Insert a brand-new user whose profile clones an existing one: it
 	// must surface in sharded search results.
 	newID := uint64(n + 100)
 	profile := ds.Profiles[3]
-	if err := f.DynInsertSharded(dynShards, nodes, pool.Owner, newID, profile); err != nil {
-		t.Fatalf("DynInsertSharded: %v", err)
+	if err := dyn.Insert(newID, profile); err != nil {
+		t.Fatalf("Insert: %v", err)
 	}
-	matches, partial, err := f.DynSearchSharded(dynShards, nodes, profile, 10, 0)
+	matches, partial, err := dyn.Search(profile, 10, 0)
 	if err != nil {
-		t.Fatalf("DynSearchSharded: %v", err)
+		t.Fatalf("Search: %v", err)
 	}
 	if partial {
 		t.Fatal("unexpected partial result")
@@ -549,12 +572,12 @@ func TestDynShardedSearchAndUpdate(t *testing.T) {
 		t.Fatalf("inserted user %d not in matches %v", newID, matches)
 	}
 
-	if err := f.DynDeleteSharded(dynShards, nodes, pool.Owner, newID, profile); err != nil {
-		t.Fatalf("DynDeleteSharded: %v", err)
+	if err := dyn.Delete(newID, profile); err != nil {
+		t.Fatalf("Delete: %v", err)
 	}
-	matches, _, err = f.DynSearchSharded(dynShards, nodes, profile, 10, 0)
+	matches, _, err = dyn.Search(profile, 10, 0)
 	if err != nil {
-		t.Fatalf("DynSearchSharded after delete: %v", err)
+		t.Fatalf("Search after delete: %v", err)
 	}
 	for _, m := range matches {
 		if m.ID == newID {
@@ -609,7 +632,8 @@ func TestInsertToDeadShardErrors(t *testing.T) {
 	dead := pool.Owner(newID)
 	shutdownServer(t, servers[dead])
 
-	err = f.DynInsertSharded(dynShards, nodes, pool.Owner, newID, ds.Profiles[0])
+	dyn := uncachedDyn(t, f, dynShards, nodes, pool.Owner)
+	err = dyn.Insert(newID, ds.Profiles[0])
 	if err == nil {
 		t.Fatal("insert to dead owning shard succeeded")
 	}
@@ -618,9 +642,9 @@ func TestInsertToDeadShardErrors(t *testing.T) {
 	}
 
 	// A search over the remaining shard still works, flagged partial.
-	_, partial, err := f.DynSearchSharded(dynShards, nodes, ds.Profiles[0], 5, 0)
+	_, partial, err := dyn.Search(ds.Profiles[0], 5, 0)
 	if err != nil {
-		t.Fatalf("DynSearchSharded: %v", err)
+		t.Fatalf("Search: %v", err)
 	}
 	if !partial {
 		t.Fatal("expected partial dynamic search with a dead shard")
@@ -642,18 +666,22 @@ func TestConcurrentFanoutAndInserts(t *testing.T) {
 	queries, _ := ds.Queries(8, 21)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
+	static := uncached(t, f, pool)
 
+	// Each worker drives its own serving path over the shared clients and
+	// nodes, so no serving-path lock orders the workers.
 	for w := 0; w < 4; w++ {
+		dyn := uncachedDyn(t, f, dynShards, dynNodes, dynPool.Owner)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				q := queries[(w*6+i)%len(queries)]
-				if _, _, err := f.DiscoverSharded(context.Background(), pool, q, 5, 0); err != nil {
+				if _, _, err := static.Discover(context.Background(), q, 5, 0); err != nil {
 					errCh <- fmt.Errorf("static worker %d: %w", w, err)
 					return
 				}
-				if _, _, err := f.DynSearchSharded(dynShards, dynNodes, q, 5, 0); err != nil {
+				if _, _, err := dyn.Search(q, 5, 0); err != nil {
 					errCh <- fmt.Errorf("dyn search worker %d: %w", w, err)
 					return
 				}
@@ -661,13 +689,14 @@ func TestConcurrentFanoutAndInserts(t *testing.T) {
 		}(w)
 	}
 	for w := 0; w < 3; w++ {
+		dyn := uncachedDyn(t, f, dynShards, dynNodes, dynPool.Owner)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				id := uint64(n + 1 + w*100 + i)
 				profile := ds.Profiles[(w*5+i)%len(ds.Profiles)]
-				if err := f.DynInsertSharded(dynShards, dynNodes, dynPool.Owner, id, profile); err != nil {
+				if err := dyn.Insert(id, profile); err != nil {
 					errCh <- fmt.Errorf("insert worker %d: %w", w, err)
 					return
 				}

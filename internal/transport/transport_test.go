@@ -121,9 +121,13 @@ func TestRemoteDynamicFlow(t *testing.T) {
 	if err := client.PutProfiles(encProfiles); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := f.DynSearch(dynClient, client, client, ds.Profiles[4], 5, 0)
+	dyn, err := f.NewDynServing([]frontend.DynShard{{Client: dynClient}}, []frontend.DynNode{client}, nil, frontend.ServingConfig{})
 	if err != nil {
-		t.Fatalf("DynSearch over TCP: %v", err)
+		t.Fatal(err)
+	}
+	matches, _, err := dyn.Search(ds.Profiles[4], 5, 0)
+	if err != nil {
+		t.Fatalf("dynamic search over TCP: %v", err)
 	}
 	if len(matches) == 0 || matches[0].ID != 5 {
 		t.Fatalf("remote dynamic results: %+v", matches)
@@ -135,7 +139,7 @@ func TestRemoteDynamicFlow(t *testing.T) {
 	if err := client.DeleteProfile(5); err != nil {
 		t.Fatal(err)
 	}
-	matches, err = f.DynSearch(dynClient, client, client, ds.Profiles[4], 5, 0)
+	matches, _, err = dyn.Search(ds.Profiles[4], 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,12 +221,16 @@ func TestLeakageInvariantSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	serving, err := sf.NewServing(pool, pisd.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []uint64{3, 88, 149} {
 		before := make([]map[string]int64, nShards)
 		for s := range regs {
 			before[s] = counters(regs[s])
 		}
-		_, partial, err := sf.DiscoverSharded(context.Background(), pool, ds.Profiles[id-1], 5, id)
+		_, partial, err := serving.Discover(context.Background(), ds.Profiles[id-1], 5, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,12 +275,16 @@ func TestLeakageInvariantDynamic(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxRefs := int64(p.Tables * (p.ProbeRange + 1))
+	dyn, err := sf.NewDynServing([]pisd.DynShard{{Client: dynClient}}, []pisd.DynNode{pisd.NewLocalShard(cs)}, nil, pisd.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, id := range []uint64{5, 111} {
 		fetched := make([]int64, 2)
 		for round := range fetched {
 			before := counters(reg)
-			if _, err := sf.DynSearch(dynClient, cs, cs, ds.Profiles[id-1], 5, id); err != nil {
+			if _, _, err := dyn.Search(ds.Profiles[id-1], 5, id); err != nil {
 				t.Fatal(err)
 			}
 			after := counters(reg)
@@ -509,9 +517,13 @@ func TestLeakageInvariantReplicated(t *testing.T) {
 	unmaskedDelta := func(before [][]map[string]int64, s, r int) int64 {
 		return counters(regs[s][r])["cloud.buckets_unmasked"] - before[s][r]["cloud.buckets_unmasked"]
 	}
+	serving, err := sf.NewServing(pool, pisd.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	discover := func(id uint64) {
 		t.Helper()
-		_, partial, err := sf.DiscoverSharded(context.Background(), pool, ds.Profiles[id-1], 5, id)
+		_, partial, err := serving.Discover(context.Background(), ds.Profiles[id-1], 5, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -595,10 +607,19 @@ func TestLeakageInvariantReplicated(t *testing.T) {
 	srcCS.PutProfiles(dshards[0].EncProfiles)
 	src, dst := pisd.NewLocalShard(srcCS), pisd.NewLocalShard(dstCS)
 
-	repair, err := pisd.NewReplicaRepair(dshards, 16)
+	srcDyn, err := dsf.NewDynServing(dshards, []pisd.DynNode{src}, nil, pisd.ServingConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dstDyn, err := dsf.NewDynServing(dshards, []pisd.DynNode{dst}, nil, pisd.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := srcDyn.NewReplicaSync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	repair := rs.Repair(16)
 	p, err := dsf.IndexParams()
 	if err != nil {
 		t.Fatal(err)
@@ -637,12 +658,12 @@ func TestLeakageInvariantReplicated(t *testing.T) {
 	// Per-query budget identical on source and repaired replica.
 	target := dds.Profiles[10]
 	sb := counters(srcReg)
-	if _, err := dsf.DynSearch(dshards[0].Client, srcCS, srcCS, target, 5, 11); err != nil {
+	if _, _, err := srcDyn.Search(target, 5, 11); err != nil {
 		t.Fatal(err)
 	}
 	srcFetch := counters(srcReg)["cloud.dyn_buckets_fetched"] - sb["cloud.dyn_buckets_fetched"]
 	db := counters(dstReg)
-	if _, err := dsf.DynSearch(dshards[0].Client, dstCS, dstCS, target, 5, 11); err != nil {
+	if _, _, err := dstDyn.Search(target, 5, 11); err != nil {
 		t.Fatal(err)
 	}
 	dstFetch := counters(dstReg)["cloud.dyn_buckets_fetched"] - db["cloud.dyn_buckets_fetched"]

@@ -137,8 +137,9 @@ type (
 	// RepairNode is the replica surface the front end's repair closures
 	// drive; ReplicaNode satisfies it.
 	RepairNode = frontend.RepairNode
-	// ReplicaMigration is the front-end closure set a Rebalancer drives.
-	ReplicaMigration = frontend.ReplicaMigration
+	// ReplicaSync is the front-end closure set a Rebalancer drives and a
+	// repairer runs as one pass (DynServing.NewReplicaSync).
+	ReplicaSync = frontend.ReplicaSync
 	// Group is one discovered social group.
 	Group = groups.Group
 	// GroupNeighbor is one per-user discovery result fed to grouping.
@@ -157,12 +158,13 @@ type (
 	// SegmentBuilder streams upload batches into an on-disk segmented
 	// index at the front end (bounded-memory builds).
 	SegmentBuilder = frontend.SegmentBuilder
-	// Serving is the static scheme's multi-core discovery path: admission
-	// gate → search-pattern result cache → the shard fan-out (build with
-	// Frontend.NewServing).
+	// Serving is the static scheme's discovery path over a shard fan-out:
+	// admission gate → search-pattern result cache → the fan-out (build
+	// with Frontend.NewServing; a zero ServingConfig is the uncached path).
 	Serving = frontend.Serving
-	// DynServing is the dynamic scheme's cached serving path with exact
-	// cache invalidation on insert/delete (Frontend.NewDynServing).
+	// DynServing is the dynamic scheme's one handle: search, secure
+	// insert/delete with exact cache invalidation, and replica re-sync
+	// (Frontend.NewDynServing; a zero ServingConfig is the uncached path).
 	DynServing = frontend.DynServing
 	// ServingConfig tunes admission control and the cache.
 	ServingConfig = frontend.ServingConfig
@@ -251,12 +253,6 @@ var (
 	NewHealthProber = shard.NewProber
 	// NewReplicaRepairer assembles the fleet's anti-entropy repairer.
 	NewReplicaRepairer = shard.NewRepairer
-	// NewReplicaRepair builds the front-end repair closure the repairer
-	// drives (re-masking resync from a healthy sibling).
-	NewReplicaRepair = frontend.NewReplicaRepair
-	// NewReplicaMigration builds the front-end closures a Rebalancer
-	// drives to migrate state onto a newly joined replica.
-	NewReplicaMigration = frontend.NewReplicaMigration
 	// OpenSegmentStore opens a segment directory written by a
 	// SegmentBuilder (or pisd-segbuild) for serving.
 	OpenSegmentStore = segstore.Open
@@ -279,9 +275,9 @@ var (
 	// NewQueryTrace returns an empty trace for the named operation.
 	NewQueryTrace = obs.NewTrace
 	// WithQueryTrace returns a context carrying a trace: the discovery
-	// run under it (DiscoverSharded, DiscoverShardedBatch,
-	// Serving.Discover) records its trapdoor / fanout / decrypt / rank
-	// stages and total into the trace. One trace follows one query.
+	// run under it (Serving.Discover, DiscoverShardedBatch) records its
+	// trapdoor / fanout / decrypt / rank stages and total into the trace.
+	// One trace follows one query.
 	WithQueryTrace = obs.WithTrace
 	// DefaultServingConfig is the standard serving-path operating point
 	// (256 inflight, 4096-entry cache).

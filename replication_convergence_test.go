@@ -188,6 +188,8 @@ type convWorld struct {
 	reps     []*chaosReplica
 	prober   *shard.Prober
 	repairer *shard.Repairer
+	// dyn is the uncached dynamic serving path over the group.
+	dyn *frontend.DynServing
 
 	// fresh marks replicas that lost their data in a restart and have not
 	// been re-synced by a successful repair yet.
@@ -256,10 +258,14 @@ func newConvWorld(t *testing.T, seed int64, replicas int) *convWorld {
 	w.group = g
 	w.nodes = []frontend.DynNode{g}
 	w.prober = shard.NewProber(shard.ProberConfig{DemoteAfter: 2, ReadmitAfter: 1}, g)
-	repair, err := frontend.NewReplicaRepair(built, 0)
+	if w.dyn, err = f.NewDynServing(built, w.nodes, func(uint64) int { return 0 }, frontend.ServingConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := w.dyn.NewReplicaSync()
 	if err != nil {
 		t.Fatal(err)
 	}
+	repair := rs.Repair(0)
 	w.repairer = shard.NewRepairer(shard.RepairerConfig{},
 		func(s int, src, dst shard.ReplicaNode) error { return repair(s, src, dst) }, g)
 	for i := 0; i < users; i++ {
@@ -311,8 +317,7 @@ func (w *convWorld) insert() {
 	id := w.nextID
 	w.nextID++
 	profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-	owner := func(uint64) int { return 0 }
-	if err := w.f.DynInsertSharded(w.shards, w.nodes, owner, id, profile); err != nil {
+	if err := w.dyn.Insert(id, profile); err != nil {
 		w.t.Fatalf("insert %d: %v", id, err)
 	}
 	w.profiles[id] = profile
@@ -330,8 +335,7 @@ func (w *convWorld) delete(rng *rand.Rand) {
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	id := ids[rng.Intn(len(ids))]
-	owner := func(uint64) int { return 0 }
-	if err := w.f.DynDeleteSharded(w.shards, w.nodes, owner, id, w.profiles[id]); err != nil {
+	if err := w.dyn.Delete(id, w.profiles[id]); err != nil {
 		w.t.Fatalf("delete %d: %v", id, err)
 	}
 	delete(w.live, id)

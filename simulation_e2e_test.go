@@ -84,7 +84,7 @@ func runStaticFaultPhase(t *testing.T, w *staticWorld) {
 				if rng.Intn(2) == 0 {
 					exclude = uint64(qi + 1)
 				}
-				got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, exclude)
+				got, partial, err := w.serving.Discover(ctx, target, w.p.k, exclude)
 				if err != nil {
 					if !isTransportFault(err) {
 						errs <- fmt.Errorf("worker %d query %d: non-transport failure %T: %w", g, i, err, err)
@@ -160,7 +160,7 @@ func runPartitionPhase(t *testing.T, w *staticWorld) {
 		for i := 0; i < 3; i++ {
 			qi := rng.Intn(w.p.users)
 			target := w.ds.Profiles[qi]
-			got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, 0)
+			got, partial, err := w.serving.Discover(ctx, target, w.p.k, 0)
 			if err != nil {
 				t.Fatalf("shard %d partitioned, query %d: %v", s, i, err)
 			}
@@ -179,7 +179,7 @@ func runPartitionPhase(t *testing.T, w *staticWorld) {
 	for s := 0; s < w.p.shards; s++ {
 		w.partitionShard(s)
 	}
-	if _, _, err := w.f.DiscoverSharded(ctx, w.pool, w.ds.Profiles[0], w.p.k, 0); err == nil {
+	if _, _, err := w.serving.Discover(ctx, w.ds.Profiles[0], w.p.k, 0); err == nil {
 		t.Fatal("all shards partitioned yet discovery succeeded")
 	} else if !isTransportFault(err) {
 		t.Fatalf("all-shards-down error is %T (%v), want a transport fault", err, err)
@@ -190,7 +190,7 @@ func runPartitionPhase(t *testing.T, w *staticWorld) {
 		w.healShard(s)
 	}
 	target := w.ds.Profiles[1]
-	got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, 0)
+	got, partial, err := w.serving.Discover(ctx, target, w.p.k, 0)
 	if err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
@@ -214,7 +214,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 	for i := 0; i < 5; i++ {
 		id := uint64(rng.Intn(len(w.certain)) + 1)
 		target := w.profiles[id]
-		got, partial, err := w.f.DynSearchSharded(w.shards, w.nodes, target, w.bigK(), 0)
+		got, partial, err := w.dyn.Search(target, w.bigK(), 0)
 		if err != nil {
 			t.Fatalf("warmup search %d: %v", i, err)
 		}
@@ -236,7 +236,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 			w.nextID++
 			profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
 			w.profiles[id] = profile
-			err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile)
+			err := w.dyn.Insert(id, profile)
 			if err != nil {
 				if !isTransportFault(err) {
 					t.Fatalf("op %d: insert %d failed with non-transport error %T: %v", op, id, err, err)
@@ -252,7 +252,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 			if id == 0 {
 				continue
 			}
-			err := w.f.DynDeleteSharded(w.shards, w.nodes, w.owner, id, w.profiles[id])
+			err := w.dyn.Delete(id, w.profiles[id])
 			if err != nil {
 				if !isTransportFault(err) {
 					t.Fatalf("op %d: delete %d failed with non-transport error %T: %v", op, id, err, err)
@@ -272,7 +272,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 			} else {
 				target = w.ds.Profiles[rng.Intn(len(w.ds.Profiles))]
 			}
-			got, partial, err := w.f.DynSearchSharded(w.shards, w.nodes, target, w.bigK(), 0)
+			got, partial, err := w.dyn.Search(target, w.bigK(), 0)
 			if err != nil {
 				if !isTransportFault(err) && !w.lostProfile(err) {
 					t.Fatalf("op %d: search failed with non-transport error %T: %v", op, err, err)
@@ -312,7 +312,7 @@ func runDynamicChurnPhase(t *testing.T, p simParams) {
 		var partial bool
 		var err error
 		for attempt := 0; attempt < 3; attempt++ {
-			got, partial, err = w.f.DynSearchSharded(w.shards, w.nodes, target, w.bigK(), 0)
+			got, partial, err = w.dyn.Search(target, w.bigK(), 0)
 			if err == nil && !partial {
 				break
 			}
@@ -338,7 +338,7 @@ func runConvergencePhase(t *testing.T, w *staticWorld) {
 	for i := 0; i < 6; i++ {
 		qi := rng.Intn(w.p.users)
 		target := w.ds.Profiles[qi]
-		got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, uint64(qi+1))
+		got, partial, err := w.serving.Discover(ctx, target, w.p.k, uint64(qi+1))
 		if err != nil {
 			t.Fatalf("convergence query %d: %v", i, err)
 		}

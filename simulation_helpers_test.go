@@ -132,6 +132,8 @@ type staticWorld struct {
 	ds     *dataset.Dataset
 	oracle *frontend.Oracle
 	pool   *shard.Pool
+	// serving is the uncached serving path over pool.
+	serving *frontend.Serving
 }
 
 func clientPeer(s int) string { return fmt.Sprintf("shard%d", s) }
@@ -215,7 +217,11 @@ func newStaticWorld(t *testing.T, p simParams) *staticWorld {
 			t.Fatalf("InstallShard(%d): %v", s, err)
 		}
 	}
-	return &staticWorld{t: t, p: p, net: fn, f: f, ds: ds, oracle: oracle, pool: pool}
+	serving, err := f.NewServing(pool, frontend.ServingConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &staticWorld{t: t, p: p, net: fn, f: f, ds: ds, oracle: oracle, pool: pool, serving: serving}
 }
 
 // checkQuery validates one discovery result against the oracle. A
@@ -294,14 +300,14 @@ func (w *staticWorld) aliveFn(mask int) func(uint64) bool {
 // harness, with semantic membership tracking instead of a slot-exact
 // mirror (dynamic placement depends on live kick rounds).
 type dynWorld struct {
-	t      *testing.T
-	p      simParams
-	net    *faultnet.Network
-	f      *frontend.Frontend
-	ds     *dataset.Dataset
-	shards []frontend.DynShard
-	nodes  []frontend.DynNode
-	owner  func(uint64) int
+	t     *testing.T
+	p     simParams
+	net   *faultnet.Network
+	f     *frontend.Frontend
+	ds    *dataset.Dataset
+	owner func(uint64) int
+	// dyn is the uncached dynamic serving path over the shards.
+	dyn *frontend.DynServing
 
 	// Membership bookkeeping under faults. profiles holds every id ever
 	// attempted; certain / uncertain / deleted partition what we know.
@@ -356,7 +362,6 @@ func newDynWorld(t *testing.T, p simParams) *dynWorld {
 
 	w := &dynWorld{
 		t: t, p: p, net: fn, f: f, ds: ds,
-		shards:    built,
 		owner:     func(id uint64) int { return int(id % uint64(p.shards)) },
 		profiles:  make(map[uint64][]float64),
 		certain:   make(map[uint64]bool),
@@ -371,7 +376,7 @@ func newDynWorld(t *testing.T, p simParams) *dynWorld {
 		w.certain[id] = true
 	}
 
-	w.nodes = make([]frontend.DynNode, p.shards)
+	nodes := make([]frontend.DynNode, p.shards)
 	for s := 0; s < p.shards; s++ {
 		srv := transport.NewServer(cloud.New())
 		ln, err := netListen(t)
@@ -395,7 +400,10 @@ func newDynWorld(t *testing.T, p simParams) *dynWorld {
 		if err := remote.PutProfiles(built[s].EncProfiles); err != nil {
 			t.Fatalf("PutProfiles(%d): %v", s, err)
 		}
-		w.nodes[s] = remote
+		nodes[s] = remote
+	}
+	if w.dyn, err = f.NewDynServing(built, nodes, w.owner, frontend.ServingConfig{}); err != nil {
+		t.Fatal(err)
 	}
 	return w
 }

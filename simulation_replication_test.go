@@ -143,6 +143,8 @@ type repWorld struct {
 	groups []*shard.ReplicaGroup
 	prober *shard.Prober
 	reg    *obs.Registry
+	// serving is the uncached serving path over pool.
+	serving *frontend.Serving
 }
 
 func newRepWorld(t *testing.T, p repParams) *repWorld {
@@ -203,6 +205,9 @@ func newRepWorld(t *testing.T, p repParams) *repWorld {
 	}
 	pool.SetRegistry(w.reg)
 	w.pool = pool
+	if w.serving, err = f.NewServing(pool, frontend.ServingConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	w.prober = shard.NewProber(shard.ProberConfig{
 		Timeout: 200 * time.Millisecond, DemoteAfter: 2, ReadmitAfter: 1,
 	}, w.groups...)
@@ -261,7 +266,7 @@ func (w *repWorld) probe(rounds int) {
 func (w *repWorld) exactQuery(qi int) error {
 	target := w.ds.Profiles[qi]
 	exclude := uint64(qi + 1)
-	got, partial, err := w.f.DiscoverSharded(context.Background(), w.pool, target, w.p.k, exclude)
+	got, partial, err := w.serving.Discover(context.Background(), target, w.p.k, exclude)
 	if err != nil {
 		return fmt.Errorf("target %d: %w", qi+1, err)
 	}
@@ -393,7 +398,7 @@ func runReplicaChaosPhase(t *testing.T, w *repWorld) {
 				qi := rng.Intn(w.p.users)
 				target := w.ds.Profiles[qi]
 				exclude := uint64(qi + 1)
-				got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, exclude)
+				got, partial, err := w.serving.Discover(ctx, target, w.p.k, exclude)
 				if err != nil {
 					if !isTransportFault(err) {
 						errs <- fmt.Errorf("worker %d query %d: non-transport failure %T: %w", g, i, err, err)
@@ -440,7 +445,7 @@ func runGroupLossPhase(t *testing.T, w *repWorld) {
 	for i := 0; i < 3; i++ {
 		qi := rng.Intn(w.p.users)
 		target := w.ds.Profiles[qi]
-		got, partial, err := w.f.DiscoverSharded(ctx, w.pool, target, w.p.k, 0)
+		got, partial, err := w.serving.Discover(ctx, target, w.p.k, 0)
 		if err != nil {
 			t.Fatalf("group %d lost, query %d: %v", victim, i, err)
 		}
@@ -457,7 +462,7 @@ func runGroupLossPhase(t *testing.T, w *repWorld) {
 			w.killReplica(s, r)
 		}
 	}
-	if _, _, err := w.f.DiscoverSharded(ctx, w.pool, w.ds.Profiles[0], w.p.k, 0); err == nil {
+	if _, _, err := w.serving.Discover(ctx, w.ds.Profiles[0], w.p.k, 0); err == nil {
 		t.Fatal("every replica of every group killed yet discovery succeeded")
 	} else if !isTransportFault(err) {
 		t.Fatalf("all-replicas-down error is %T (%v), want a transport fault", err, err)
@@ -511,6 +516,8 @@ type repDynWorld struct {
 	repairer *shard.Repairer
 	reg      *obs.Registry
 	owner    func(uint64) int
+	// dyn is the uncached dynamic serving path over the groups.
+	dyn *frontend.DynServing
 
 	profiles map[uint64][]float64
 	live     map[uint64]bool
@@ -591,10 +598,14 @@ func newRepDynWorld(t *testing.T, p repParams) *repDynWorld {
 	w.prober = shard.NewProber(shard.ProberConfig{
 		Timeout: 200 * time.Millisecond, DemoteAfter: 2, ReadmitAfter: 1,
 	}, w.groups...)
-	repair, err := frontend.NewReplicaRepair(w.shards, 16)
+	if w.dyn, err = f.NewDynServing(built, w.nodes, w.owner, frontend.ServingConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := w.dyn.NewReplicaSync()
 	if err != nil {
 		t.Fatal(err)
 	}
+	repair := rs.Repair(16)
 	w.repairer = shard.NewRepairer(shard.RepairerConfig{},
 		func(g int, src, dst shard.ReplicaNode) error { return repair(g, src, dst) },
 		w.groups...)
@@ -662,7 +673,7 @@ func (w *repDynWorld) churn(rng *rand.Rand, n int) {
 			id := w.nextID
 			w.nextID++
 			profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-			if err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile); err != nil {
+			if err := w.dyn.Insert(id, profile); err != nil {
 				w.t.Fatalf("churn op %d: insert %d: %v", op, id, err)
 			}
 			w.profiles[id] = profile
@@ -672,7 +683,7 @@ func (w *repDynWorld) churn(rng *rand.Rand, n int) {
 			if id == 0 {
 				continue
 			}
-			if err := w.f.DynDeleteSharded(w.shards, w.nodes, w.owner, id, w.profiles[id]); err != nil {
+			if err := w.dyn.Delete(id, w.profiles[id]); err != nil {
 				w.t.Fatalf("churn op %d: delete %d: %v", op, id, err)
 			}
 			delete(w.live, id)
@@ -685,7 +696,7 @@ func (w *repDynWorld) churn(rng *rand.Rand, n int) {
 			} else {
 				target = w.ds.Profiles[rng.Intn(len(w.ds.Profiles))]
 			}
-			got, partial, err := w.f.DynSearchSharded(w.shards, w.nodes, target, w.bigK(), 0)
+			got, partial, err := w.dyn.Search(target, w.bigK(), 0)
 			if err != nil {
 				w.t.Fatalf("churn op %d: search: %v", op, err)
 			}
@@ -708,7 +719,7 @@ func (w *repDynWorld) insertOwned(s int) {
 		w.nextID++
 	}
 	profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-	if err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile); err != nil {
+	if err := w.dyn.Insert(id, profile); err != nil {
 		w.t.Fatalf("insert %d into group %d: %v", id, s, err)
 	}
 	w.profiles[id] = profile
@@ -733,7 +744,7 @@ func (w *repDynWorld) verifyAll(stage string) {
 	w.t.Helper()
 	for id := range w.live {
 		target := w.profiles[id]
-		got, partial, err := w.f.DynSearchSharded(w.shards, w.nodes, target, w.bigK(), 0)
+		got, partial, err := w.dyn.Search(target, w.bigK(), 0)
 		if err != nil {
 			w.t.Fatalf("%s: search for %d: %v", stage, id, err)
 		}
@@ -914,7 +925,7 @@ func runRebalancePhase(t *testing.T, w *repDynWorld, rng *rand.Rand) {
 		t.Fatal(err)
 	}
 
-	mig, err := frontend.NewReplicaMigration(w.shards)
+	mig, err := w.dyn.NewReplicaSync()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -943,7 +954,7 @@ func runRebalancePhase(t *testing.T, w *repDynWorld, rng *rand.Rand) {
 				w.nextID++
 			}
 			profile := w.ds.Profiles[int(id)%len(w.ds.Profiles)]
-			if err := w.f.DynInsertSharded(w.shards, w.nodes, w.owner, id, profile); err != nil {
+			if err := w.dyn.Insert(id, profile); err != nil {
 				done <- fmt.Errorf("concurrent insert %d: %w", id, err)
 				return
 			}
