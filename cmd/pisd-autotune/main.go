@@ -1,11 +1,10 @@
 // Command pisd-autotune regenerates the recall-vs-cost frontier: it sweeps
-// LSH parameter candidates (l tables, k atoms, width W, probe range d,
-// population partitions) over a seeded synthetic population against the
-// brute-force oracle, then rebuilds the Pareto survivors on the real
-// secure stack to measure recall, bucket traffic, trapdoor cost, index
-// bytes and qps in real units.
+// LSH parameter candidates (l tables, k atoms, width W, probe range d) over
+// a seeded synthetic population against the brute-force oracle, then
+// rebuilds the Pareto survivors on the real secure stack to measure recall,
+// bucket traffic, trapdoor cost, index bytes and qps in real units.
 //
-//	pisd-autotune -users 100000 -out autotune_frontier.json
+//	pisd-autotune -users 100000 -out frontier.json
 //	pisd-autotune -users 2000 -dim 128 -grid tiny -queries 24   # CI smoke
 //
 // The winner — the cheapest config holding measured secure recall within
@@ -42,9 +41,8 @@ func run(args []string, out *os.File) error {
 		k       = fs.Int("k", 10, "recall@k cutoff")
 		queries = fs.Int("queries", 64, "evaluation query count")
 		seed    = fs.Int64("seed", 1, "run seed (population, families, workload)")
-		workers = fs.Int("workers", 0, "sweep parallelism (0: GOMAXPROCS)")
 		loss    = fs.Float64("max-recall-loss", 0.01, "recall the winner may give up vs the reference")
-		grid    = fs.String("grid", "default", "candidate grid: default, tiny, or 'l=6,atoms=5,width=0.85,d=4,parts=1;...'")
+		grid    = fs.String("grid", "default", "candidate grid: default, tiny, or 'l=6,atoms=5,width=0.85,d=4;...'")
 		measure = fs.Bool("measure", true, "rebuild reference+frontier on the secure stack (real-unit costs)")
 		outFile = fs.String("out", "", "write the full report JSON to this file")
 		quiet   = fs.Bool("quiet", false, "suppress progress lines")
@@ -63,7 +61,6 @@ func run(args []string, out *os.File) error {
 		K:             *k,
 		Queries:       *queries,
 		Seed:          *seed,
-		Workers:       *workers,
 		MaxRecallLoss: *loss,
 		Grid:          cands,
 		Measure:       *measure,
@@ -110,7 +107,7 @@ func parseGrid(spec string, users int) ([]autotune.Candidate, error) {
 		if one == "" {
 			continue
 		}
-		c := autotune.Candidate{Partitions: 1, ProbeRange: 4}
+		c := autotune.Candidate{ProbeRange: 4}
 		for _, kv := range strings.Split(one, ",") {
 			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 			if !ok {
@@ -141,12 +138,6 @@ func parseGrid(spec string, users int) ([]autotune.Candidate, error) {
 					return nil, fmt.Errorf("grid entry %q: d: %w", one, err)
 				}
 				c.ProbeRange = n
-			case "parts", "partitions":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("grid entry %q: parts: %w", one, err)
-				}
-				c.Partitions = n
 			default:
 				return nil, fmt.Errorf("grid entry %q: unknown key %q", one, key)
 			}

@@ -1,9 +1,8 @@
 // Package autotune searches the LSH parameter space — (l tables, k atoms,
-// quantization width W, probe range d, population partitions) — for
-// operating points that hold recall while shrinking the scheme's entire
-// cost model, l·(d+1): trapdoor size and generation time, per-query bucket
-// bandwidth, and SecRec work all scale linearly with it (the paper fixes
-// l = 10..100, d = 4 by hand).
+// quantization width W, probe range d) — for operating points that hold
+// recall while shrinking the scheme's entire cost model, l·(d+1): trapdoor
+// size and generation time, per-query bucket bandwidth, and SecRec work all
+// scale linearly with it (the paper fixes l = 10..100, d = 4 by hand).
 //
 // The tuner runs in two phases:
 //
@@ -11,17 +10,17 @@
 //     oracle (baseline.BruteForceTopK) on a seeded synthetic population,
 //     using plain-LSH candidate retrieval (baseline.PlainLSH semantics)
 //     as the recall proxy — the paper's own "baseline approach", which
-//     upper-bounds the secure index's accuracy. The sweep is fanned
-//     across a worker pool in deterministic cost-ordered waves, with
-//     configs pruned before evaluation when an already-evaluated config
+//     upper-bounds the secure index's accuracy. The sweep runs in
+//     deterministic cost-ordered waves of a fixed width, with configs
+//     pruned before evaluation when an already-evaluated config
 //     dominates them on both axes (≥ recall by parameter monotonicity —
 //     more tables, wider quantization, fewer atoms never lose recall —
 //     and ≤ cost). For speed the sweep evaluates atoms from one master
-//     set of Gaussian projections per partition (an E2LSH family is a
-//     projection matrix plus uniform offsets; narrowing the width or
-//     truncating tables/atoms of the master family yields exactly the
-//     family a smaller parameterization would draw), so hashing the
-//     population once per partition layout covers the whole grid.
+//     set of Gaussian projections (an E2LSH family is a projection
+//     matrix plus uniform offsets; narrowing the width or truncating
+//     tables/atoms of the master family yields exactly the family a
+//     smaller parameterization would draw), so projecting the population
+//     once covers the whole grid.
 //
 //  2. Measure. Pareto-frontier survivors (and the untuned reference) are
 //     rebuilt on the real stack — frontend.BuildIndex → cloud.Server →
@@ -31,12 +30,10 @@
 //     invariant), and end-to-end qps. The winner is chosen on measured
 //     secure recall, so a proxy-optimistic config cannot win.
 //
-// Partitioned candidates follow the LSH-Ensemble idea (Zhu et al., VLDB
-// 2016): the population splits into density quantiles, each partition gets
-// its own independently seeded family sized to the same candidate shape,
-// and a query probes every partition (cost Σᵢ lᵢ·(dᵢ+1)). Everything is
-// reproducible from Config.Seed alone; failing configs carry a one-line
-// repro.
+// Every candidate is one family over the whole population — the only shape
+// frontend.ConfigForPopulation ships. Everything is reproducible from
+// Config.Seed alone, independent of the core count; failing configs carry
+// a one-line repro.
 package autotune
 
 import (
@@ -49,7 +46,7 @@ import (
 
 // Candidate is one point of the parameter grid.
 type Candidate struct {
-	// Tables is l, the table count of each partition's family.
+	// Tables is l, the family's table count.
 	Tables int `json:"l"`
 	// Atoms is k, the atomic hash count per table.
 	Atoms int `json:"atoms"`
@@ -57,9 +54,6 @@ type Candidate struct {
 	Width float64 `json:"width"`
 	// ProbeRange is d, the random probe range of the secure index.
 	ProbeRange int `json:"probe_range"`
-	// Partitions is the number of density quantiles the population is
-	// split into; each gets an independent family and index.
-	Partitions int `json:"partitions"`
 }
 
 // Validate reports whether the candidate is usable.
@@ -73,23 +67,20 @@ func (c Candidate) Validate() error {
 		return fmt.Errorf("autotune: width must be > 0, got %v", c.Width)
 	case c.ProbeRange < 0:
 		return fmt.Errorf("autotune: probe range must be >= 0, got %d", c.ProbeRange)
-	case c.Partitions < 1:
-		return fmt.Errorf("autotune: partitions must be >= 1, got %d", c.Partitions)
 	}
 	return nil
 }
 
-// Budget is the candidate's bucket cost model Σᵢ lᵢ·(dᵢ+1): the buckets a
-// query addresses across all partitions, excluding any stash (the stash is
-// a population-size function, identical across candidates).
+// Budget is the candidate's bucket cost model l·(d+1): the buckets a query
+// addresses, excluding any stash (the stash is a population-size function,
+// identical across candidates).
 func (c Candidate) Budget() int {
-	return c.Partitions * c.Tables * (c.ProbeRange + 1)
+	return c.Tables * (c.ProbeRange + 1)
 }
 
-// String renders the candidate compactly ("l=7 k=5 W=0.85 d=4 parts=1").
+// String renders the candidate compactly ("l=7 k=5 W=0.85 d=4").
 func (c Candidate) String() string {
-	return fmt.Sprintf("l=%d k=%d W=%g d=%d parts=%d",
-		c.Tables, c.Atoms, c.Width, c.ProbeRange, c.Partitions)
+	return fmt.Sprintf("l=%d k=%d W=%g d=%d", c.Tables, c.Atoms, c.Width, c.ProbeRange)
 }
 
 // less orders candidates deterministically: cheapest budget first, then by
@@ -98,9 +89,6 @@ func (c Candidate) String() string {
 func (c Candidate) less(o Candidate) bool {
 	if c.Budget() != o.Budget() {
 		return c.Budget() < o.Budget()
-	}
-	if c.Partitions != o.Partitions {
-		return c.Partitions < o.Partitions
 	}
 	if c.Tables != o.Tables {
 		return c.Tables < o.Tables
@@ -121,18 +109,17 @@ type Measurement struct {
 	Recall float64 `json:"recall"`
 	// Accuracy is the paper's distance-ratio metric on the same results.
 	Accuracy float64 `json:"accuracy"`
-	// BucketsPerQuery is the measured cloud.buckets_unmasked per query,
-	// summed across partitions (= Budget() + stash when the invariant
-	// holds; reading it from the live counters keeps the tuner honest).
+	// BucketsPerQuery is the measured cloud.buckets_unmasked per query
+	// (= Budget() + stash when the invariant holds; reading it from the
+	// live counters keeps the tuner honest).
 	BucketsPerQuery float64 `json:"buckets_per_query"`
-	// TrapdoorUS is the mean per-query trapdoor generation cost in µs,
-	// summed across partitions.
+	// TrapdoorUS is the mean per-query trapdoor generation cost in µs.
 	TrapdoorUS float64 `json:"trapdoor_us"`
-	// IndexBytes is the total encrypted index footprint.
+	// IndexBytes is the encrypted index footprint.
 	IndexBytes int64 `json:"index_bytes"`
-	// QPS is serial end-to-end Discover throughput (all partitions).
+	// QPS is serial end-to-end Discover throughput.
 	QPS float64 `json:"qps"`
-	// BuildMS is the total index build time in milliseconds.
+	// BuildMS is the index build time in milliseconds.
 	BuildMS float64 `json:"build_ms"`
 }
 
@@ -148,16 +135,12 @@ type Result struct {
 	// Candidates is the mean plain-LSH candidate-set size per query.
 	Candidates float64 `json:"candidates"`
 	// Feasible reports whether the candidate's cuckoo placement succeeded
-	// over the sweep population (per partition, at the production load
-	// factor). Wide quantization widths concentrate users on shared
-	// per-table hashes until no placement exists; such configs can look
-	// excellent on proxy recall yet cannot be built. Only meaningful on
-	// evaluated (non-pruned) results; the frontier carries feasible
-	// points only.
+	// over the sweep population at the production load factor. Wide
+	// quantization widths concentrate users on shared per-table hashes
+	// until no placement exists; such configs can look excellent on proxy
+	// recall yet cannot be built. Only meaningful on evaluated (non-pruned)
+	// results; the frontier carries feasible points only.
 	Feasible bool `json:"feasible"`
-	// PartRecall[i] is the recall restricted to ground-truth neighbours
-	// living in partition i (only for Partitions > 1).
-	PartRecall []float64 `json:"part_recall,omitempty"`
 	// Pruned marks candidates skipped because PrunedBy dominated them.
 	Pruned   bool   `json:"pruned,omitempty"`
 	PrunedBy string `json:"pruned_by,omitempty"`
@@ -169,8 +152,8 @@ type Result struct {
 	Repro string `json:"repro,omitempty"`
 }
 
-// Config parameterizes a tuner run. The zero values of optional fields are
-// filled by Run; Users and Grid are required.
+// Config parameterizes a tuner run. The zero values of Dim, K and Queries
+// are filled by Run; Users and Grid are required.
 type Config struct {
 	// Users is n, the synthetic population size to tune for.
 	Users int `json:"users"`
@@ -184,10 +167,9 @@ type Config struct {
 	// Seed makes the whole run — dataset, families, queries, sweep order
 	// — reproducible.
 	Seed int64 `json:"seed"`
-	// Workers bounds sweep parallelism (default GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 	// MaxRecallLoss is the recall the winner may give up vs the untuned
-	// reference, in absolute recall points (default 0.01 = 1%).
+	// reference, in absolute recall points (0 allows no loss; the CLI
+	// default is 0.01 = 1%).
 	MaxRecallLoss float64 `json:"max_recall_loss"`
 	// Grid is the candidate set to sweep.
 	Grid []Candidate `json:"grid"`
@@ -204,7 +186,7 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// withDefaults fills optional fields.
+// withDefaults fills optional fields and validates the rest.
 func (c Config) withDefaults() (Config, error) {
 	if c.Users < 1 {
 		return c, fmt.Errorf("autotune: users must be >= 1, got %d", c.Users)
@@ -221,8 +203,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Queries == 0 {
 		c.Queries = 64
 	}
-	if c.MaxRecallLoss == 0 {
-		c.MaxRecallLoss = 0.01
+	if c.MaxRecallLoss < 0 {
+		return c, fmt.Errorf("autotune: max recall loss must be >= 0, got %v", c.MaxRecallLoss)
 	}
 	for _, cand := range c.Grid {
 		if err := cand.Validate(); err != nil {
@@ -242,29 +224,24 @@ func Reference(users int) Candidate {
 		Atoms:      ref.LSH.Atoms,
 		Width:      ref.LSH.Width,
 		ProbeRange: ref.ProbeRange,
-		Partitions: 1,
 	}
 }
 
 // DefaultGrid is the standard sweep around the reference point: table
-// counts from 4 to the paper's 10, the population-scaled atom count ±1,
-// three quantization widths, and one- and two-partition ensembles.
+// counts from 4 to the paper's 10, the population-scaled atom count and
+// one more, and three quantization widths.
 func DefaultGrid(users int) []Candidate {
 	ref := Reference(users)
 	var grid []Candidate
 	for _, l := range []int{4, 5, 6, 7, 8, ref.Tables} {
 		for _, da := range []int{0, 1} {
 			for _, w := range []float64{ref.Width, 0.85, 1.0} {
-				for _, parts := range []int{1, 2} {
-					cand := Candidate{
-						Tables:     l,
-						Atoms:      ref.Atoms + da,
-						Width:      w,
-						ProbeRange: ref.ProbeRange,
-						Partitions: parts,
-					}
-					grid = append(grid, cand)
-				}
+				grid = append(grid, Candidate{
+					Tables:     l,
+					Atoms:      ref.Atoms + da,
+					Width:      w,
+					ProbeRange: ref.ProbeRange,
+				})
 			}
 		}
 	}
@@ -277,11 +254,10 @@ func TinyGrid(users int) []Candidate {
 	ref := Reference(users)
 	return dedupeGrid([]Candidate{
 		ref,
-		{Tables: 5, Atoms: ref.Atoms, Width: ref.Width, ProbeRange: ref.ProbeRange, Partitions: 1},
-		{Tables: 6, Atoms: ref.Atoms, Width: 1.0, ProbeRange: ref.ProbeRange, Partitions: 1},
-		{Tables: 7, Atoms: ref.Atoms, Width: 0.85, ProbeRange: ref.ProbeRange, Partitions: 1},
-		{Tables: 3, Atoms: ref.Atoms, Width: 1.0, ProbeRange: ref.ProbeRange, Partitions: 2},
-		{Tables: 10, Atoms: ref.Atoms + 2, Width: 0.4, ProbeRange: ref.ProbeRange, Partitions: 1},
+		{Tables: 5, Atoms: ref.Atoms, Width: ref.Width, ProbeRange: ref.ProbeRange},
+		{Tables: 6, Atoms: ref.Atoms, Width: 1.0, ProbeRange: ref.ProbeRange},
+		{Tables: 7, Atoms: ref.Atoms, Width: 0.85, ProbeRange: ref.ProbeRange},
+		{Tables: 10, Atoms: ref.Atoms + 2, Width: 0.4, ProbeRange: ref.ProbeRange},
 	})
 }
 
@@ -305,8 +281,7 @@ func dedupeGrid(grid []Candidate) []Candidate {
 func Repro(cfg Config, c Candidate) string {
 	return fmt.Sprintf("repro: go run ./cmd/pisd-autotune -users %d -dim %d -k %d -queries %d -seed %d -grid %q",
 		cfg.Users, cfg.Dim, cfg.K, cfg.Queries, cfg.Seed,
-		fmt.Sprintf("l=%d,atoms=%d,width=%g,d=%d,parts=%d",
-			c.Tables, c.Atoms, c.Width, c.ProbeRange, c.Partitions))
+		fmt.Sprintf("l=%d,atoms=%d,width=%g,d=%d", c.Tables, c.Atoms, c.Width, c.ProbeRange))
 }
 
 // tuneDataset derives the synthetic population config for a run: the

@@ -3,6 +3,8 @@ package autotune
 import (
 	"encoding/json"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -12,12 +14,13 @@ import (
 func smokeConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Users:   2000,
-		Dim:     128,
-		K:       10,
-		Queries: 24,
-		Seed:    1,
-		Grid:    TinyGrid(2000),
+		Users:         2000,
+		Dim:           128,
+		K:             10,
+		Queries:       24,
+		Seed:          1,
+		MaxRecallLoss: 0.01,
+		Grid:          TinyGrid(2000),
 	}
 }
 
@@ -68,7 +71,7 @@ func TestAutotuneTinyGridWinner(t *testing.T) {
 		t.Errorf("winner recall %.4f below floor %.4f; %s", w.Recall,
 			rep.Reference.Recall-cfg.MaxRecallLoss, Repro(cfg, w.Candidate))
 	}
-	want := Candidate{Tables: 6, Atoms: 4, Width: 1.0, ProbeRange: 4, Partitions: 1}
+	want := Candidate{Tables: 6, Atoms: 4, Width: 1.0, ProbeRange: 4}
 	if w.Candidate != want {
 		t.Errorf("winner = %s, want the known-dominant %s; %s", w.Candidate, want, Repro(cfg, w.Candidate))
 	}
@@ -134,11 +137,12 @@ func TestSweepPrunesDominated(t *testing.T) {
 	cfg := smokeConfig(t)
 	// The first config is cheaper (budget 15 vs 20) yet has more tables,
 	// fewer atoms and the same width — the sweep's budget ordering runs it
-	// in the first wave, where it dominates the second on every axis.
-	cfg.Workers = 1
+	// in the first wave, where it dominates the last on every axis. The
+	// budget-16 filler, which dominates neither, fills that first wave.
 	cfg.Grid = []Candidate{
-		{Tables: 5, Atoms: 4, Width: 0.7, ProbeRange: 2, Partitions: 1},
-		{Tables: 4, Atoms: 5, Width: 0.7, ProbeRange: 4, Partitions: 1},
+		{Tables: 5, Atoms: 4, Width: 0.7, ProbeRange: 2},
+		{Tables: 2, Atoms: 4, Width: 1.0, ProbeRange: 7},
+		{Tables: 4, Atoms: 5, Width: 0.7, ProbeRange: 4},
 	}
 	rep, err := Run(cfg)
 	if err != nil {
@@ -162,7 +166,7 @@ func TestSweepPrunesDominated(t *testing.T) {
 
 // TestDominatorOf pins the monotone dominance relation.
 func TestDominatorOf(t *testing.T) {
-	a := &Result{Candidate: Candidate{Tables: 6, Atoms: 4, Width: 1.0, ProbeRange: 4, Partitions: 1}}
+	a := &Result{Candidate: Candidate{Tables: 6, Atoms: 4, Width: 1.0, ProbeRange: 4}}
 	a.Budget = a.Candidate.Budget()
 	evaluated := []*Result{a}
 	cases := []struct {
@@ -171,18 +175,16 @@ func TestDominatorOf(t *testing.T) {
 	}{
 		// Fewer tables, more atoms, narrower width, same budget axis →
 		// dominated.
-		{Candidate{Tables: 5, Atoms: 5, Width: 0.7, ProbeRange: 5, Partitions: 1}, true},
-		{Candidate{Tables: 6, Atoms: 4, Width: 0.7, ProbeRange: 4, Partitions: 1}, true},
+		{Candidate{Tables: 5, Atoms: 5, Width: 0.7, ProbeRange: 5}, true},
+		{Candidate{Tables: 6, Atoms: 4, Width: 0.7, ProbeRange: 4}, true},
 		// More tables: could recall more.
-		{Candidate{Tables: 7, Atoms: 4, Width: 1.0, ProbeRange: 4, Partitions: 1}, false},
+		{Candidate{Tables: 7, Atoms: 4, Width: 1.0, ProbeRange: 4}, false},
 		// Fewer atoms: could recall more.
-		{Candidate{Tables: 6, Atoms: 3, Width: 1.0, ProbeRange: 4, Partitions: 1}, false},
+		{Candidate{Tables: 6, Atoms: 3, Width: 1.0, ProbeRange: 4}, false},
 		// Wider: could recall more.
-		{Candidate{Tables: 6, Atoms: 4, Width: 1.2, ProbeRange: 4, Partitions: 1}, false},
+		{Candidate{Tables: 6, Atoms: 4, Width: 1.2, ProbeRange: 4}, false},
 		// Cheaper budget: could still be a frontier point.
-		{Candidate{Tables: 6, Atoms: 4, Width: 0.7, ProbeRange: 3, Partitions: 1}, false},
-		// Different partition layout: not comparable.
-		{Candidate{Tables: 5, Atoms: 5, Width: 0.7, ProbeRange: 4, Partitions: 2}, false},
+		{Candidate{Tables: 6, Atoms: 4, Width: 0.7, ProbeRange: 3}, false},
 		// Itself: never its own dominator.
 		{a.Candidate, false},
 	}
@@ -194,45 +196,45 @@ func TestDominatorOf(t *testing.T) {
 	}
 }
 
-// TestPartitionByDensity pins the layout: deterministic, near-equal
-// quantiles, every profile in exactly one partition, and density ordered
-// across partitions.
-func TestPartitionByDensity(t *testing.T) {
-	density := []float64{5, 1, 3, 9, 2, 8, 7, 4, 6, 0}
-	groups, partOf := partitionByDensity(density, 3)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups", len(groups))
+// TestDensityOrder pins the insertion order: ascending participation
+// ratio 1/Σvᵢ⁴, ties broken by index, zero vectors first.
+func TestDensityOrder(t *testing.T) {
+	h := math.Sqrt(0.5)
+	profiles := [][]float64{
+		{0.6, 0.8}, // 1/(0.6⁴+0.8⁴) ≈ 1.85
+		{1, 0},     // 1
+		{0, 0},     // 0
+		{0, 1},     // 1, ties with profile 1
+		{h, h},     // 2
 	}
-	seen := make(map[int]bool)
-	for pi, g := range groups {
-		if len(g) < 3 || len(g) > 4 {
-			t.Errorf("partition %d has %d members, want 3..4", pi, len(g))
-		}
-		for _, m := range g {
-			if seen[m] {
-				t.Errorf("profile %d in two partitions", m)
-			}
-			seen[m] = true
-			if partOf[m] != pi {
-				t.Errorf("partOf[%d] = %d, want %d", m, partOf[m], pi)
-			}
-		}
+	if got, want := densityOrder(profiles), []int{2, 1, 3, 0, 4}; !slices.Equal(got, want) {
+		t.Errorf("densityOrder = %v, want %v", got, want)
 	}
-	if len(seen) != len(density) {
-		t.Errorf("%d profiles assigned, want %d", len(seen), len(density))
+}
+
+// TestSweepIndependentOfGOMAXPROCS pins the sweep's wave width: the default
+// grid's report — which configs are evaluated and which pruned — is
+// byte-identical whatever the core count.
+func TestSweepIndependentOfGOMAXPROCS(t *testing.T) {
+	cfg := smokeConfig(t)
+	cfg.Grid = DefaultGrid(cfg.Users)
+	run := func(procs int) (*Report, string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, string(blob)
 	}
-	// Quantiles are density-ordered: max of partition i ≤ min of i+1.
-	for pi := 0; pi+1 < len(groups); pi++ {
-		maxLo, minHi := math.Inf(-1), math.Inf(1)
-		for _, m := range groups[pi] {
-			maxLo = math.Max(maxLo, density[m])
-		}
-		for _, m := range groups[pi+1] {
-			minHi = math.Min(minHi, density[m])
-		}
-		if maxLo > minHi {
-			t.Errorf("partitions %d/%d not density-ordered: %v > %v", pi, pi+1, maxLo, minHi)
-		}
+	one, oneJSON := run(1)
+	eight, eightJSON := run(8)
+	if oneJSON != eightJSON {
+		t.Fatalf("GOMAXPROCS 1 and 8 produce different reports: evaluated/pruned %d/%d vs %d/%d",
+			one.Evaluated, one.Pruned, eight.Evaluated, eight.Pruned)
 	}
 }
 
@@ -274,9 +276,9 @@ func TestFrontierIsSkyline(t *testing.T) {
 // TestReproLine pins the one-line repro format used by failing configs.
 func TestReproLine(t *testing.T) {
 	cfg := smokeConfig(t)
-	c := Candidate{Tables: 6, Atoms: 5, Width: 0.85, ProbeRange: 4, Partitions: 2}
+	c := Candidate{Tables: 6, Atoms: 5, Width: 0.85, ProbeRange: 4}
 	got := Repro(cfg, c)
-	want := `repro: go run ./cmd/pisd-autotune -users 2000 -dim 128 -k 10 -queries 24 -seed 1 -grid "l=6,atoms=5,width=0.85,d=4,parts=2"`
+	want := `repro: go run ./cmd/pisd-autotune -users 2000 -dim 128 -k 10 -queries 24 -seed 1 -grid "l=6,atoms=5,width=0.85,d=4"`
 	if got != want {
 		t.Errorf("repro line:\n got %s\nwant %s", got, want)
 	}
@@ -290,20 +292,34 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Users: 100}); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := Run(Config{Users: 100, Grid: []Candidate{{Tables: 0, Atoms: 1, Width: 1, Partitions: 1}}}); err == nil {
+	if _, err := Run(Config{Users: 100, Grid: []Candidate{{Tables: 0, Atoms: 1, Width: 1}}}); err == nil {
 		t.Error("invalid candidate accepted")
 	}
 }
 
-// TestBudget pins the cost model Σᵢ lᵢ·(dᵢ+1).
+// TestMaxRecallLossKeptAsGiven pins that a zero loss budget means "no
+// recall loss allowed" rather than a default, and that a negative one is
+// refused.
+func TestMaxRecallLossKeptAsGiven(t *testing.T) {
+	cfg := smokeConfig(t)
+	cfg.MaxRecallLoss = 0
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Config.MaxRecallLoss != 0 {
+		t.Errorf("report records max recall loss %v, want 0", rep.Config.MaxRecallLoss)
+	}
+	cfg.MaxRecallLoss = -0.01
+	if _, err := Run(cfg); err == nil {
+		t.Error("negative max recall loss accepted")
+	}
+}
+
+// TestBudget pins the cost model l·(d+1).
 func TestBudget(t *testing.T) {
-	c := Candidate{Tables: 10, Atoms: 4, Width: 0.7, ProbeRange: 4, Partitions: 1}
+	c := Candidate{Tables: 10, Atoms: 4, Width: 0.7, ProbeRange: 4}
 	if c.Budget() != 50 {
 		t.Errorf("budget = %d, want 50", c.Budget())
-	}
-	c.Partitions = 2
-	c.Tables = 4
-	if c.Budget() != 40 {
-		t.Errorf("partitioned budget = %d, want 40", c.Budget())
 	}
 }

@@ -117,64 +117,46 @@ func measureFallback(env *sweepEnv, cfg Config, rep *Report) error {
 	return nil
 }
 
-// partitionDeployment is one partition's live slice of the measured
-// deployment: its own front end (keys + family) and in-process cloud
-// server with a private metrics registry.
-type partitionDeployment struct {
-	fe  *frontend.Frontend
-	srv *cloud.Server
-	reg *obs.Registry
-}
-
 // measureCandidate builds candidate c's deployment over the sweep
-// population — one (frontend, cloud.Server) pair per partition, exactly
-// the production build path including the rehash loop — and measures
-// secure-path recall, bucket traffic (from the live cloud.* counters),
-// trapdoor cost, index bytes and serial end-to-end qps.
+// population — one front end and in-process cloud.Server with a private
+// metrics registry, exactly the production build path including the
+// rehash loop — and measures secure-path recall, bucket traffic (from the
+// live cloud.* counters), trapdoor cost, index bytes and serial end-to-end
+// qps.
 func measureCandidate(env *sweepEnv, cfg Config, c Candidate) (*Measurement, error) {
-	groups := env.groups[c.Partitions]
-	deps := make([]partitionDeployment, len(groups))
 	meas := &Measurement{}
-
 	buildStart := time.Now()
-	for pi, members := range groups {
-		fcfg := frontend.DefaultConfig(cfg.Dim)
-		fcfg.LSH.Tables = c.Tables
-		fcfg.LSH.Atoms = c.Atoms
-		fcfg.LSH.Width = c.Width
-		fcfg.ProbeRange = c.ProbeRange
-		fcfg.MaxLoop = 2000
-		fcfg.KeySeed = fmt.Sprintf("autotune-%d-p%d", cfg.Seed, pi)
-		fe, err := frontend.New(fcfg)
-		if err != nil {
-			return nil, fmt.Errorf("partition %d: %w", pi, err)
-		}
-		uploads := make([]frontend.Upload, len(members))
-		for i, m := range members {
-			uploads[i] = frontend.Upload{ID: uint64(m) + 1, Profile: env.profiles[m]}
-		}
-		idx, encProfiles, err := fe.BuildIndex(uploads)
-		if err != nil {
-			return nil, fmt.Errorf("partition %d (%d users): %w", pi, len(members), err)
-		}
-		srv := cloud.New()
-		reg := obs.NewRegistry()
-		srv.SetRegistry(reg)
-		srv.SetIndex(idx)
-		srv.PutProfiles(encProfiles)
-		deps[pi] = partitionDeployment{fe: fe, srv: srv, reg: reg}
-		meas.IndexBytes += int64(idx.SizeBytes())
+	fcfg := frontend.DefaultConfig(cfg.Dim)
+	fcfg.LSH.Tables = c.Tables
+	fcfg.LSH.Atoms = c.Atoms
+	fcfg.LSH.Width = c.Width
+	fcfg.ProbeRange = c.ProbeRange
+	fcfg.MaxLoop = 2000
+	fcfg.KeySeed = fmt.Sprintf("autotune-%d-p0", cfg.Seed)
+	fe, err := frontend.New(fcfg)
+	if err != nil {
+		return nil, err
 	}
+	uploads := make([]frontend.Upload, len(env.order))
+	for i, m := range env.order {
+		uploads[i] = frontend.Upload{ID: uint64(m) + 1, Profile: env.profiles[m]}
+	}
+	idx, encProfiles, err := fe.BuildIndex(uploads)
+	if err != nil {
+		return nil, fmt.Errorf("%d users: %w", len(uploads), err)
+	}
+	srv := cloud.New()
+	reg := obs.NewRegistry()
+	srv.SetRegistry(reg)
+	srv.SetIndex(idx)
+	srv.PutProfiles(encProfiles)
+	meas.IndexBytes = int64(idx.SizeBytes())
 	meas.BuildMS = float64(time.Since(buildStart).Microseconds()) / 1000
 
-	// Trapdoor cost: mean per query, summed over partitions (a query
-	// issues one trapdoor per partition).
 	tdStart := time.Now()
 	for _, q := range env.queries {
-		for pi := range deps {
-			if _, err := deps[pi].fe.Trapdoor(q); err != nil {
-				return nil, fmt.Errorf("trapdoor: %w", err)
-			}
+		if _, err := fe.Trapdoor(q); err != nil {
+			return nil, fmt.Errorf("trapdoor: %w", err)
 		}
 	}
 	meas.TrapdoorUS = float64(time.Since(tdStart).Microseconds()) / float64(len(env.queries))
@@ -184,17 +166,14 @@ func measureCandidate(env *sweepEnv, cfg Config, c Candidate) (*Measurement, err
 	var recallSum, accSum float64
 	qStart := time.Now()
 	for qi, q := range env.queries {
-		merged := vec.NewTopK(cfg.K)
-		for pi := range deps {
-			matches, err := deps[pi].fe.Discover(deps[pi].srv, q, cfg.K, 0)
-			if err != nil {
-				return nil, fmt.Errorf("discover partition %d: %w", pi, err)
-			}
-			for _, m := range matches {
-				merged.Offer(m.ID, m.Distance)
-			}
+		matches, err := fe.Discover(srv, q, cfg.K, 0)
+		if err != nil {
+			return nil, fmt.Errorf("discover: %w", err)
 		}
-		retrieved := merged.Sorted()
+		retrieved := make([]vec.Scored, len(matches))
+		for i, m := range matches {
+			retrieved[i] = vec.Scored{ID: m.ID, Score: m.Distance}
+		}
 		gt := make([]vec.Scored, len(env.gt[qi]))
 		for i, s := range env.gt[qi] {
 			gt[i] = vec.Scored{ID: s.ID + 1, Score: s.Score}
@@ -211,20 +190,13 @@ func measureCandidate(env *sweepEnv, cfg Config, c Candidate) (*Measurement, err
 	}
 
 	// Bucket traffic from the live counters that also enforce the
-	// leakage invariant: cloud.buckets_unmasked summed across partitions,
-	// normalized per query. Counting both phases' queries keeps the
-	// denominator in step with the counter.
-	var buckets, queries int64
-	for pi := range deps {
-		snap := deps[pi].reg.Snapshot()
-		buckets += snap.Counters["cloud.buckets_unmasked"]
-		queries += snap.Counters["cloud.queries"]
-		if v := snap.Counters["cloud.leakage_invariant_violations"]; v != 0 {
-			return nil, fmt.Errorf("partition %d: %d leakage invariant violations", pi, v)
-		}
+	// leakage invariant, normalized per served query.
+	snap := reg.Snapshot()
+	if v := snap.Counters["cloud.leakage_invariant_violations"]; v != 0 {
+		return nil, fmt.Errorf("%d leakage invariant violations", v)
 	}
-	if queries > 0 {
-		meas.BucketsPerQuery = float64(buckets) / float64(queries) * float64(len(deps))
+	if queries := snap.Counters["cloud.queries"]; queries > 0 {
+		meas.BucketsPerQuery = float64(snap.Counters["cloud.buckets_unmasked"]) / float64(queries)
 	}
 	return meas, nil
 }

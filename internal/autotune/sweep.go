@@ -97,24 +97,24 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
+// sweepWave is the sweep's wave width: candidates are evaluated
+// concurrently sweepWave at a time, and pruning consults only completed
+// waves. The wave boundaries decide which dominators are visible, and so
+// which configs get pruned; a fixed width keeps the report independent of
+// the core count. The recorded 10k and 100k reports were swept at width 2.
+const sweepWave = 2
+
 // sweep evaluates the grid in deterministic budget-ordered waves of
-// cfg.Workers, pruning candidates dominated by an already-evaluated config
-// on both axes: parameter monotonicity (≥ tables, ≤ atoms, ≥ width on the
-// same partition layout never lose recall) plus ≤ budget. Pruning looks
-// only at completed waves, so the result set is a pure function of the
-// config — independent of scheduling.
+// sweepWave, pruning candidates dominated by an already-evaluated config
+// on both axes: parameter monotonicity (≥ tables, ≤ atoms, ≥ width never
+// lose recall) plus ≤ budget. Pruning looks only at completed waves, so
+// the result set is a pure function of the config — independent of
+// scheduling.
 func (env *sweepEnv) sweep(cfg Config, grid []Candidate, ref *Result, rep *Report) []Result {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]Result, len(grid))
 	evaluated := []*Result{ref}
-	for start := 0; start < len(grid); start += workers {
-		end := start + workers
-		if end > len(grid) {
-			end = len(grid)
-		}
+	for start := 0; start < len(grid); start += sweepWave {
+		end := min(start+sweepWave, len(grid))
 		for i := start; i < end; i++ {
 			if grid[i] == ref.Candidate {
 				results[i] = *ref
@@ -161,14 +161,14 @@ func (env *sweepEnv) sweep(cfg Config, grid []Candidate, ref *Result, rep *Repor
 
 // dominatorOf returns an evaluated result that dominates c, or nil. a
 // dominates c when a costs no more and — by LSH parameter monotonicity —
-// recalls no less: same partition layout, at least as many tables, at
-// most as many atoms, at least as wide quantization. (Monotonicity holds
-// in expectation over the family draw; on a finite sample it is a
-// heuristic, which only ever drops a config from the frontier, never
-// mis-reports one: pruned entries carry no recall claim.)
+// recalls no less: at least as many tables, at most as many atoms, at
+// least as wide quantization. (Monotonicity holds in expectation over the
+// family draw; on a finite sample it is a heuristic, which only ever drops
+// a config from the frontier, never mis-reports one: pruned entries carry
+// no recall claim.)
 func dominatorOf(evaluated []*Result, c Candidate) *Result {
 	for _, a := range evaluated {
-		if a.Candidate == c || a.Partitions != c.Partitions {
+		if a.Candidate == c {
 			continue
 		}
 		if a.Budget <= c.Budget() && a.Tables >= c.Tables && a.Atoms <= c.Atoms && a.Width >= c.Width {
@@ -244,9 +244,9 @@ func pickWinnerMeasured(cfg Config, rep *Report) {
 }
 
 // sweepEnv is the shared, read-only evaluation state: the population, the
-// query workload with brute-force ground truth, the density partition
-// layouts, and per-partition master projections from which every grid
-// candidate's family is a truncation.
+// query workload with brute-force ground truth, the profiles' insertion
+// order, and the master projections from which every grid candidate's
+// family is a truncation.
 type sweepEnv struct {
 	cfg       Config
 	profiles  [][]float64
@@ -254,23 +254,22 @@ type sweepEnv struct {
 	gt        [][]vec.Scored // ground truth per query; IDs are profile indexes
 	maxTables int
 	maxAtoms  int
-	// groups[p] lists, for the p-partition layout, each partition's
-	// member profile indexes; partOf[p][i] is profile i's partition.
-	groups map[int][][]int
-	partOf map[int][]int
-	// rawP[p][i] is profile i's flattened [maxTables×maxAtoms] raw
-	// projections under its partition's master projector; rawQ[p][pi][q]
-	// is query q's raw projections under partition pi's projector.
-	rawP map[int][][]float64
-	rawQ map[int][][][]float64
-	off  map[int][][]float64 // off[p][pi] is projector (p,pi)'s offsets
+	// order is every profile index in the order it enters a candidate's
+	// tables and index (densityOrder).
+	order []int
+	// rawP[i] is profile i's flattened [maxTables×maxAtoms] raw
+	// projections under the master projector, rawQ[q] query q's, and
+	// off the projector's offsets.
+	rawP [][]float64
+	rawQ [][]float64
+	off  []float64
 	// keys[l] is a deterministic key set with l table keys, shared by the
 	// placement feasibility checks of every candidate with l tables.
 	keys map[int]*crypt.KeySet
 }
 
-// newSweepEnv generates the population, ground truth, partition layouts
-// and master projections for the run. Everything derives from cfg.Seed.
+// newSweepEnv generates the population, ground truth, insertion order and
+// master projections for the run. Everything derives from cfg.Seed.
 func newSweepEnv(cfg Config, grid []Candidate) (*sweepEnv, error) {
 	ds, err := dataset.Generate(tuneDataset(cfg))
 	if err != nil {
@@ -283,11 +282,6 @@ func newSweepEnv(cfg Config, grid []Candidate) (*sweepEnv, error) {
 		profiles: ds.Profiles,
 		queries:  queries,
 		gt:       make([][]vec.Scored, len(queries)),
-		groups:   make(map[int][][]int),
-		partOf:   make(map[int][]int),
-		rawP:     make(map[int][][]float64),
-		rawQ:     make(map[int][][][]float64),
-		off:      make(map[int][][]float64),
 	}
 	cfg.logf("autotune: computing brute-force ground truth (%d queries over %d profiles)",
 		len(queries), len(ds.Profiles))
@@ -297,17 +291,11 @@ func newSweepEnv(cfg Config, grid []Candidate) (*sweepEnv, error) {
 
 	ref := Reference(cfg.Users)
 	env.maxTables, env.maxAtoms = ref.Tables, ref.Atoms
-	partCounts := map[int]struct{}{1: {}}
 	env.keys = make(map[int]*crypt.KeySet)
 	tableCounts := map[int]struct{}{ref.Tables: {}}
 	for _, c := range grid {
-		if c.Tables > env.maxTables {
-			env.maxTables = c.Tables
-		}
-		if c.Atoms > env.maxAtoms {
-			env.maxAtoms = c.Atoms
-		}
-		partCounts[c.Partitions] = struct{}{}
+		env.maxTables = max(env.maxTables, c.Tables)
+		env.maxAtoms = max(env.maxAtoms, c.Atoms)
 		tableCounts[c.Tables] = struct{}{}
 	}
 	for l := range tableCounts {
@@ -318,114 +306,70 @@ func newSweepEnv(cfg Config, grid []Candidate) (*sweepEnv, error) {
 		env.keys[l] = keys
 	}
 
-	density := densityScores(ds.Profiles)
-	for p := range partCounts {
-		env.groups[p], env.partOf[p] = partitionByDensity(density, p)
-	}
-	cfg.logf("autotune: projecting population (master family %d×%d, %d partition layouts)",
-		env.maxTables, env.maxAtoms, len(partCounts))
-	for p := range partCounts {
-		env.projectLayout(p)
-	}
+	env.order = densityOrder(ds.Profiles)
+	cfg.logf("autotune: projecting population (master family %d×%d)", env.maxTables, env.maxAtoms)
+	env.project()
 	return env, nil
 }
 
-// densityScores returns each profile's participation ratio 1/Σvᵢ⁴ — the
-// effective number of active dimensions of a unit-norm histogram. Sparse
-// single-topic profiles score low, dense multi-topic mixtures high; it is
-// the "profile density" axis the ensemble partitions on.
-func densityScores(profiles [][]float64) []float64 {
-	scores := make([]float64, len(profiles))
+// densityOrder returns the profile indexes sorted by participation ratio
+// 1/Σvᵢ⁴ — the effective number of active dimensions of a unit-norm
+// histogram — ascending, ties broken by index. Members enter every
+// candidate's tables and index in this order: cuckoo placement is
+// order-sensitive, and the tiers frontend.ConfigForPopulation records were
+// measured in it.
+func densityOrder(profiles [][]float64) []int {
+	density := make([]float64, len(profiles))
 	parallelOver(len(profiles), func(i int) {
 		var s4 float64
 		for _, v := range profiles[i] {
 			s4 += v * v * v * v
 		}
 		if s4 > 0 {
-			scores[i] = 1 / s4
+			density[i] = 1 / s4
 		}
 	})
-	return scores
-}
-
-// partitionByDensity splits profile indexes into p contiguous density
-// quantiles of near-equal size (ties broken by index, so the layout is
-// deterministic).
-func partitionByDensity(density []float64, p int) (groups [][]int, partOf []int) {
-	n := len(density)
-	order := make([]int, n)
+	order := make([]int, len(profiles))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
+	sort.Slice(order, func(a, b int) bool {
 		if density[order[a]] != density[order[b]] {
 			return density[order[a]] < density[order[b]]
 		}
 		return order[a] < order[b]
 	})
-	groups = make([][]int, p)
-	partOf = make([]int, n)
-	for rank, idx := range order {
-		pi := rank * p / n
-		if pi >= p {
-			pi = p - 1
-		}
-		groups[pi] = append(groups[pi], idx)
-		partOf[idx] = pi
-	}
-	return groups, partOf
+	return order
 }
 
-// projectLayout draws, for each partition of the p-partition layout, an
-// independent master projector (maxTables×maxAtoms Gaussian projections
-// plus uniform offsets — the E2LSH family with the width factored out:
-// h(v) = ⌊(a·v)/W + u⌋ equals ⌊(a·v + b)/W⌋ with b = u·W), then projects
-// every member profile and every query under it. Each grid candidate's
-// family is the truncation of this master to its first l tables and k
-// atoms at its own width, so the population is hashed once per layout
-// instead of once per config.
-func (env *sweepEnv) projectLayout(p int) {
-	type proj struct {
-		vecs [][]float64
-		off  []float64
-	}
-	projectors := make([]proj, p)
-	for pi := 0; pi < p; pi++ {
-		rng := rand.New(rand.NewSource(env.cfg.Seed + int64(1000*p+pi) + 7777))
-		pr := proj{
-			vecs: make([][]float64, env.maxTables*env.maxAtoms),
-			off:  make([]float64, env.maxTables*env.maxAtoms),
+// project draws the master projector (maxTables×maxAtoms Gaussian
+// projections plus uniform offsets — the E2LSH family with the width
+// factored out: h(v) = ⌊(a·v)/W + u⌋ equals ⌊(a·v + b)/W⌋ with b = u·W),
+// then projects every profile and every query under it. Each grid
+// candidate's family is the truncation of this master to its first l
+// tables and k atoms at its own width, so the population is projected once
+// instead of once per config. The seed offset pins the family the recorded
+// tiers were measured with.
+func (env *sweepEnv) project() {
+	rng := rand.New(rand.NewSource(env.cfg.Seed + 8777))
+	vecs := make([][]float64, env.maxTables*env.maxAtoms)
+	env.off = make([]float64, len(vecs))
+	for a := range vecs {
+		v := make([]float64, env.cfg.Dim)
+		for i := range v {
+			v[i] = rng.NormFloat64()
 		}
-		for a := range pr.vecs {
-			v := make([]float64, env.cfg.Dim)
-			for i := range v {
-				v[i] = rng.NormFloat64()
-			}
-			pr.vecs[a] = v
-			pr.off[a] = rng.Float64()
-		}
-		projectors[pi] = pr
+		vecs[a] = v
+		env.off[a] = rng.Float64()
 	}
-
-	rawP := make([][]float64, len(env.profiles))
-	partOf := env.partOf[p]
+	env.rawP = make([][]float64, len(env.profiles))
 	parallelOver(len(env.profiles), func(i int) {
-		rawP[i] = rawProject(projectors[partOf[i]].vecs, env.profiles[i])
+		env.rawP[i] = rawProject(vecs, env.profiles[i])
 	})
-	rawQ := make([][][]float64, p)
-	for pi := 0; pi < p; pi++ {
-		rawQ[pi] = make([][]float64, len(env.queries))
-		for qi, q := range env.queries {
-			rawQ[pi][qi] = rawProject(projectors[pi].vecs, q)
-		}
+	env.rawQ = make([][]float64, len(env.queries))
+	for qi, q := range env.queries {
+		env.rawQ[qi] = rawProject(vecs, q)
 	}
-	off := make([][]float64, p)
-	for pi := 0; pi < p; pi++ {
-		off[pi] = projectors[pi].off
-	}
-	env.rawP[p] = rawP
-	env.rawQ[p] = rawQ
-	env.off[p] = off
 }
 
 // rawProject computes a·v for every master atom.
@@ -460,10 +404,10 @@ func tableHash(raw, off []float64, maxAtoms, j, k int, width float64) uint64 {
 	return h.Sum64()
 }
 
-// evaluate measures one candidate with the plain-LSH proxy: per partition,
-// index every member's l table hashes, then for each query rank the union
-// of bucket candidates across partitions against the brute-force ground
-// truth. Pure and deterministic — safe to fan across the worker pool.
+// evaluate measures one candidate with the plain-LSH proxy: index every
+// profile's l table hashes, then for each query rank the union of its
+// bucket candidates against the brute-force ground truth. Pure and
+// deterministic — safe to run concurrently.
 func (env *sweepEnv) evaluate(c Candidate) Result {
 	res := Result{Candidate: c, Budget: c.Budget()}
 	if c.Tables > env.maxTables || c.Atoms > env.maxAtoms {
@@ -471,97 +415,55 @@ func (env *sweepEnv) evaluate(c Candidate) Result {
 		res.Repro = Repro(env.cfg, c)
 		return res
 	}
-	groups := env.groups[c.Partitions]
-	rawP := env.rawP[c.Partitions]
-	rawQ := env.rawQ[c.Partitions]
-	off := env.off[c.Partitions]
-	partOf := env.partOf[c.Partitions]
 
-	// buckets[pi][j] maps table j's hash to member profile indexes; the
-	// same hashes double as each member's metadata for the placement
-	// feasibility check.
-	buckets := make([][]map[uint64][]int32, len(groups))
-	res.Feasible = true
-	for pi, members := range groups {
-		tabs := make([]map[uint64][]int32, c.Tables)
-		for j := range tabs {
-			tabs[j] = make(map[uint64][]int32, len(members))
-		}
-		items := make([]core.Item, len(members))
-		for mi, m := range members {
-			meta := make(lsh.Metadata, c.Tables)
-			for j := 0; j < c.Tables; j++ {
-				h := tableHash(rawP[m], off[pi], env.maxAtoms, j, c.Atoms, c.Width)
-				meta[j] = h
-				tabs[j][h] = append(tabs[j][h], int32(m))
-			}
-			items[mi] = core.Item{ID: uint64(m) + 1, Meta: meta}
-		}
-		buckets[pi] = tabs
-		if res.Feasible && !env.placeable(c, items) {
-			res.Feasible = false
-		}
+	// buckets[j] maps table j's hash to profile indexes; the same hashes
+	// double as each profile's metadata for the placement feasibility
+	// check.
+	buckets := make([]map[uint64][]int32, c.Tables)
+	for j := range buckets {
+		buckets[j] = make(map[uint64][]int32, len(env.order))
 	}
+	items := make([]core.Item, len(env.order))
+	for mi, m := range env.order {
+		meta := make(lsh.Metadata, c.Tables)
+		for j := range meta {
+			h := tableHash(env.rawP[m], env.off, env.maxAtoms, j, c.Atoms, c.Width)
+			meta[j] = h
+			buckets[j][h] = append(buckets[j][h], int32(m))
+		}
+		items[mi] = core.Item{ID: uint64(m) + 1, Meta: meta}
+	}
+	res.Feasible = env.placeable(c, items)
 
 	var recallSum, accSum, candSum float64
-	partHits := make([]float64, len(groups))
-	partTotal := make([]float64, len(groups))
 	seen := make(map[int32]struct{})
 	cands := make([]int, 0, 256)
 	for qi, q := range env.queries {
 		cands = cands[:0]
-		for k := range seen {
-			delete(seen, k)
-		}
-		for pi := range groups {
-			for j := 0; j < c.Tables; j++ {
-				h := tableHash(rawQ[pi][qi], off[pi], env.maxAtoms, j, c.Atoms, c.Width)
-				for _, m := range buckets[pi][j][h] {
-					if _, dup := seen[m]; !dup {
-						seen[m] = struct{}{}
-						cands = append(cands, int(m))
-					}
+		clear(seen)
+		for j := range buckets {
+			h := tableHash(env.rawQ[qi], env.off, env.maxAtoms, j, c.Atoms, c.Width)
+			for _, m := range buckets[j][h] {
+				if _, dup := seen[m]; !dup {
+					seen[m] = struct{}{}
+					cands = append(cands, int(m))
 				}
 			}
 		}
 		candSum += float64(len(cands))
 		retrieved := baseline.RankCandidates(env.profiles, q, cands, env.cfg.K)
-		gt := env.gt[qi]
-		recallSum += baseline.RecallAtK(gt, retrieved)
-		accSum += baseline.AccuracyRatio(gt, retrieved)
-		if len(groups) > 1 {
-			got := make(map[uint64]struct{}, len(retrieved))
-			for _, s := range retrieved {
-				got[s.ID] = struct{}{}
-			}
-			for _, s := range gt {
-				pi := partOf[int(s.ID)]
-				partTotal[pi]++
-				if _, ok := got[s.ID]; ok {
-					partHits[pi]++
-				}
-			}
-		}
+		recallSum += baseline.RecallAtK(env.gt[qi], retrieved)
+		accSum += baseline.AccuracyRatio(env.gt[qi], retrieved)
 	}
 	nq := float64(len(env.queries))
 	res.Recall = recallSum / nq
 	res.Accuracy = accSum / nq
 	res.Candidates = candSum / nq
-	if len(groups) > 1 {
-		res.PartRecall = make([]float64, len(groups))
-		for pi := range groups {
-			if partTotal[pi] > 0 {
-				res.PartRecall[pi] = partHits[pi] / partTotal[pi]
-			} else {
-				res.PartRecall[pi] = 1
-			}
-		}
-	}
 	return res
 }
 
-// placeable reports whether one partition's members admit a cuckoo
-// placement under candidate c at the production load factor and kick
+// placeable reports whether the population admits a cuckoo placement
+// under candidate c at the production load factor and kick
 // budget. Wide quantization widths concentrate members on shared table
 // hashes; past a point no placement exists and the config, however good
 // its proxy recall, cannot be built. The check runs the real PRF-addressed

@@ -20,12 +20,13 @@ func ExpAutotune(s Scale) (*Table, error) {
 		return nil, err
 	}
 	cfg := autotune.Config{
-		Users:   s.AccuracyUsers,
-		Dim:     s.Dim,
-		Queries: s.Queries,
-		Seed:    s.Seed,
-		Grid:    autotune.TinyGrid(s.AccuracyUsers),
-		Measure: true,
+		Users:         s.AccuracyUsers,
+		Dim:           s.Dim,
+		Queries:       s.Queries,
+		Seed:          s.Seed,
+		MaxRecallLoss: 0.01,
+		Grid:          autotune.TinyGrid(s.AccuracyUsers),
+		Measure:       true,
 	}
 	rep, err := autotune.Run(cfg)
 	if err != nil {

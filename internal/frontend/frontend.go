@@ -100,12 +100,13 @@ type tunedOperating struct {
 }
 
 // tunedPoints is the measured recall-vs-cost frontier selection, produced
-// by `pisd-autotune` (EXPERIMENTS.md "Recall-vs-cost autotuning",
-// BENCH_PR8.json). Populations beyond the last measured tier fall back to
-// the untuned rule: extrapolating a tuned l below the paper's default to
-// unmeasured regimes risks silent recall loss, while the untuned point is
-// validated up to 1M by the scale smoke. Parameters here are functions of
-// the public n only — see the leakage argument in DESIGN.md §16.
+// by `pisd-autotune -users <tier ceiling> -seed 1 -grid default` (tables in
+// EXPERIMENTS.md "Recall/cost autotuning"; BENCH_PR8.json). Populations
+// beyond the last measured tier fall back to the untuned rule:
+// extrapolating a tuned l below the paper's default to unmeasured regimes
+// risks silent recall loss, while the untuned point is validated up to 1M
+// by the scale smoke. Parameters here are functions of the public n only —
+// see the leakage argument in DESIGN.md §16.
 // Each tier's parameters were measured at the tier ceiling; for smaller
 // populations the same config only gets sparser per bucket, so applying a
 // tier downward never risks the placement that was verified at its

@@ -4,13 +4,14 @@
 # Three assertions, all in seconds, all reproducible from seed 1:
 #
 #   1. The tuner's own test suite passes: determinism (two runs of one
-#      seed produce byte-identical reports), the pinned tiny-grid winner,
-#      dominance pruning, skyline extraction and the measured-run
-#      invariants (buckets/query == l·(d+1) budget exactly).
+#      seed produce byte-identical reports, also across core counts), the
+#      pinned tiny-grid winner, dominance pruning, skyline extraction and
+#      the measured-run invariants (buckets/query == l·(d+1) budget
+#      exactly).
 #   2. The pisd-autotune CLI, on the seeded 2000-user smoke dataset with
 #      the tiny grid, reproduces the known-dominant config
-#      l=6 k=4 W=1 d=4 parts=1 as its measured winner with a ≥25% budget
-#      reduction, and exits 0.
+#      l=6 k=4 W=1 d=4 at budget 30 as its measured winner with a ≥25%
+#      budget reduction, and exits 0.
 #   3. The leakage-invariant suite — including TestLeakageInvariantTuned,
 #      which drives discoveries through ConfigForPopulation's tuned
 #      operating point — passes under the race detector: tuned parameters
@@ -28,8 +29,8 @@ go build -o "$BIN/pisd-autotune" ./cmd/pisd-autotune
 "$BIN/pisd-autotune" -users 2000 -dim 128 -queries 24 -seed 1 -grid tiny \
     -out "$BIN/frontier.json" | tee "$BIN/run.log"
 
-grep -q 'winner l=6 k=4 W=1 d=4 parts=1' "$BIN/run.log" || {
-    echo "FAIL: expected winner l=6 k=4 W=1 d=4 parts=1" >&2
+grep -q 'winner l=6 k=4 W=1 d=4 budget 30' "$BIN/run.log" || {
+    echo "FAIL: expected winner l=6 k=4 W=1 d=4 budget 30" >&2
     echo "repro: go run ./cmd/pisd-autotune -users 2000 -dim 128 -queries 24 -seed 1 -grid tiny" >&2
     exit 1
 }
