@@ -1,6 +1,7 @@
 package bow
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -272,6 +273,21 @@ func TestVocabularyCodecRejectsMalformed(t *testing.T) {
 	ragged := &Vocabulary{Words: [][]float64{{1, 2}, {3}}}
 	if _, err := ragged.MarshalBinary(); err == nil {
 		t.Error("ragged vocabulary encoded")
+	}
+}
+
+// TestVocabularyCodecRejectsWrappingShape feeds a bare 12-byte header of
+// 2^31 × 2^31 words, whose body size 8·words·dim wraps a 64-bit integer to
+// 0: the decoder must refuse it before allocating a row.
+func TestVocabularyCodecRejectsWrappingShape(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, vocabMagic)
+	hdr = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(hdr, 1<<31), 1<<31)
+	var v Vocabulary
+	if err := v.UnmarshalBinary(hdr); err == nil {
+		t.Fatal("12-byte encoding of a 2^31 x 2^31 vocabulary accepted")
+	}
+	if v.Words != nil {
+		t.Fatalf("refused encoding left %d rows behind", len(v.Words))
 	}
 }
 

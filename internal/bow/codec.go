@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"pisd/internal/binfmt"
 )
 
 // Vocabulary serialization: the front end trains Δ once and pre-shares it
@@ -21,19 +23,15 @@ func (v *Vocabulary) MarshalBinary() ([]byte, error) {
 	}
 	dim := len(v.Words[0])
 	out := make([]byte, 0, 12+8*len(v.Words)*dim)
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:], vocabMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(v.Words)))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(dim))
-	out = append(out, hdr[:]...)
-	var buf [8]byte
+	out = be.AppendUint32(out, vocabMagic)
+	out = be.AppendUint32(out, uint32(len(v.Words)))
+	out = be.AppendUint32(out, uint32(dim))
 	for k, w := range v.Words {
 		if len(w) != dim {
 			return nil, fmt.Errorf("bow: word %d has dim %d, want %d", k, len(w), dim)
 		}
 		for _, x := range w {
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(x))
-			out = append(out, buf[:]...)
+			out = be.AppendUint64(out, math.Float64bits(x))
 		}
 	}
 	return out, nil
@@ -41,29 +39,26 @@ func (v *Vocabulary) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a vocabulary produced by MarshalBinary.
 func (v *Vocabulary) UnmarshalBinary(data []byte) error {
-	if len(data) < 12 {
-		return fmt.Errorf("bow: vocabulary encoding too short")
+	r := binfmt.NewReader(data)
+	if r.U32BE() != vocabMagic {
+		return fmt.Errorf("bow: bad vocabulary magic or encoding too short")
 	}
-	if binary.BigEndian.Uint32(data) != vocabMagic {
-		return fmt.Errorf("bow: bad vocabulary magic")
-	}
-	words := int(binary.BigEndian.Uint32(data[4:]))
-	dim := int(binary.BigEndian.Uint32(data[8:]))
-	if words < 1 || dim < 1 {
+	words, dim := int(r.U32BE()), int(r.U32BE())
+	if r.Bad() || words < 1 || dim < 1 {
 		return fmt.Errorf("bow: invalid vocabulary shape %dx%d", words, dim)
 	}
-	if len(data) != 12+8*words*dim {
-		return fmt.Errorf("bow: vocabulary body %d bytes, want %d", len(data)-12, 8*words*dim)
+	if r.Within(uint64(words), 8*dim) != words || r.Len() != 8*words*dim {
+		return fmt.Errorf("bow: vocabulary body of %d bytes does not hold %dx%d words", len(data)-12, words, dim)
 	}
 	v.Words = make([][]float64, words)
-	off := 12
 	for k := range v.Words {
 		row := make([]float64, dim)
 		for i := range row {
-			row[i] = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
-			off += 8
+			row[i] = math.Float64frombits(r.U64BE())
 		}
 		v.Words[k] = row
 	}
 	return nil
 }
+
+var be = binary.BigEndian

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"pisd/internal/binfmt"
 	"pisd/internal/core"
 	"pisd/internal/segstore"
 )
@@ -141,142 +142,84 @@ func removeIfExists(path string) {
 	}
 }
 
+// The profile and image stores are big-endian: a magic, a u64 entry count,
+// then per entry a u64 user id and either one length-prefixed ciphertext
+// (profiles) or a u32 blob count and that many length-prefixed blobs
+// (images). Lengths are u32.
+
 func encodeProfiles(profiles map[uint64][]byte) []byte {
-	out := make([]byte, 0, 12)
-	out = appendUint32(out, profilesMagic)
-	out = appendUint64(out, uint64(len(profiles)))
+	out := be.AppendUint32(nil, profilesMagic)
+	out = be.AppendUint64(out, uint64(len(profiles)))
 	for id, ct := range profiles {
-		out = appendUint64(out, id)
-		out = appendUint32(out, uint32(len(ct)))
-		out = append(out, ct...)
+		out = be.AppendUint64(out, id)
+		out = appendBlob(out, ct)
 	}
 	return out
 }
 
 func decodeProfiles(data []byte) (map[uint64][]byte, error) {
-	r := &reader{data: data}
-	if magic, err := r.uint32(); err != nil || magic != profilesMagic {
+	r := binfmt.NewReader(data)
+	if r.U32BE() != profilesMagic {
 		return nil, fmt.Errorf("bad profiles file header")
 	}
-	count, err := r.uint64()
-	if err != nil {
-		return nil, err
+	n := r.Within(r.U64BE(), 8+4)
+	out := make(map[uint64][]byte, n)
+	for range n {
+		id := r.U64BE()
+		out[id] = readBlob(&r)
 	}
-	out := make(map[uint64][]byte, count)
-	for i := uint64(0); i < count; i++ {
-		id, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		ct, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		out[id] = ct
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("trailing bytes in profiles file")
-	}
-	return out, nil
+	return out, stateEnd(&r, "profiles")
 }
 
 func encodeImages(images map[uint64][][]byte) []byte {
-	out := make([]byte, 0, 12)
-	out = appendUint32(out, imagesMagic)
-	out = appendUint64(out, uint64(len(images)))
+	out := be.AppendUint32(nil, imagesMagic)
+	out = be.AppendUint64(out, uint64(len(images)))
 	for id, blobs := range images {
-		out = appendUint64(out, id)
-		out = appendUint32(out, uint32(len(blobs)))
+		out = be.AppendUint64(out, id)
+		out = be.AppendUint32(out, uint32(len(blobs)))
 		for _, b := range blobs {
-			out = appendUint32(out, uint32(len(b)))
-			out = append(out, b...)
+			out = appendBlob(out, b)
 		}
 	}
 	return out
 }
 
 func decodeImages(data []byte) (map[uint64][][]byte, error) {
-	r := &reader{data: data}
-	if magic, err := r.uint32(); err != nil || magic != imagesMagic {
+	r := binfmt.NewReader(data)
+	if r.U32BE() != imagesMagic {
 		return nil, fmt.Errorf("bad images file header")
 	}
-	count, err := r.uint64()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[uint64][][]byte, count)
-	for i := uint64(0); i < count; i++ {
-		id, err := r.uint64()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		blobs := make([][]byte, 0, n)
-		for k := uint32(0); k < n; k++ {
-			b, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
-			blobs = append(blobs, b)
+	n := r.Within(r.U64BE(), 8+4)
+	out := make(map[uint64][][]byte, n)
+	for range n {
+		id := r.U64BE()
+		blobs := make([][]byte, r.Within(uint64(r.U32BE()), 4))
+		for k := range blobs {
+			blobs[k] = readBlob(&r)
 		}
 		out[id] = blobs
 	}
-	if !r.done() {
-		return nil, fmt.Errorf("trailing bytes in images file")
+	return out, stateEnd(&r, "images")
+}
+
+var be = binary.BigEndian
+
+func appendBlob(dst, b []byte) []byte {
+	return append(be.AppendUint32(dst, uint32(len(b))), b...)
+}
+
+// readBlob reads a length-prefixed byte string as a copy, so the store
+// does not pin the whole file buffer.
+func readBlob(r *binfmt.Reader) []byte {
+	return append([]byte(nil), r.Take(int(r.U32BE()))...)
+}
+
+func stateEnd(r *binfmt.Reader, what string) error {
+	switch {
+	case r.Bad():
+		return fmt.Errorf("%s file truncated or declares more entries than it holds", what)
+	case r.Len() != 0:
+		return fmt.Errorf("trailing bytes in %s file", what)
 	}
-	return out, nil
-}
-
-// reader is a bounds-checked cursor over a byte slice.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) uint32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, fmt.Errorf("truncated state file")
-	}
-	v := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) uint64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, fmt.Errorf("truncated state file")
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if r.off+int(n) > len(r.data) {
-		return nil, fmt.Errorf("truncated state file")
-	}
-	out := append([]byte(nil), r.data[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return out, nil
-}
-
-func (r *reader) done() bool { return r.off == len(r.data) }
-
-func appendUint32(b []byte, v uint32) []byte {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendUint64(b []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	return append(b, buf[:]...)
+	return nil
 }

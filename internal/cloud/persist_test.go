@@ -1,13 +1,17 @@
 package cloud
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"pisd/internal/core"
 	"pisd/internal/crypt"
+	"pisd/internal/segstore"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -174,4 +178,71 @@ func TestProfilesCodecTruncation(t *testing.T) {
 	if err := New().LoadFrom(dir); err == nil {
 		t.Error("profiles file with trailing bytes accepted")
 	}
+}
+
+// TestLoadBoundsDeclaredCounts feeds state files whose seal is intact but
+// whose payload declares far more entries than it holds. The SHA-256 seal
+// is a checksum, not a MAC, so such a file reaches the decoder; a count
+// must be checked against the bytes behind it before it sizes anything.
+func TestLoadBoundsDeclaredCounts(t *testing.T) {
+	be := binary.BigEndian
+	cases := []struct {
+		name    string
+		kind    segstore.SealKind
+		payload []byte
+	}{
+		// 2^20 profiles declared in a 12-byte payload.
+		{fileProfiles, segstore.KindProfiles, be.AppendUint64(be.AppendUint32(nil, profilesMagic), 1<<20)},
+		// One image entry declaring 2^22 blobs, then one blob length.
+		{fileImages, segstore.KindImages, be.AppendUint32(be.AppendUint32(be.AppendUint64(be.AppendUint64(be.AppendUint32(nil, imagesMagic), 1), 9), 1<<22), 0)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := segstore.WriteSealedFile(filepath.Join(dir, c.name), c.kind, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := New().LoadFrom(dir)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorruptState) {
+				t.Fatalf("%d-byte payload loaded as %v, want ErrCorruptState", len(c.payload), err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("rejecting a %d-byte payload allocated %d bytes, want under 1 MiB", len(c.payload), got)
+			}
+		})
+	}
+}
+
+// FuzzStateDecode throws arbitrary payloads at the profile and image store
+// decoders, which read whatever a state file's intact seal wraps. They
+// must never panic; a payload either is refused or decodes to a store that
+// re-encodes and decodes back to itself (its bytes may differ only in the
+// entry order of a map and in collapsed duplicate ids).
+func FuzzStateDecode(f *testing.F) {
+	s := New()
+	s.PutProfile(1, []byte{1, 2, 3})
+	s.PutProfile(9, nil)
+	s.StoreImages(1, []byte("blob"), nil)
+	s.StoreImages(2)
+	f.Add(encodeProfiles(s.profiles))
+	f.Add(encodeImages(s.images))
+	f.Add(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, profilesMagic), 1<<20))
+	f.Add(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, imagesMagic), 1<<40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p, err := decodeProfiles(data); err == nil {
+			again, err := decodeProfiles(encodeProfiles(p))
+			if err != nil || !reflect.DeepEqual(again, p) {
+				t.Fatalf("accepted profiles do not round-trip: %v", err)
+			}
+		}
+		if im, err := decodeImages(data); err == nil {
+			again, err := decodeImages(encodeImages(im))
+			if err != nil || !reflect.DeepEqual(again, im) {
+				t.Fatalf("accepted images do not round-trip: %v", err)
+			}
+		}
+	})
 }

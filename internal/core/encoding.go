@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+
+	"pisd/internal/binfmt"
 )
 
 // Serialization of the cloud-resident index types, used when the front end
@@ -50,30 +55,61 @@ func (sh IndexShape) EncodedSize() int64 {
 // returning the index shape. data may be just the header or the whole
 // encoding.
 func ParseIndexHeader(data []byte) (IndexShape, error) {
-	if len(data) < IndexHeaderSize {
-		return IndexShape{}, fmt.Errorf("core: index encoding too short (%d bytes)", len(data))
+	r := binfmt.NewReader(data)
+	p, width, n, stash, err := readHeader(&r, indexMagic, "index")
+	if err != nil {
+		return IndexShape{}, err
 	}
-	if binary.BigEndian.Uint32(data) != indexMagic {
-		return IndexShape{}, fmt.Errorf("core: bad index magic")
+	p.StashSize = stash
+	if _, err := bodySize(p, width, stash, BucketSize); err != nil {
+		return IndexShape{}, err
 	}
-	sh := IndexShape{
-		Params: Params{
-			Tables:     int(binary.BigEndian.Uint64(data[4:])),
-			Capacity:   int(binary.BigEndian.Uint64(data[12:])),
-			ProbeRange: int(binary.BigEndian.Uint64(data[20:])),
-			MaxLoop:    int(binary.BigEndian.Uint64(data[28:])),
-			StashSize:  int(binary.BigEndian.Uint64(data[52:])),
-		},
-		Width: int(binary.BigEndian.Uint64(data[36:])),
-		N:     int(binary.BigEndian.Uint64(data[44:])),
+	return IndexShape{Params: p, Width: width, N: n}, nil
+}
+
+// appendHeader appends the header both index encodings open with: the
+// magic, then seven big-endian u64 — tables, capacity, probe range, max
+// loop, width, and two fields of the encoding's own (static: item count
+// and stash size; dynamic: payload and EncR sizes).
+func appendHeader(dst []byte, magic uint32, p Params, width, f6, f7 int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, magic)
+	for _, v := range [...]int{p.Tables, p.Capacity, p.ProbeRange, p.MaxLoop, width, f6, f7} {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v))
 	}
-	if err := sh.Params.Validate(); err != nil {
-		return IndexShape{}, fmt.Errorf("core: decode index: %w", err)
+	return dst
+}
+
+// readHeader is the one parse of that header; bodySize validates what it
+// read.
+func readHeader(r *binfmt.Reader, magic uint32, what string) (p Params, width, f6, f7 int, err error) {
+	if r.Len() < IndexHeaderSize {
+		return p, 0, 0, 0, fmt.Errorf("core: %s encoding too short (%d bytes)", what, r.Len())
 	}
-	if sh.Width < 1 || sh.Width > sh.Params.Capacity {
-		return IndexShape{}, fmt.Errorf("core: decode index: width %d out of range", sh.Width)
+	if r.U32BE() != magic {
+		return p, 0, 0, 0, fmt.Errorf("core: bad %s magic", what)
 	}
-	return sh, nil
+	p = Params{Tables: int(r.U64BE()), Capacity: int(r.U64BE()), ProbeRange: int(r.U64BE()), MaxLoop: int(r.U64BE())}
+	return p, int(r.U64BE()), int(r.U64BE()), int(r.U64BE()), nil
+}
+
+// bodySize validates a decoded shape and returns its body length,
+// (Tables·width + extra)·unit. The product is checked for overflow: one
+// that wrapped would let a hostile header match a short body and size the
+// allocations that follow.
+func bodySize(p Params, width, extra, unit int) (int, error) {
+	if err := p.Validate(); err != nil {
+		return 0, fmt.Errorf("core: decode index: %w", err)
+	}
+	if width < 1 || width > p.Capacity {
+		return 0, fmt.Errorf("core: decode index: width %d out of range", width)
+	}
+	hi, cells := bits.Mul64(uint64(p.Tables), uint64(width))
+	cells, carry := bits.Add64(cells, uint64(extra), 0)
+	hi2, size := bits.Mul64(cells, uint64(unit))
+	if hi|carry|hi2 != 0 || size > math.MaxInt64-IndexHeaderSize {
+		return 0, fmt.Errorf("core: decode index: shape %d×%d+%d of %d-byte buckets overflows", p.Tables, width, extra, unit)
+	}
+	return int(size), nil
 }
 
 // Shape returns the index's encoded geometry.
@@ -83,17 +119,8 @@ func (x *Index) Shape() IndexShape {
 
 // MarshalBinary encodes the static index.
 func (x *Index) MarshalBinary() ([]byte, error) {
-	header := make([]byte, IndexHeaderSize)
-	binary.BigEndian.PutUint32(header[0:], indexMagic)
-	binary.BigEndian.PutUint64(header[4:], uint64(x.params.Tables))
-	binary.BigEndian.PutUint64(header[12:], uint64(x.params.Capacity))
-	binary.BigEndian.PutUint64(header[20:], uint64(x.params.ProbeRange))
-	binary.BigEndian.PutUint64(header[28:], uint64(x.params.MaxLoop))
-	binary.BigEndian.PutUint64(header[36:], uint64(x.width))
-	binary.BigEndian.PutUint64(header[44:], uint64(x.n))
-	binary.BigEndian.PutUint64(header[52:], uint64(len(x.stash)))
-	out := make([]byte, 0, len(header)+(x.params.Tables*x.width+len(x.stash))*BucketSize)
-	out = append(out, header...)
+	out := make([]byte, 0, IndexHeaderSize+(x.params.Tables*x.width+len(x.stash))*BucketSize)
+	out = appendHeader(out, indexMagic, x.params, x.width, x.n, len(x.stash))
 	for _, tbl := range x.tables {
 		for _, b := range tbl {
 			out = append(out, b...)
@@ -111,30 +138,24 @@ func (x *Index) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	p, width, n, stashSize := sh.Params, sh.Width, sh.N, sh.Params.StashSize
-	body := data[IndexHeaderSize:]
-	want := (p.Tables*width + stashSize) * BucketSize
-	if len(body) != want {
-		return fmt.Errorf("core: decode index: body %d bytes, want %d", len(body), want)
+	r := binfmt.NewReader(data[IndexHeaderSize:])
+	if want := sh.EncodedSize() - IndexHeaderSize; int64(r.Len()) != want {
+		return fmt.Errorf("core: decode index: body %d bytes, want %d", r.Len(), want)
 	}
-	tables := make([][][]byte, p.Tables)
-	off := 0
+	tables := make([][][]byte, sh.Params.Tables)
 	for j := range tables {
-		buckets := make([][]byte, width)
-		for pos := 0; pos < width; pos++ {
-			buckets[pos] = append([]byte(nil), body[off:off+BucketSize]...)
-			off += BucketSize
+		tables[j] = make([][]byte, sh.Width)
+		for pos := range tables[j] {
+			tables[j][pos] = bytes.Clone(r.Take(BucketSize))
 		}
-		tables[j] = buckets
 	}
-	stash := make([][]byte, stashSize)
+	stash := make([][]byte, sh.Params.StashSize)
 	for pos := range stash {
-		stash[pos] = append([]byte(nil), body[off:off+BucketSize]...)
-		off += BucketSize
+		stash[pos] = bytes.Clone(r.Take(BucketSize))
 	}
-	x.params = p
-	x.width = width
-	x.n = n
+	x.params = sh.Params
+	x.width = sh.Width
+	x.n = sh.N
 	x.tables = tables
 	x.stash = stash
 	x.stats = BuildStats{}
@@ -150,17 +171,8 @@ func (x *DynIndex) MarshalBinary() ([]byte, error) {
 	if x.width > 0 && x.params.Tables > 0 {
 		encR = len(x.tables[0][0].EncR)
 	}
-	header := make([]byte, 4+8*7)
-	binary.BigEndian.PutUint32(header[0:], dynMagic)
-	binary.BigEndian.PutUint64(header[4:], uint64(x.params.Tables))
-	binary.BigEndian.PutUint64(header[12:], uint64(x.params.Capacity))
-	binary.BigEndian.PutUint64(header[20:], uint64(x.params.ProbeRange))
-	binary.BigEndian.PutUint64(header[28:], uint64(x.params.MaxLoop))
-	binary.BigEndian.PutUint64(header[36:], uint64(x.width))
-	binary.BigEndian.PutUint64(header[44:], uint64(payload))
-	binary.BigEndian.PutUint64(header[52:], uint64(encR))
-	out := make([]byte, 0, len(header)+x.params.Tables*x.width*(payload+encR))
-	out = append(out, header...)
+	out := make([]byte, 0, IndexHeaderSize+x.params.Tables*x.width*(payload+encR))
+	out = appendHeader(out, dynMagic, x.params, x.width, payload, encR)
 	for _, tbl := range x.tables {
 		for _, b := range tbl {
 			if len(b.Masked) != payload || len(b.EncR) != encR {
@@ -175,47 +187,30 @@ func (x *DynIndex) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a dynamic index produced by MarshalBinary.
 func (x *DynIndex) UnmarshalBinary(data []byte) error {
-	if len(data) < 4+8*7 {
-		return fmt.Errorf("core: dynamic index encoding too short")
-	}
-	if binary.BigEndian.Uint32(data) != dynMagic {
-		return fmt.Errorf("core: bad dynamic index magic")
-	}
-	p := Params{
-		Tables:     int(binary.BigEndian.Uint64(data[4:])),
-		Capacity:   int(binary.BigEndian.Uint64(data[12:])),
-		ProbeRange: int(binary.BigEndian.Uint64(data[20:])),
-		MaxLoop:    int(binary.BigEndian.Uint64(data[28:])),
-	}
-	width := int(binary.BigEndian.Uint64(data[36:]))
-	payload := int(binary.BigEndian.Uint64(data[44:]))
-	encR := int(binary.BigEndian.Uint64(data[52:]))
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("core: decode dynamic index: %w", err)
+	r := binfmt.NewReader(data)
+	p, width, payload, encR, err := readHeader(&r, dynMagic, "dynamic index")
+	if err != nil {
+		return err
 	}
 	if payload != dynPayloadSize(p.Tables) {
 		return fmt.Errorf("core: decode dynamic index: payload size %d, want %d", payload, dynPayloadSize(p.Tables))
 	}
-	if width < 1 || encR < 0 {
-		return fmt.Errorf("core: decode dynamic index: bad shape")
+	if encR < 0 || encR > r.Len() {
+		return fmt.Errorf("core: decode dynamic index: EncR size %d out of range", encR)
 	}
-	body := data[4+8*7:]
-	per := payload + encR
-	if len(body) != p.Tables*width*per {
-		return fmt.Errorf("core: decode dynamic index: body %d bytes, want %d", len(body), p.Tables*width*per)
+	want, err := bodySize(p, width, 0, payload+encR)
+	if err != nil {
+		return err
+	}
+	if r.Len() != want {
+		return fmt.Errorf("core: decode dynamic index: body %d bytes, want %d", r.Len(), want)
 	}
 	tables := make([][]DynBucket, p.Tables)
-	off := 0
 	for j := range tables {
-		row := make([]DynBucket, width)
-		for pos := 0; pos < width; pos++ {
-			row[pos] = DynBucket{
-				Masked: append([]byte(nil), body[off:off+payload]...),
-				EncR:   append([]byte(nil), body[off+payload:off+per]...),
-			}
-			off += per
+		tables[j] = make([]DynBucket, width)
+		for pos := range tables[j] {
+			tables[j][pos] = DynBucket{Masked: bytes.Clone(r.Take(payload)), EncR: bytes.Clone(r.Take(encR))}
 		}
-		tables[j] = row
 	}
 	x.params = p
 	x.width = width

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"pisd/internal/crypt"
@@ -28,6 +29,7 @@ func FuzzIndexUnmarshal(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:20])
+	f.Add(wrappingHeader(indexMagic, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var x Index
 		if err := x.UnmarshalBinary(data); err != nil {
@@ -60,6 +62,7 @@ func FuzzDynIndexUnmarshal(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add([]byte{0})
+	f.Add(wrappingHeader(dynMagic, uint64(dynPayloadSize(1<<59)), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var x DynIndex
 		if err := x.UnmarshalBinary(data); err != nil {
@@ -129,6 +132,41 @@ func FuzzDecodeDynPayload(f *testing.F) {
 			t.Fatalf("accepted payload does not round trip")
 		}
 	})
+}
+
+// wrappingHeader is a bare 60-byte index header with tables = capacity =
+// 2^59 and width 1, whose last two fields are the static index's n and
+// stash or the dynamic index's payload and ciphertext sizes. Multiplied
+// out, its body size wraps a 64-bit integer: to 0 for the static index,
+// whose body is then "as long as" the empty one behind the header.
+func wrappingHeader(magic uint32, f6, f7 uint64) []byte {
+	h := binary.BigEndian.AppendUint32(nil, magic)
+	for _, v := range []uint64{1 << 59, 1 << 59, 0, 1, 1, f6, f7} { // tables, capacity, d, max loop, width
+		h = binary.BigEndian.AppendUint64(h, v)
+	}
+	return h
+}
+
+// TestIndexHeaderSizeOverflow pins the size check of the index header
+// parse: a header whose body size wraps must be refused, not allocated
+// from (it once panicked the server that received it as an InstallIndex
+// body).
+func TestIndexHeaderSizeOverflow(t *testing.T) {
+	static := wrappingHeader(indexMagic, 0, 0)
+	if len(static) != IndexHeaderSize {
+		t.Fatalf("header is %d bytes, want %d", len(static), IndexHeaderSize)
+	}
+	if sh, err := ParseIndexHeader(static); err == nil {
+		t.Fatalf("ParseIndexHeader accepted a wrapping shape %+v", sh)
+	}
+	var x Index
+	if err := x.UnmarshalBinary(static); err == nil {
+		t.Fatal("Index.UnmarshalBinary accepted a wrapping header")
+	}
+	var d DynIndex
+	if err := d.UnmarshalBinary(wrappingHeader(dynMagic, uint64(dynPayloadSize(1<<59)), 0)); err == nil {
+		t.Fatal("DynIndex.UnmarshalBinary accepted a wrapping header")
+	}
 }
 
 func testFuzzKeys(l int) (*crypt.KeySet, error) {

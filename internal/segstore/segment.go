@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"pisd/internal/binfmt"
 	"pisd/internal/core"
 )
 
@@ -117,13 +118,14 @@ func openSegmentFile(f *os.File, path string) (*Segment, error) {
 	if _, err := f.ReadAt(header[:], payloadOff); err != nil {
 		return nil, err
 	}
-	gen := binary.BigEndian.Uint32(header[0:])
-	lo := binary.BigEndian.Uint64(header[8:])
-	hi := binary.BigEndian.Uint64(header[16:])
+	r := binfmt.NewReader(header[:])
+	gen := r.U32BE()
+	r.Take(4) // reserved
+	lo, hi := r.U64BE(), r.U64BE()
 	if lo >= hi {
 		return nil, fmt.Errorf("%w: segment range [%d, %d)", ErrCorruptState, lo, hi)
 	}
-	shape, err := core.ParseIndexHeader(header[segHeaderSize:])
+	shape, err := core.ParseIndexHeader(r.Rest())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptState, err)
 	}

@@ -43,6 +43,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"pisd/internal/binfmt"
 )
 
 // ErrCorruptState reports a state file (segment or cloud persistence) that
@@ -79,6 +81,28 @@ func sealHeader(kind SealKind, payloadLen int64) []byte {
 	binary.BigEndian.PutUint32(h[8:], uint32(kind))
 	binary.BigEndian.PutUint64(h[12:], uint64(payloadLen))
 	return h
+}
+
+// parseSealHeader checks the envelope header at the front of a sealed file
+// of size bytes and returns its payload length.
+func parseSealHeader(h []byte, kind SealKind, size int64) (int64, error) {
+	if size < sealHeaderSize+sealSumSize {
+		return 0, fmt.Errorf("%w: truncated (%d bytes)", ErrCorruptState, size)
+	}
+	r := binfmt.NewReader(h)
+	if r.U32BE() != sealMagic {
+		return 0, fmt.Errorf("%w: bad magic", ErrCorruptState)
+	}
+	if v := r.U32BE(); v != sealVersion {
+		return 0, fmt.Errorf("%w: unsupported version %d", ErrCorruptState, v)
+	}
+	if k := SealKind(r.U32BE()); k != kind {
+		return 0, fmt.Errorf("%w: kind %d, want %d", ErrCorruptState, k, kind)
+	}
+	if n := r.U64BE(); n != uint64(size-sealHeaderSize-sealSumSize) {
+		return 0, fmt.Errorf("%w: payload length %d does not match file size", ErrCorruptState, n)
+	}
+	return size - sealHeaderSize - sealSumSize, nil
 }
 
 // WriteSealedFile atomically writes path as a sealed envelope around the
@@ -158,21 +182,8 @@ func ReadSealedFile(path string, kind SealKind) ([]byte, error) {
 
 // parseSealed validates a whole in-memory sealed envelope.
 func parseSealed(data []byte, kind SealKind) ([]byte, error) {
-	if len(data) < sealHeaderSize+sealSumSize {
-		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrCorruptState, len(data))
-	}
-	if binary.BigEndian.Uint32(data) != sealMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorruptState)
-	}
-	if v := binary.BigEndian.Uint32(data[4:]); v != sealVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptState, v)
-	}
-	if k := SealKind(binary.BigEndian.Uint32(data[8:])); k != kind {
-		return nil, fmt.Errorf("%w: kind %d, want %d", ErrCorruptState, k, kind)
-	}
-	payloadLen := binary.BigEndian.Uint64(data[12:])
-	if payloadLen != uint64(len(data)-sealHeaderSize-sealSumSize) {
-		return nil, fmt.Errorf("%w: payload length %d does not match file size", ErrCorruptState, payloadLen)
+	if _, err := parseSealHeader(data, kind, int64(len(data))); err != nil {
+		return nil, err
 	}
 	body := data[:len(data)-sealSumSize]
 	sum := sha256.Sum256(body)
@@ -192,25 +203,14 @@ func verifySealedStream(f *os.File, kind SealKind) (payloadOff, payloadLen int64
 		return 0, 0, err
 	}
 	size := st.Size()
-	if size < sealHeaderSize+sealSumSize {
-		return 0, 0, fmt.Errorf("%w: truncated (%d bytes)", ErrCorruptState, size)
-	}
 	var header [sealHeaderSize]byte
-	if _, err := f.ReadAt(header[:], 0); err != nil {
+	if size >= sealHeaderSize {
+		if _, err := f.ReadAt(header[:], 0); err != nil {
+			return 0, 0, err
+		}
+	}
+	if payloadLen, err = parseSealHeader(header[:], kind, size); err != nil {
 		return 0, 0, err
-	}
-	if binary.BigEndian.Uint32(header[:]) != sealMagic {
-		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorruptState)
-	}
-	if v := binary.BigEndian.Uint32(header[4:]); v != sealVersion {
-		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrCorruptState, v)
-	}
-	if k := SealKind(binary.BigEndian.Uint32(header[8:])); k != kind {
-		return 0, 0, fmt.Errorf("%w: kind %d, want %d", ErrCorruptState, k, kind)
-	}
-	payloadLen = int64(binary.BigEndian.Uint64(header[12:]))
-	if payloadLen != size-sealHeaderSize-sealSumSize {
-		return 0, 0, fmt.Errorf("%w: payload length %d does not match file size", ErrCorruptState, payloadLen)
 	}
 	sum := sha256.New()
 	if _, err := io.Copy(sum, io.NewSectionReader(f, 0, size-sealSumSize)); err != nil {

@@ -2,55 +2,38 @@ package subs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"pisd/internal/binfmt"
 )
 
 // Wire codec for the subscription session: the registration payload a
 // client hands the frontend and the notification frames the frontend
-// streams back. Frames are fixed-layout binary with an integrity
-// checksum, so a truncated or bit-flipped frame is rejected with a typed
-// error instead of being half-decoded:
-//
-//	magic(4) | version(1) | type(1) | payload_len(4) | payload | crc32(4)
-//
-// The checksum covers header and payload. Registration payloads carry the
+// streams back. Each is one binfmt frame (DESIGN.md §20) — the transport's
+// magic, version, little-endian layout and CRC-32C, with type bytes of its
+// own — so a truncated or bit-flipped frame is rejected with a typed
+// error instead of being half-decoded. Registration payloads carry the
 // subscriber's plaintext profile: they are for the client ↔ frontend
 // channel only (the same trust relationship as profile upload in the
 // paper) and must never be sent to the cloud tier.
 
-// Typed decode errors. Decode wraps each with frame context; match with
-// errors.Is.
+// Typed decode errors, binfmt's; match with errors.Is. A frame of an
+// unknown type is ErrBadPayload, as on the transport.
 var (
-	// ErrTruncated reports a frame cut short of its declared length.
-	ErrTruncated = errors.New("subs: truncated frame")
-	// ErrBadMagic reports bytes that are not a subscription frame.
-	ErrBadMagic = errors.New("subs: bad frame magic")
-	// ErrBadVersion reports an unsupported codec version.
-	ErrBadVersion = errors.New("subs: unsupported frame version")
-	// ErrBadFrameType reports an unknown frame type byte.
-	ErrBadFrameType = errors.New("subs: unknown frame type")
-	// ErrChecksum reports a frame whose checksum does not match its
-	// bytes — corruption or a bit flip in transit.
-	ErrChecksum = errors.New("subs: frame checksum mismatch")
-	// ErrBadPayload reports a well-framed payload with invalid contents.
-	ErrBadPayload = errors.New("subs: invalid frame payload")
+	ErrTruncated  = binfmt.ErrTruncated
+	ErrBadMagic   = binfmt.ErrBadMagic
+	ErrBadVersion = binfmt.ErrVersion
+	ErrChecksum   = binfmt.ErrChecksum
+	ErrBadPayload = binfmt.ErrBadPayload
 )
 
 const (
-	frameMagic   = 0x50535542 // "PSUB"
-	codecVersion = 1
+	// Frame types, outside the transport's 1–14 and their responses.
+	frameRegistration = 0x40
+	frameNotification = 0x41
 
-	frameRegistration = 1
-	frameNotification = 2
-
-	headerSize   = 4 + 1 + 1 + 4
-	checksumSize = 4
-
-	// maxProfileDim bounds a registration's profile dimension; a corrupt
-	// length field fails fast instead of allocating gigabytes.
+	// maxProfileDim bounds a registration's profile dimension.
 	maxProfileDim = 1 << 20
 
 	registrationFixed = 8 + 4 + 8 + 4 // subID, k, excludeID, dim
@@ -79,32 +62,32 @@ func AppendRegistration(dst []byte, r Registration) ([]byte, error) {
 	if len(r.Profile) == 0 || len(r.Profile) > maxProfileDim {
 		return nil, fmt.Errorf("%w: profile dimension %d out of range", ErrBadPayload, len(r.Profile))
 	}
-	payload := registrationFixed + 8*len(r.Profile)
-	dst = appendHeader(dst, frameRegistration, payload)
-	dst = binary.BigEndian.AppendUint64(dst, r.SubID)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.K))
-	dst = binary.BigEndian.AppendUint64(dst, r.ExcludeID)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Profile)))
+	start := len(dst)
+	dst = binfmt.AppendHeader(dst, frameRegistration, registrationFixed+8*len(r.Profile))
+	dst = le.AppendUint64(dst, r.SubID)
+	dst = le.AppendUint32(dst, uint32(r.K))
+	dst = le.AppendUint64(dst, r.ExcludeID)
+	dst = le.AppendUint32(dst, uint32(len(r.Profile)))
 	for _, v := range r.Profile {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
-	return appendChecksum(dst, headerSize+payload), nil
+	return binfmt.AppendSum(dst, start), nil
 }
 
 // AppendNotification appends n's encoded frame to dst.
 func AppendNotification(dst []byte, n Notification) []byte {
-	dst = appendHeader(dst, frameNotification, notificationSize)
-	dst = binary.BigEndian.AppendUint64(dst, n.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, n.SubID)
-	dst = binary.BigEndian.AppendUint64(dst, n.ID)
-	dst = binary.BigEndian.AppendUint64(dst, n.EvictedID)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(n.Distance))
+	start := len(dst)
+	dst = binfmt.AppendHeader(dst, frameNotification, notificationSize)
+	dst = le.AppendUint64(dst, n.Seq)
+	dst = le.AppendUint64(dst, n.SubID)
+	dst = le.AppendUint64(dst, n.ID)
+	dst = le.AppendUint64(dst, n.EvictedID)
+	dst = le.AppendUint64(dst, math.Float64bits(n.Distance))
+	promoted := byte(0)
 	if n.Promoted {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+		promoted = 1
 	}
-	return appendChecksum(dst, headerSize+notificationSize)
+	return binfmt.AppendSum(append(dst, promoted), start)
 }
 
 // EncodeRegistration encodes one registration frame.
@@ -119,97 +102,63 @@ func EncodeNotification(n Notification) []byte {
 
 // Decode decodes the first frame in data, returning it and the number of
 // bytes it consumed, so a byte stream decodes by repeated calls. Errors
-// are typed: ErrTruncated, ErrBadMagic, ErrBadVersion, ErrBadFrameType,
-// ErrChecksum, ErrBadPayload.
+// are typed: ErrTruncated, ErrBadMagic, ErrBadVersion, ErrChecksum,
+// ErrBadPayload.
 func Decode(data []byte) (Frame, int, error) {
-	if len(data) < headerSize {
-		return Frame{}, 0, fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(data), headerSize)
+	kind, body, n, err := binfmt.Split(data)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if binary.BigEndian.Uint32(data) != frameMagic {
-		return Frame{}, 0, ErrBadMagic
-	}
-	if data[4] != codecVersion {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadVersion, data[4])
-	}
-	kind := data[5]
-	payload := int(binary.BigEndian.Uint32(data[6:]))
-	if payload < 0 || payload > registrationFixed+8*maxProfileDim {
-		return Frame{}, 0, fmt.Errorf("%w: declared payload %d bytes", ErrBadPayload, payload)
-	}
-	total := headerSize + payload + checksumSize
-	if len(data) < total {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes of %d", ErrTruncated, len(data), total)
-	}
-	sum := binary.BigEndian.Uint32(data[headerSize+payload:])
-	if crc32.ChecksumIEEE(data[:headerSize+payload]) != sum {
-		return Frame{}, 0, ErrChecksum
-	}
-	body := data[headerSize : headerSize+payload]
+	var fr Frame
 	switch kind {
 	case frameRegistration:
-		r, err := decodeRegistration(body)
-		if err != nil {
-			return Frame{}, 0, err
-		}
-		return Frame{Registration: r}, total, nil
+		fr.Registration, err = decodeRegistration(body)
 	case frameNotification:
-		n, err := decodeNotification(body)
-		if err != nil {
-			return Frame{}, 0, err
-		}
-		return Frame{Notification: n}, total, nil
+		fr.Notification, err = decodeNotification(body)
 	default:
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadFrameType, kind)
+		err = fmt.Errorf("%w: unknown frame type %#x", ErrBadPayload, kind)
 	}
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	return fr, n, nil
 }
 
 func decodeRegistration(body []byte) (*Registration, error) {
-	if len(body) < registrationFixed {
-		return nil, fmt.Errorf("%w: registration body %d bytes", ErrBadPayload, len(body))
+	c := binfmt.NewReader(body)
+	r := &Registration{SubID: c.U64(), K: int(c.U32()), ExcludeID: c.U64()}
+	dim := c.Count(8)
+	r.Profile = make([]float64, dim)
+	for i := range r.Profile {
+		r.Profile[i] = math.Float64frombits(c.U64())
 	}
-	r := &Registration{
-		SubID:     binary.BigEndian.Uint64(body),
-		K:         int(binary.BigEndian.Uint32(body[8:])),
-		ExcludeID: binary.BigEndian.Uint64(body[12:]),
+	if c.Bad() || c.Len() != 0 || dim == 0 || dim > maxProfileDim {
+		return nil, fmt.Errorf("%w: registration of %d body bytes", ErrBadPayload, len(body))
 	}
-	dim := int(binary.BigEndian.Uint32(body[20:]))
 	if r.SubID == 0 {
 		return nil, fmt.Errorf("%w: zero subscription id", ErrBadPayload)
 	}
 	if r.K <= 0 {
 		return nil, fmt.Errorf("%w: k %d", ErrBadPayload, r.K)
 	}
-	if dim == 0 || dim > maxProfileDim || len(body) != registrationFixed+8*dim {
-		return nil, fmt.Errorf("%w: profile dimension %d with %d body bytes", ErrBadPayload, dim, len(body))
-	}
-	r.Profile = make([]float64, dim)
-	for i := range r.Profile {
-		v := math.Float64frombits(binary.BigEndian.Uint64(body[registrationFixed+8*i:]))
+	for i, v := range r.Profile {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("%w: non-finite profile coordinate %d", ErrBadPayload, i)
 		}
-		r.Profile[i] = v
 	}
 	return r, nil
 }
 
 func decodeNotification(body []byte) (*Notification, error) {
-	if len(body) != notificationSize {
+	c := binfmt.NewReader(body)
+	n := &Notification{Seq: c.U64(), SubID: c.U64(), ID: c.U64(), EvictedID: c.U64(), Distance: math.Float64frombits(c.U64())}
+	promoted := c.U8()
+	n.Promoted = promoted == 1
+	if c.Bad() || c.Len() != 0 {
 		return nil, fmt.Errorf("%w: notification body %d bytes, want %d", ErrBadPayload, len(body), notificationSize)
 	}
-	n := &Notification{
-		Seq:       binary.BigEndian.Uint64(body),
-		SubID:     binary.BigEndian.Uint64(body[8:]),
-		ID:        binary.BigEndian.Uint64(body[16:]),
-		EvictedID: binary.BigEndian.Uint64(body[24:]),
-		Distance:  math.Float64frombits(binary.BigEndian.Uint64(body[32:])),
-	}
-	switch body[40] {
-	case 0:
-	case 1:
-		n.Promoted = true
-	default:
-		return nil, fmt.Errorf("%w: promoted flag %d", ErrBadPayload, body[40])
+	if promoted > 1 {
+		return nil, fmt.Errorf("%w: promoted flag %d", ErrBadPayload, promoted)
 	}
 	if n.SubID == 0 || n.ID == 0 {
 		return nil, fmt.Errorf("%w: zero identifier in notification", ErrBadPayload)
@@ -220,14 +169,4 @@ func decodeNotification(body []byte) (*Notification, error) {
 	return n, nil
 }
 
-func appendHeader(dst []byte, kind byte, payload int) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, frameMagic)
-	dst = append(dst, codecVersion, kind)
-	return binary.BigEndian.AppendUint32(dst, uint32(payload))
-}
-
-// appendChecksum appends the crc32 of the frame's last frameLen bytes.
-func appendChecksum(dst []byte, frameLen int) []byte {
-	start := len(dst) - frameLen
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
-}
+var le = binary.LittleEndian

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"pisd/internal/binfmt"
 )
 
 func sessionFrames(t testing.TB) [][]byte {
@@ -100,7 +102,7 @@ func TestDecodeRejectsBitFlips(t *testing.T) {
 					t.Fatalf("frame %d: flip byte %d bit %d accepted", fi, i, bit)
 				}
 				if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadMagic) &&
-					!errors.Is(err, ErrBadVersion) && !errors.Is(err, ErrBadFrameType) &&
+					!errors.Is(err, ErrBadVersion) &&
 					!errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadPayload) {
 					t.Fatalf("frame %d: flip byte %d bit %d: untyped error %v", fi, i, bit, err)
 				}
@@ -121,5 +123,22 @@ func TestDecodeRejectsBadPayloads(t *testing.T) {
 	}
 	if _, _, err := Decode(bytes.Repeat([]byte{0}, 64)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("zero input: %v", err)
+	}
+}
+
+// TestFramesAreBinfmtFrames pins the subscription session to the shared
+// frame (DESIGN.md §20): the transport's magic, version and checksum, with
+// type bytes of its own.
+func TestFramesAreBinfmtFrames(t *testing.T) {
+	frames := sessionFrames(t)
+	for i, frame := range frames {
+		typ, _, n, err := binfmt.Split(frame)
+		want := byte(frameNotification)
+		if i == 0 {
+			want = frameRegistration
+		}
+		if err != nil || typ != want || n != len(frame) {
+			t.Fatalf("frame %d: type %#x, %d of %d bytes, %v; want type %#x", i, typ, n, len(frame), err, want)
+		}
 	}
 }

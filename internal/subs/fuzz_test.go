@@ -33,7 +33,7 @@ func FuzzSubscriptionPayload(f *testing.F) {
 		fr, n, err := Decode(data)
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadMagic) &&
-				!errors.Is(err, ErrBadVersion) && !errors.Is(err, ErrBadFrameType) &&
+				!errors.Is(err, ErrBadVersion) &&
 				!errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("untyped decode error: %v", err)
 			}

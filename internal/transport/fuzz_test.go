@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pisd/internal/binfmt"
 	"pisd/internal/core"
 )
 
@@ -39,8 +40,8 @@ func sendFrames(fw *frameWriter, msgs ...*message) error {
 // lyingFrame is a header declaring a maxFrame-byte payload with one byte
 // of body behind it.
 func lyingFrame() []byte {
-	b := le.AppendUint32(nil, frameMagic)
-	b = append(b, wireVersion, byte(msgPutProfiles))
+	b := le.AppendUint32(nil, binfmt.Magic)
+	b = append(b, binfmt.Version, byte(msgPutProfiles))
 	b = le.AppendUint32(b, maxFrame)
 	return append(b, 0xaa)
 }
@@ -102,7 +103,7 @@ func sampleMessages() []*message {
 // rawBody strips a single encoded frame down to what decode sees: the type
 // byte, then the payload.
 func rawBody(frame []byte) []byte {
-	return append([]byte{frame[5]}, frame[headerSize:len(frame)-trailerSize]...)
+	return append([]byte{frame[5]}, frame[binfmt.HeaderSize:len(frame)-binfmt.TrailerSize]...)
 }
 
 // footprint is the memory decode left m holding, from the capacities of
@@ -132,7 +133,7 @@ func checkRawDecode(t *testing.T, typ msgType, payload []byte) {
 		if err := fb.encode(&m); err != nil {
 			t.Fatalf("re-encode of a decoded raw %v: %v", typ, err)
 		}
-		if w := fb.wire(); !bytes.Equal(w[headerSize:len(w)-trailerSize], payload) {
+		if w := fb.wire(); !bytes.Equal(w[binfmt.HeaderSize:len(w)-binfmt.TrailerSize], payload) {
 			t.Fatalf("raw %v does not re-encode to the payload it was decoded from", typ)
 		}
 	}
@@ -187,15 +188,15 @@ func FuzzFrameDecode(f *testing.F) {
 	// Torn header.
 	f.Add(valid[:2])
 	// Oversized declared length.
-	huge := append([]byte(nil), valid[:headerSize]...)
+	huge := append([]byte(nil), valid[:binfmt.HeaderSize]...)
 	le.PutUint32(huge[6:], maxFrame+1)
 	f.Add(huge)
 	// Zero-length frame followed by a valid one.
-	empty := append([]byte(nil), valid[:headerSize]...)
+	empty := append([]byte(nil), valid[:binfmt.HeaderSize]...)
 	le.PutUint32(empty[6:], 0)
 	f.Add(append(empty, valid...))
 	// Garbage behind a plausible header.
-	f.Add(append(append([]byte(nil), valid[:headerSize]...), 0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe, 0xba, 0xbe))
+	f.Add(append(append([]byte(nil), valid[:binfmt.HeaderSize]...), 0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe, 0xba, 0xbe))
 	// A lying length: maxFrame declared, one byte of body.
 	f.Add(lyingFrame())
 	// Every message type, each direction, alone and as one stream.
@@ -307,7 +308,7 @@ func TestFrameDecodeInterleavedIDs(t *testing.T) {
 // TestFrameReaderRejectsOversizedFrame pins the fail-fast path for a
 // corrupt length field.
 func TestFrameReaderRejectsOversizedFrame(t *testing.T) {
-	hdr := encodeFrames(t, &message{typ: msgPing})[:headerSize]
+	hdr := encodeFrames(t, &message{typ: msgPing})[:binfmt.HeaderSize]
 	le.PutUint32(hdr[6:], maxFrame+1)
 	if _, _, err := newFrameReader(bytes.NewReader(hdr)).next(nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame read as %v, want ErrFrameTooLarge", err)

@@ -640,7 +640,7 @@ func open(typ msgType, in inbound) (*message, error) {
 }
 
 // The methods below are one per RPC. Those without a ctx parameter are
-// bounded by SetTimeout alone (context.TODO marks where ROADMAP item 4
+// bounded by SetTimeout alone (context.TODO marks where ROADMAP item 9
 // threads a deadline through the dynamic path).
 
 // InstallIndex outsources a freshly built static index to the cloud.

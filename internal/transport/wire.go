@@ -6,28 +6,27 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
 	"time"
 
+	"pisd/internal/binfmt"
 	"pisd/internal/core"
 )
 
-// The wire codec: one versioned little-endian frame for every RPC, in
-// both directions (DESIGN.md "Wire format" has the per-type byte tables):
-//
-//	magic(4) | version(1) | type(1) | payload_len(4) | payload | crc32c(4)
+// The wire codec: one binfmt frame for every RPC, in both directions
+// (DESIGN.md "Wire format" has the per-type byte tables). The RPC types
+// are 1–14, bit 7 set on a response:
 //
 //	request payload:  id(8) | budget_ns(8) | body
 //	response payload: id(8) | status(1)    | body
 //
-// The checksum covers header and payload. Every id, position, count and
-// length is fixed-width, so a frame's size is a function of the public
-// parameters (l, d, stash, batch size, candidate count, ciphertext length)
-// and never of the values carried. A response's type is its request's
-// with respBit set, so either direction decodes without context.
+// Every id, position, count and length is fixed-width, so a frame's size
+// is a function of the public parameters (l, d, stash, batch size,
+// candidate count, ciphertext length) and never of the values carried. A
+// response's type is its request's with respBit set, so either direction
+// decodes without context.
 //
 // Two failure classes. A frame whose magic, version, length or checksum is
 // wrong means the byte stream itself cannot be trusted: the reader returns
@@ -37,22 +36,17 @@ import (
 // connection carries on.
 
 // Typed codec errors; match with errors.Is. The first five are framing
-// failures and arrive wrapped in a ConnError.
+// failures and arrive wrapped in a ConnError. All but ErrFrameTooLarge and
+// ErrExpired are binfmt's, shared with every frame codec.
 var (
-	// ErrBadMagic reports bytes that are not a transport frame.
-	ErrBadMagic = errors.New("transport: bad frame magic")
-	// ErrVersion reports a peer speaking another codec version.
-	ErrVersion = errors.New("transport: unsupported wire version")
+	ErrBadMagic = binfmt.ErrBadMagic
+	ErrVersion  = binfmt.ErrVersion
 	// ErrFrameTooLarge reports a frame over maxFrame, declared by a peer or
 	// about to be produced by an encode.
 	ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
-	// ErrTruncated reports a stream that ended inside a frame.
-	ErrTruncated = errors.New("transport: truncated frame")
-	// ErrChecksum reports a frame whose checksum does not match its bytes.
-	ErrChecksum = errors.New("transport: frame checksum mismatch")
-	// ErrBadPayload reports an intact frame with an invalid body, or a
-	// message the codec cannot represent.
-	ErrBadPayload = errors.New("transport: invalid frame payload")
+	ErrTruncated     = binfmt.ErrTruncated
+	ErrChecksum      = binfmt.ErrChecksum
+	ErrBadPayload    = binfmt.ErrBadPayload
 	// ErrExpired reports a request the server dropped unexecuted because
 	// the caller's deadline budget ran out while it waited for a worker.
 	// It is a deadline expiry: errors.Is(err, context.DeadlineExceeded).
@@ -60,13 +54,8 @@ var (
 )
 
 const (
-	frameMagic  = 0x57534950 // "PISW" as it appears on the wire
-	wireVersion = 1
-
-	headerSize  = 4 + 1 + 1 + 4
-	trailerSize = 4
-	reqPrefix   = 8 + 8
-	respPrefix  = 8 + 1
+	reqPrefix  = 8 + 8
+	respPrefix = 8 + 1
 
 	// maxFrame bounds a single frame's payload; an index install for
 	// millions of users fits, a corrupt length fails fast.
@@ -89,10 +78,7 @@ const (
 	gatherMin = 1 << 10
 )
 
-var (
-	le       = binary.LittleEndian
-	crcTable = crc32.MakeTable(crc32.Castagnoli)
-)
+var le = binary.LittleEndian
 
 // msgType is the frame's type byte: the RPC, plus respBit on its answer.
 type msgType byte
@@ -286,11 +272,8 @@ func (fb *frameBuf) trapdoorList(ts []*core.Trapdoor) error {
 // (ErrBadPayload, ErrFrameTooLarge) concerns m alone: nothing has been
 // written, so the connection is unaffected.
 func (fb *frameBuf) encode(m *message) error {
-	fb.head, fb.cuts, fb.vec = fb.head[:0], fb.cuts[:0], fb.vec[:0]
-	fb.u32(frameMagic)
-	fb.u8(wireVersion)
-	fb.u8(byte(m.typ))
-	fb.u32(0) // payload length, patched below
+	fb.head = binfmt.AppendHeader(fb.head[:0], byte(m.typ), 0) // length rewritten below
+	fb.cuts, fb.vec = fb.cuts[:0], fb.vec[:0]
 	fb.u64(m.id)
 	if m.typ&respBit == 0 {
 		fb.u64(uint64(m.budget))
@@ -300,25 +283,25 @@ func (fb *frameBuf) encode(m *message) error {
 	if err := fb.appendBody(m); err != nil {
 		return err
 	}
-	payload := len(fb.head) - headerSize
+	payload := len(fb.head) - binfmt.HeaderSize
 	for _, c := range fb.cuts {
 		payload += len(c.ext)
 	}
 	if payload > maxFrame {
 		return fmt.Errorf("%w: %v of %d bytes", ErrFrameTooLarge, m.typ, payload)
 	}
-	le.PutUint32(fb.head[6:], uint32(payload))
+	binfmt.AppendHeader(fb.head[:0], byte(m.typ), payload) // in place
 
 	// The checksum walks the frame in wire order: head up to each cut, the
 	// spliced string, and so on. The gather list is assembled only once the
 	// trailer is in head, so no entry points into a buffer append has left.
 	sum, from := uint32(0), 0
 	for _, c := range fb.cuts {
-		sum = crc32.Update(sum, crcTable, fb.head[from:c.at])
-		sum = crc32.Update(sum, crcTable, c.ext)
+		sum = binfmt.Sum(sum, fb.head[from:c.at])
+		sum = binfmt.Sum(sum, c.ext)
 		from = c.at
 	}
-	sum = crc32.Update(sum, crcTable, fb.head[from:])
+	sum = binfmt.Sum(sum, fb.head[from:])
 	fb.u32(sum)
 	from = 0
 	for _, c := range fb.cuts {
@@ -329,7 +312,7 @@ func (fb *frameBuf) encode(m *message) error {
 		fb.vec = append(fb.vec, c.ext)
 	}
 	fb.vec = append(fb.vec, fb.head[from:])
-	fb.size = headerSize + payload + trailerSize
+	fb.size = binfmt.HeaderSize + payload + binfmt.TrailerSize
 	return nil
 }
 
@@ -423,62 +406,6 @@ func (fb *frameBuf) appendBody(m *message) error {
 	return nil
 }
 
-// cursor reads a payload front to back. A read past the end sets bad and
-// yields zeros, so a decoder checks once at the end instead of after every
-// field.
-type cursor struct {
-	b   []byte
-	bad bool
-}
-
-// take returns the next n bytes as a sub-slice whose capacity ends where
-// it does, so an append by whoever holds it cannot reach its neighbour.
-func (c *cursor) take(n int) []byte {
-	if n > len(c.b) {
-		c.bad, c.b = true, nil
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := c.b[:n:n]
-	c.b = c.b[n:]
-	return out
-}
-
-func (c *cursor) u8() byte {
-	if b := c.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (c *cursor) u32() uint32 {
-	if b := c.take(4); b != nil {
-		return le.Uint32(b)
-	}
-	return 0
-}
-
-func (c *cursor) u64() uint64 {
-	if b := c.take(8); b != nil {
-		return le.Uint64(b)
-	}
-	return 0
-}
-
-// count reads an element count and checks that so many elements of at
-// least unit bytes each can still follow, so a lying count never sizes an
-// allocation.
-func (c *cursor) count(unit int) int {
-	n := uint64(c.u32())
-	if n*uint64(unit) > uint64(len(c.b)) {
-		c.bad, c.b = true, nil
-		return 0
-	}
-	return int(n)
-}
-
 // grow returns s with length n, reusing its capacity when it suffices.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -487,9 +414,9 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (c *cursor) idList(dst []uint64) []uint64 {
-	n := c.count(8)
-	raw := c.take(8 * n)
+func idList(c *binfmt.Reader, dst []uint64) []uint64 {
+	n := c.Count(8)
+	raw := c.Take(8 * n)
 	dst = grow(dst, n)
 	for i := range dst {
 		dst[i] = le.Uint64(raw[8*i:])
@@ -497,33 +424,33 @@ func (c *cursor) idList(dst []uint64) []uint64 {
 	return dst
 }
 
-func (c *cursor) blobList(dst [][]byte) [][]byte {
-	n := c.count(4)
-	lens := c.take(4 * n)
+func blobList(c *binfmt.Reader, dst [][]byte) [][]byte {
+	n := c.Count(4)
+	lens := c.Take(4 * n)
 	dst = grow(dst, n)
 	for i := range dst {
-		dst[i] = c.take(int(le.Uint32(lens[4*i:])))
+		dst[i] = c.Take(int(le.Uint32(lens[4*i:])))
 	}
 	return dst
 }
 
-func (c *cursor) refList(dst []core.BucketRef) []core.BucketRef {
-	n := c.count(12)
+func refList(c *binfmt.Reader, dst []core.BucketRef) []core.BucketRef {
+	n := c.Count(12)
 	dst = grow(dst, n)
 	for i := range dst {
-		dst[i] = core.BucketRef{Table: int(int32(c.u32())), Pos: c.u64()}
+		dst[i] = core.BucketRef{Table: int(int32(c.U32())), Pos: c.U64()}
 	}
 	return dst
 }
 
-func (c *cursor) bucketList(dst []core.DynBucket) []core.DynBucket {
-	n := c.count(8)
-	lens := c.take(8 * n)
+func bucketList(c *binfmt.Reader, dst []core.DynBucket) []core.DynBucket {
+	n := c.Count(8)
+	lens := c.Take(8 * n)
 	dst = grow(dst, n)
 	for i := range dst {
 		dst[i] = core.DynBucket{
-			Masked: c.take(int(le.Uint32(lens[8*i:]))),
-			EncR:   c.take(int(le.Uint32(lens[8*i+4:]))),
+			Masked: c.Take(int(le.Uint32(lens[8*i:]))),
+			EncR:   c.Take(int(le.Uint32(lens[8*i+4:]))),
 		}
 	}
 	return dst
@@ -532,20 +459,20 @@ func (c *cursor) bucketList(dst []core.DynBucket) []core.DynBucket {
 // trapdoorList decodes into m's trapdoor backing store. The appends may
 // move a backing array mid-batch; windows cut earlier keep the old one
 // alive and stay valid.
-func (c *cursor) trapdoorList(m *message) {
-	nq := c.count(8)
+func trapdoorList(c *binfmt.Reader, m *message) {
+	nq := c.Count(8)
 	m.tdStore, m.trapdoors = grow(m.tdStore, nq), grow(m.trapdoors, nq)
 	m.tables, m.entries, m.masks = m.tables[:0], m.entries[:0], m.masks[:0]
 	for q := range m.tdStore {
-		nt, ns := int(c.u32()), int(c.u32())
-		counts := c.take(4 * nt)
+		nt, ns := int(c.U32()), int(c.U32())
+		counts := c.Take(4 * nt)
 		t := &m.tdStore[q]
 		*t = core.Trapdoor{}
 		m.trapdoors[q] = t
 		t0 := len(m.tables)
-		for j := 0; j < nt && !c.bad; j++ {
+		for j := 0; j < nt && !c.Bad(); j++ {
 			ne := int(le.Uint32(counts[4*j:]))
-			raw := c.take(ne * (8 + core.BucketSize))
+			raw := c.Take(ne * (8 + core.BucketSize))
 			e0 := len(m.entries)
 			for ; len(raw) > 0; raw = raw[8+core.BucketSize:] {
 				m.entries = append(m.entries, core.Entry{Pos: le.Uint64(raw), Mask: raw[8 : 8+core.BucketSize : 8+core.BucketSize]})
@@ -555,7 +482,7 @@ func (c *cursor) trapdoorList(m *message) {
 		if len(m.tables) > t0 {
 			t.Tables = m.tables[t0:len(m.tables):len(m.tables)]
 		}
-		raw := c.take(ns * core.BucketSize)
+		raw := c.Take(ns * core.BucketSize)
 		s0 := len(m.masks)
 		for ; len(raw) > 0; raw = raw[core.BucketSize:] {
 			m.masks = append(m.masks, raw[:core.BucketSize:core.BucketSize])
@@ -570,58 +497,58 @@ func (c *cursor) trapdoorList(m *message) {
 // concerns this frame alone; m.id is valid whenever the payload holds its
 // fixed prefix, which frameReader.next guarantees.
 func decode(typ msgType, payload []byte, m *message) error {
-	c := cursor{b: payload}
-	m.typ, m.id = typ, c.u64()
+	c := binfmt.NewReader(payload)
+	m.typ, m.id = typ, c.U64()
 	m.budget, m.status, m.errMsg = 0, statusOK, ""
 	if typ&respBit == 0 {
-		m.budget = time.Duration(c.u64())
+		m.budget = time.Duration(c.U64())
 		if m.budget < 0 {
 			return fmt.Errorf("%w: %v: negative deadline budget", ErrBadPayload, typ)
 		}
-	} else if m.status = c.u8(); m.status != statusOK {
-		m.errMsg = string(c.b)
+	} else if m.status = c.U8(); m.status != statusOK {
+		m.errMsg = string(c.Rest())
 		return nil
 	}
-	if !c.decodeBody(m) {
+	if !decodeBody(&c, m) {
 		return fmt.Errorf("%w: unknown %v", ErrBadPayload, typ)
 	}
-	if c.bad {
+	if c.Bad() {
 		return fmt.Errorf("%w: %v body ends early or declares more than it holds", ErrBadPayload, typ)
 	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("%w: %v body has %d trailing bytes", ErrBadPayload, typ, len(c.b))
+	if c.Len() != 0 {
+		return fmt.Errorf("%w: %v body has %d trailing bytes", ErrBadPayload, typ, c.Len())
 	}
 	return nil
 }
 
 // decodeBody is the decode half of the per-type format; it reports
 // whether it knows m.typ.
-func (c *cursor) decodeBody(m *message) bool {
+func decodeBody(c *binfmt.Reader, m *message) bool {
 	switch m.typ {
 	case msgPing, msgVersion, msgProfileIDs,
 		msgPing | respBit, msgInstallIndex | respBit, msgInstallDynIndex | respBit, msgPutProfiles | respBit,
 		msgDeleteProfile | respBit, msgStoreBuckets | respBit, msgStoreImage | respBit, msgSetVersion | respBit:
 	case msgInstallIndex, msgInstallDynIndex:
-		m.blobs = append(m.blobs[:0], c.take(len(c.b)))
+		m.blobs = append(m.blobs[:0], c.Rest())
 	case msgSecRecBatch:
-		c.trapdoorList(m)
+		trapdoorList(c, m)
 	case msgSecRecBatch | respBit:
-		nq := c.count(4)
-		counts := c.take(4 * nq)
-		total := uint64(0)
+		nq := c.Count(4)
+		counts := c.Take(4 * nq)
+		sum := uint64(0)
 		for q := 0; q < nq; q++ {
-			total += uint64(le.Uint32(counts[4*q:]))
+			sum += uint64(le.Uint32(counts[4*q:]))
 		}
-		if total*12 > uint64(len(c.b)) {
-			c.bad = true
+		total := c.Within(sum, 12)
+		if c.Bad() {
 			return true
 		}
-		m.ids, m.blobs = grow(m.ids, int(total)), grow(m.blobs, int(total))
+		m.ids, m.blobs = grow(m.ids, total), grow(m.blobs, total)
 		m.batchIDs, m.batchBlobs = grow(m.batchIDs, nq), grow(m.batchBlobs, nq)
-		rawIDs, lens := c.take(8*int(total)), c.take(4*int(total))
+		rawIDs, lens := c.Take(8*total), c.Take(4*total)
 		for i := range m.ids {
 			m.ids[i] = le.Uint64(rawIDs[8*i:])
-			m.blobs[i] = c.take(int(le.Uint32(lens[4*i:])))
+			m.blobs[i] = c.Take(int(le.Uint32(lens[4*i:])))
 		}
 		from := 0
 		for q := range m.batchIDs {
@@ -630,30 +557,30 @@ func (c *cursor) decodeBody(m *message) bool {
 			from = to
 		}
 	case msgFetchProfiles, msgProfileIDs | respBit:
-		m.ids = c.idList(m.ids)
+		m.ids = idList(c, m.ids)
 	case msgFetchProfiles | respBit, msgFetchImages | respBit:
-		m.blobs = c.blobList(m.blobs)
+		m.blobs = blobList(c, m.blobs)
 	case msgPutProfiles:
-		m.ids = c.idList(m.ids)
-		m.blobs = c.blobList(m.blobs)
+		m.ids = idList(c, m.ids)
+		m.blobs = blobList(c, m.blobs)
 		if len(m.ids) != len(m.blobs) {
-			c.bad = true
+			c.Fail()
 		}
 	case msgDeleteProfile, msgFetchImages:
-		m.user = c.u64()
+		m.user = c.U64()
 	case msgFetchBuckets:
-		m.refs = c.refList(m.refs)
+		m.refs = refList(c, m.refs)
 	case msgFetchBuckets | respBit:
-		m.buckets = c.bucketList(m.buckets)
+		m.buckets = bucketList(c, m.buckets)
 	case msgStoreBuckets:
-		m.version = c.u64()
-		m.refs = c.refList(m.refs)
-		m.buckets = c.bucketList(m.buckets)
+		m.version = c.U64()
+		m.refs = refList(c, m.refs)
+		m.buckets = bucketList(c, m.buckets)
 	case msgStoreImage:
-		m.user = c.u64()
-		m.blobs = append(m.blobs[:0], c.take(len(c.b)))
+		m.user = c.U64()
+		m.blobs = append(m.blobs[:0], c.Rest())
 	case msgVersion | respBit, msgSetVersion:
-		m.version = c.u64()
+		m.version = c.U64()
 	default:
 		return false
 	}
@@ -683,20 +610,18 @@ func newFrameReader(r io.Reader) *frameReader {
 func (fr *frameReader) next(buf []byte) (msgType, []byte, error) {
 	// Peek, not ReadFull into a local: the header is parsed where the
 	// read-ahead already holds it.
-	hdr, err := fr.r.Peek(headerSize)
+	hdr, err := fr.r.Peek(binfmt.HeaderSize)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = fmt.Errorf("%w: stream ended %d bytes into a frame header", ErrTruncated, len(hdr))
 		}
 		return 0, nil, err
 	}
-	if le.Uint32(hdr) != frameMagic {
-		return 0, nil, ErrBadMagic
+	t, size, err := binfmt.ParseHeader(hdr)
+	if err != nil {
+		return 0, nil, err
 	}
-	if hdr[4] != wireVersion {
-		return 0, nil, fmt.Errorf("%w: peer speaks %d, this side %d", ErrVersion, hdr[4], wireVersion)
-	}
-	typ, size := msgType(hdr[5]), int(le.Uint32(hdr[6:]))
+	typ := msgType(t)
 	if size > maxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes declared", ErrFrameTooLarge, size)
 	}
@@ -705,18 +630,18 @@ func (fr *frameReader) next(buf []byte) (msgType, []byte, error) {
 	if prefix := prefixSize(typ); size < prefix {
 		return 0, nil, fmt.Errorf("%w: %d-byte payload cannot hold the %d-byte prefix", ErrBadPayload, size, prefix)
 	}
-	sum := crc32.Update(0, crcTable, hdr)
-	fr.r.Discard(headerSize) // cannot fail: Peek just returned these bytes
-	body, err := fr.fill(buf, size+trailerSize)
+	sum := binfmt.Sum(0, hdr)
+	fr.r.Discard(binfmt.HeaderSize) // cannot fail: Peek just returned these bytes
+	body, err := fr.fill(buf, size+binfmt.TrailerSize)
 	if err != nil {
 		return 0, nil, err
 	}
 	payload := body[:size]
-	if crc32.Update(sum, crcTable, payload) != le.Uint32(body[size:]) {
+	if binfmt.Sum(sum, payload) != le.Uint32(body[size:]) {
 		return 0, nil, ErrChecksum
 	}
 	fr.trust = max(fr.trust, len(body))
-	fr.n += int64(headerSize + len(body))
+	fr.n += int64(binfmt.HeaderSize + len(body))
 	return typ, payload, nil
 }
 

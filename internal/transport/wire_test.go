@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pisd/internal/binfmt"
 	"pisd/internal/cloud"
 	"pisd/internal/core"
 	"pisd/internal/crypt"
@@ -296,7 +296,7 @@ func TestSecRecAnswerAllocations(t *testing.T) {
 
 	decodeAllocs := func(cands, ctLen int) float64 {
 		wire := encodeFrames(t, secRecAnswer(cands, ctLen))
-		payload := wire[headerSize : len(wire)-trailerSize]
+		payload := wire[binfmt.HeaderSize : len(wire)-binfmt.TrailerSize]
 		return testing.AllocsPerRun(runs, func() {
 			var m message
 			if err := decode(msgSecRecBatch|respBit, payload, &m); err != nil {
@@ -396,11 +396,11 @@ func TestWireBytesClosedForm(t *testing.T) {
 // arbitrary payload — the tool for sending a server (or a client) a body
 // its decoder will refuse.
 func rawFrame(version byte, typ msgType, payload []byte) []byte {
-	b := le.AppendUint32(nil, frameMagic)
+	b := le.AppendUint32(nil, binfmt.Magic)
 	b = append(b, version, byte(typ))
 	b = le.AppendUint32(b, uint32(len(payload)))
 	b = append(b, payload...)
-	return le.AppendUint32(b, crc32.Checksum(b, crcTable))
+	return le.AppendUint32(b, binfmt.Sum(0, b))
 }
 
 // rawCall writes frame to conn and reads one response frame back.
@@ -482,7 +482,7 @@ func TestBadPayloadIsPerRequest(t *testing.T) {
 	fr := newFrameReader(conn)
 	body := le.AppendUint64(le.AppendUint64(nil, 77), 0) // id 77, no budget
 	body = le.AppendUint64(le.AppendUint32(body, 5), 1)
-	typ, payload := rawCall(t, conn, fr, rawFrame(wireVersion, msgFetchProfiles, body))
+	typ, payload := rawCall(t, conn, fr, rawFrame(binfmt.Version, msgFetchProfiles, body))
 	if _, err := open(msgFetchProfiles, inbound{typ, payload}); !errors.Is(err, ErrBadPayload) || IsConnError(err) {
 		t.Fatalf("server answered an unparseable body with %v, want ErrBadPayload", err)
 	}
@@ -494,7 +494,7 @@ func TestBadPayloadIsPerRequest(t *testing.T) {
 		t.Fatalf("ping after a bad payload, same connection: %v", err)
 	}
 	// An unknown message type is a body nobody can parse, not a lost stream.
-	typ, payload = rawCall(t, conn, fr, rawFrame(wireVersion, msgLast+1, make([]byte, reqPrefix)))
+	typ, payload = rawCall(t, conn, fr, rawFrame(binfmt.Version, msgLast+1, make([]byte, reqPrefix)))
 	if _, err := open(msgLast+1, inbound{typ, payload}); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("unknown message type answered with %v, want ErrBadPayload", err)
 	}
@@ -503,7 +503,7 @@ func TestBadPayloadIsPerRequest(t *testing.T) {
 	addr := fakeServer(t, func(n int, req *message) []byte {
 		if n == 0 {
 			body := append(le.AppendUint64(nil, req.id), statusOK, 0xff, 0xff)
-			return rawFrame(wireVersion, req.typ|respBit, body)
+			return rawFrame(binfmt.Version, req.typ|respBit, body)
 		}
 		return encodeFrames(t, &message{typ: req.typ | respBit, id: req.id, version: 5})
 	})
@@ -535,9 +535,9 @@ func TestBadFramingIsFatalToItsConn(t *testing.T) {
 	}{
 		{"magic", ErrBadMagic, func(req *message) []byte { b := good(req); b[0] ^= 1; return b }},
 		{"checksum", ErrChecksum, func(req *message) []byte { b := good(req); b[len(b)-1] ^= 1; return b }},
-		{"flipped body bit", ErrChecksum, func(req *message) []byte { b := good(req); b[headerSize+2] ^= 4; return b }},
+		{"flipped body bit", ErrChecksum, func(req *message) []byte { b := good(req); b[binfmt.HeaderSize+2] ^= 4; return b }},
 		{"length", ErrFrameTooLarge, func(req *message) []byte { b := good(req); le.PutUint32(b[6:], maxFrame+1); return b }},
-		{"short prefix", ErrBadPayload, func(req *message) []byte { return rawFrame(wireVersion, req.typ|respBit, []byte{1, 2, 3}) }},
+		{"short prefix", ErrBadPayload, func(req *message) []byte { return rawFrame(binfmt.Version, req.typ|respBit, []byte{1, 2, 3}) }},
 	} {
 		addr := fakeServer(t, func(_ int, req *message) []byte { return tc.reply(req) })
 		c, err := Dial(addr)
@@ -567,16 +567,16 @@ func TestBadFramingIsFatalToItsConn(t *testing.T) {
 // the others.
 func TestVersionMismatch(t *testing.T) {
 	ctx := context.Background()
-	future := func(typ msgType, prefix int) []byte { return rawFrame(wireVersion+1, typ, make([]byte, prefix)) }
+	future := func(typ msgType, prefix int) []byte { return rawFrame(binfmt.Version+1, typ, make([]byte, prefix)) }
 	for _, frame := range [][]byte{future(msgPing, reqPrefix), future(msgPing|respBit, respPrefix)} {
 		if _, _, err := newFrameReader(bytes.NewReader(frame)).next(nil); !errors.Is(err, ErrVersion) {
-			t.Fatalf("reader took a version-%d frame: %v", wireVersion+1, err)
+			t.Fatalf("reader took a version-%d frame: %v", binfmt.Version+1, err)
 		}
 	}
 
 	// A newer server answering this client.
 	addr := fakeServer(t, func(_ int, req *message) []byte {
-		return rawFrame(wireVersion+1, req.typ|respBit, append(le.AppendUint64(nil, req.id), statusOK))
+		return rawFrame(binfmt.Version+1, req.typ|respBit, append(le.AppendUint64(nil, req.id), statusOK))
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -584,7 +584,7 @@ func TestVersionMismatch(t *testing.T) {
 	}
 	defer c.Close()
 	if err := c.Ping(ctx); !errors.Is(err, ErrVersion) || !IsConnError(err) {
-		t.Fatalf("ping answered in version %d: %v, want a ConnError wrapping ErrVersion", wireVersion+1, err)
+		t.Fatalf("ping answered in version %d: %v, want a ConnError wrapping ErrVersion", binfmt.Version+1, err)
 	}
 
 	// A newer client calling this server.
@@ -599,7 +599,7 @@ func TestVersionMismatch(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
-		t.Fatalf("server answered a version-%d frame with %d bytes, %v; want the connection dropped", wireVersion+1, n, err)
+		t.Fatalf("server answered a version-%d frame with %d bytes, %v; want the connection dropped", binfmt.Version+1, n, err)
 	}
 	if err := client.Ping(ctx); err != nil {
 		t.Fatalf("server stopped serving its other connections: %v", err)
