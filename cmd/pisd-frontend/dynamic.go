@@ -3,8 +3,8 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"pisd"
@@ -19,62 +19,33 @@ import (
 // -churn M drives M insert/delete operations, and every standing-result
 // change streams as one line (and, with -notify-out, as one wire frame of
 // the subscription codec) as it happens.
-func runDynamic(sf *pisd.Frontend, ds *dataset.Dataset, addrs []string, users, k int, discover string, opts dynOptions) error {
-	partitions := len(addrs) / opts.replicas
+func runDynamic(out io.Writer, sf *pisd.Frontend, ds *dataset.Dataset, fl *fleet, users, k int, discover string, opts dynOptions) error {
 	uploads := make([]pisd.Upload, users)
 	for i := 0; i < users; i++ {
 		uploads[i] = pisd.Upload{ID: uint64(i + 1), Profile: ds.Profiles[i], Meta: sf.ComputeMeta(ds.Profiles[i])}
 	}
 
 	buildStart := time.Now()
-	built, err := sf.BuildShardedDynamicIndex(uploads, partitions, nil)
+	built, err := sf.BuildShardedDynamicIndex(uploads, len(fl.nodes), nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("built %d-shard dynamic index over %d users in %s\n",
-		partitions, users, time.Since(buildStart).Round(time.Millisecond))
-
-	remotes := make([]*pisd.RemoteShard, len(addrs))
-	for i, addr := range addrs {
-		r := pisd.NewRemoteShard(addr)
-		r.SetConns(opts.conns)
-		defer r.Close()
-		remotes[i] = r
+	fmt.Fprintf(out, "built %d-shard dynamic index over %d users in %s\n",
+		len(built), users, time.Since(buildStart).Round(time.Millisecond))
+	if fl.groups != nil {
+		fmt.Fprintf(out, "replicated dynamic fleet: %d partitions x %d replicas\n", len(fl.groups), fl.replicas)
 	}
-	nodes := make([]pisd.DynNode, partitions)
-	if opts.replicas == 1 {
-		for s, r := range remotes {
-			nodes[s] = r
-			if err := r.InstallDynIndex(built[s].Index); err != nil {
-				return fmt.Errorf("install dynamic index on shard %d: %w", s, err)
-			}
-			if err := r.PutProfiles(built[s].EncProfiles); err != nil {
-				return err
-			}
+	nodes := make([]pisd.DynNode, len(fl.nodes))
+	for s, n := range fl.nodes {
+		nodes[s] = n
+		if err := n.InstallDynIndex(built[s].Index); err != nil {
+			return fmt.Errorf("install dynamic index on shard %d: %w", s, err)
 		}
-	} else {
-		for s := 0; s < partitions; s++ {
-			members := make([]pisd.ReplicaNode, opts.replicas)
-			for r := 0; r < opts.replicas; r++ {
-				members[r] = remotes[s*opts.replicas+r]
-			}
-			g, err := pisd.NewReplicaGroup(s, pisd.ReplicaGroupConfig{}, members...)
-			if err != nil {
-				return err
-			}
-			if err := g.InstallDynIndex(built[s].Index); err != nil {
-				return fmt.Errorf("install dynamic index on group %d: %w", s, err)
-			}
-			if err := g.PutProfiles(built[s].EncProfiles); err != nil {
-				return err
-			}
-			nodes[s] = g
+		if err := n.PutProfiles(built[s].EncProfiles); err != nil {
+			return err
 		}
-		fmt.Printf("replicated dynamic fleet: %d partitions x %d replicas\n", partitions, opts.replicas)
-	}
-	for s := range built {
-		fmt.Printf("shard %d: outsourced dynamic index and %d encrypted profiles to %s\n",
-			s, len(built[s].EncProfiles), strings.Join(addrs[s*opts.replicas:(s+1)*opts.replicas], ","))
+		fmt.Fprintf(out, "shard %d: outsourced dynamic index and %d encrypted profiles to %s\n",
+			s, len(built[s].EncProfiles), fl.servers(s))
 	}
 
 	serving, err := sf.NewDynServing(built, nodes, nil, opts.serving)
@@ -105,7 +76,7 @@ func runDynamic(sf *pisd.Frontend, ds *dataset.Dataset, addrs []string, users, k
 		if n.EvictedID != 0 {
 			evict = fmt.Sprintf(" evicting user %d", n.EvictedID)
 		}
-		fmt.Printf("  notify[seq %d] sub %d: user %d %s at distance %.4f%s\n",
+		fmt.Fprintf(out, "  notify[seq %d] sub %d: user %d %s at distance %.4f%s\n",
 			n.Seq, n.SubID, n.ID, kind, n.Distance, evict)
 		if notifyOut != nil {
 			frame := pisd.EncodeSubscriptionNotification(n)
@@ -125,7 +96,7 @@ func runDynamic(sf *pisd.Frontend, ds *dataset.Dataset, addrs []string, users, k
 		}
 		registered++
 		if i <= 3 {
-			fmt.Printf("subscription %d: standing top-%d seeded with %d entries\n", i, k, len(entries))
+			fmt.Fprintf(out, "subscription %d: standing top-%d seeded with %d entries\n", i, k, len(entries))
 		}
 	}
 	if opts.subscribeFrames != "" {
@@ -134,17 +105,17 @@ func runDynamic(sf *pisd.Frontend, ds *dataset.Dataset, addrs []string, users, k
 			return err
 		}
 		registered += n
-		fmt.Printf("registered %d subscription(s) from client frames in %s\n", n, opts.subscribeFrames)
+		fmt.Fprintf(out, "registered %d subscription(s) from client frames in %s\n", n, opts.subscribeFrames)
 	}
 	if registered > 0 {
-		fmt.Printf("%d standing quer%s registered\n", registered, plural(registered, "y", "ies"))
+		fmt.Fprintf(out, "%d standing quer%s registered\n", registered, plural(registered, "y", "ies"))
 	}
 
 	// The churn wave: fresh users inserted from the spare profile pool,
 	// every fourth operation also deleting an earlier insert, so the
 	// stream shows entries, evictions and promotions.
 	if opts.churn > 0 {
-		fmt.Printf("\nchurn wave: %d operations\n", opts.churn)
+		fmt.Fprintf(out, "\nchurn wave: %d operations\n", opts.churn)
 		churnStart := time.Now()
 		var inserted []uint64
 		deletes := 0
@@ -164,12 +135,12 @@ func runDynamic(sf *pisd.Frontend, ds *dataset.Dataset, addrs []string, users, k
 				deletes++
 			}
 		}
-		fmt.Printf("churn wave done in %s: %d inserts, %d deletes, %d notifications\n",
+		fmt.Fprintf(out, "churn wave done in %s: %d inserts, %d deletes, %d notifications\n",
 			time.Since(churnStart).Round(time.Millisecond), opts.churn, deletes, notified)
 	}
 
 	if registered > 0 {
-		fmt.Println("\nfinal standing results:")
+		fmt.Fprintln(out, "\nfinal standing results:")
 		shown := 0
 		for i := 1; shown < 3 && i <= opts.subscribe; i++ {
 			entries, ok := mgr.TopK(uint64(i))
@@ -177,11 +148,11 @@ func runDynamic(sf *pisd.Frontend, ds *dataset.Dataset, addrs []string, users, k
 				continue
 			}
 			shown++
-			fmt.Printf("  sub %d:", i)
+			fmt.Fprintf(out, "  sub %d:", i)
 			for _, e := range entries {
-				fmt.Printf(" user %d (%.4f)", e.ID, e.Distance)
+				fmt.Fprintf(out, " user %d (%.4f)", e.ID, e.Distance)
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 	}
 
@@ -200,19 +171,11 @@ func runDynamic(sf *pisd.Frontend, ds *dataset.Dataset, addrs []string, users, k
 		if partial {
 			note = " [PARTIAL: one or more shards unreachable]"
 		}
-		fmt.Printf("\nuser %d (topics %v) in %s%s:\n",
+		fmt.Fprintf(out, "\nuser %d (topics %v) in %s%s:\n",
 			id, ds.UserTopics[id-1], time.Since(qs).Round(time.Microsecond), note)
-		printMatches(ds, matches)
+		printMatches(out, ds, matches)
 	}
 
-	var sent, recv int64
-	for _, r := range remotes {
-		s, rv := r.Traffic()
-		sent += s
-		recv += rv
-	}
-	fmt.Printf("\ntotal traffic: %.1f KB sent, %.1f KB received across %d cloud server(s)\n",
-		float64(sent)/1024, float64(recv)/1024, len(addrs))
 	return nil
 }
 
@@ -263,7 +226,5 @@ type dynOptions struct {
 	subscribeFrames string
 	churn           int
 	notifyOut       string
-	conns           int
-	replicas        int
 	serving         pisd.ServingConfig
 }

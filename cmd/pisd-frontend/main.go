@@ -6,11 +6,11 @@
 //	pisd-server &                                  # terminal 1
 //	pisd-frontend -cloud 127.0.0.1:7001 -users 5000 -discover 1,2,3
 //
-// Passing a comma-separated -cloud list selects the sharded deployment:
-// users are partitioned across the servers (id mod S), one projected
-// secure index is installed per shard, and every discovery fans out to all
-// shards in parallel. Results that could not reach every shard are marked
-// partial.
+// A comma-separated -cloud list shards the deployment: users are
+// partitioned across the servers (id mod S), one projected secure index is
+// installed per shard, and every discovery fans out to all shards in
+// parallel. Results that could not reach every shard are marked partial.
+// A single address is the one-shard case of the same path.
 //
 //	pisd-server -addr 127.0.0.1:7001 -shards 4 &   # terminal 1
 //	pisd-frontend -cloud 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003,127.0.0.1:7004
@@ -51,6 +51,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"os/signal"
@@ -66,40 +67,43 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pisd-frontend:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	flags := flag.NewFlagSet("pisd-frontend", flag.ContinueOnError)
 	var (
-		cloudAddr = flag.String("cloud", "127.0.0.1:7001", "cloud server address")
-		keysFile  = flag.String("keys", "", "key file: loaded if present, written after fresh key generation (keep it secret)")
-		users     = flag.Int("users", 5000, "population size")
-		dim       = flag.Int("dim", 500, "profile dimensionality")
-		topics    = flag.Int("topics", 0, "interest topics in the population (0: scale with population size)")
-		k         = flag.Int("k", 5, "recommendations per discovery")
-		discover  = flag.String("discover", "1", "comma-separated target user ids")
-		attach    = flag.Bool("attach", false, "attach to a pisd-segbuild index instead of building (requires the build's -keys file and -users)")
-		seed      = flag.Int64("seed", 1, "population seed")
-		obsAddr   = flag.String("obs", "", "observability HTTP address for /metrics and /debug/pprof; keeps the process alive until interrupted (empty: disabled)")
+		cloudAddr = flags.String("cloud", "127.0.0.1:7001", "cloud server address")
+		keysFile  = flags.String("keys", "", "key file: loaded if present, written after fresh key generation (keep it secret)")
+		users     = flags.Int("users", 5000, "population size")
+		dim       = flags.Int("dim", 500, "profile dimensionality")
+		topics    = flags.Int("topics", 0, "interest topics in the population (0: scale with population size)")
+		k         = flags.Int("k", 5, "recommendations per discovery")
+		discover  = flags.String("discover", "1", "comma-separated target user ids")
+		attach    = flags.Bool("attach", false, "attach to a pisd-segbuild index instead of building (requires the build's -keys file and -users)")
+		seed      = flags.Int64("seed", 1, "population seed")
+		obsAddr   = flags.String("obs", "", "observability HTTP address for /metrics and /debug/pprof; keeps the process alive until interrupted (empty: disabled)")
 
-		conns       = flag.Int("conns-per-shard", 4, "pooled connections per shard server")
-		maxInflight = flag.Int("max-inflight", 256, "admitted concurrent discoveries (0: unbounded)")
-		cacheSize   = flag.Int("cache", 4096, "search-pattern result cache entries (0: disabled)")
+		conns       = flags.Int("conns-per-shard", 4, "pooled connections per shard server")
+		maxInflight = flags.Int("max-inflight", 256, "admitted concurrent discoveries (0: unbounded)")
+		cacheSize   = flags.Int("cache", 4096, "search-pattern result cache entries (0: disabled)")
 
-		replicas = flag.Int("replicas", 1, "replicas per shard: the -cloud list is grouped into consecutive runs of R addresses, reads fail over inside each group")
-		probeIvl = flag.Duration("probe-interval", time.Second, "health-probe cadence for replica demotion/re-admission (with -replicas > 1)")
-		waves    = flag.Int("waves", 1, "repetitions of the discovery wave (sustained load for failover demos)")
+		replicas = flags.Int("replicas", 1, "replicas per shard: the -cloud list is grouped into consecutive runs of R addresses, reads fail over inside each group")
+		probeIvl = flags.Duration("probe-interval", time.Second, "health-probe cadence for replica demotion/re-admission (with -replicas > 1)")
+		waves    = flags.Int("waves", 1, "repetitions of the discovery wave (sustained load for failover demos)")
 
-		dynamic   = flag.Bool("dynamic", false, "build the updatable index and serve through the cached dynamic path")
-		subscribe = flag.Int("subscribe", 0, "standing top-k subscriptions to register for users 1..N (implies -dynamic)")
-		subFrames = flag.String("subscribe-frames", "", "register client-encoded registration frames from this file (pisd-client -subscribe-out; implies -dynamic)")
-		churn     = flag.Int("churn", 0, "churn-wave operations against the live dynamic index (implies -dynamic)")
-		notifyOut = flag.String("notify-out", "", "append each notification as one subscription-codec wire frame to this file (decode with pisd-client -notifications)")
+		dynamic   = flags.Bool("dynamic", false, "build the updatable index and serve through the cached dynamic path")
+		subscribe = flags.Int("subscribe", 0, "standing top-k subscriptions to register for users 1..N (implies -dynamic)")
+		subFrames = flags.String("subscribe-frames", "", "register client-encoded registration frames from this file (pisd-client -subscribe-out; implies -dynamic)")
+		churn     = flags.Int("churn", 0, "churn-wave operations against the live dynamic index (implies -dynamic)")
+		notifyOut = flags.String("notify-out", "", "append each notification as one subscription-codec wire frame to this file (decode with pisd-client -notifications)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 	if *subscribe > 0 || *churn > 0 || *subFrames != "" {
 		*dynamic = true
 	}
@@ -114,7 +118,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("observability endpoint: %w", err)
 		}
-		fmt.Printf("observability endpoint on http://%s (/metrics, /debug/pprof/)\n", bound)
+		fmt.Fprintf(out, "observability endpoint on http://%s (/metrics, /debug/pprof/)\n", bound)
 	}
 
 	if *topics == 0 {
@@ -148,7 +152,7 @@ func run() error {
 			if err != nil {
 				return fmt.Errorf("restore keys from %s: %w", *keysFile, err)
 			}
-			fmt.Printf("restored keys from %s\n", *keysFile)
+			fmt.Fprintf(out, "restored keys from %s\n", *keysFile)
 		} else if !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
@@ -170,17 +174,7 @@ func run() error {
 			if err := os.WriteFile(*keysFile, blob, 0o600); err != nil {
 				return fmt.Errorf("persist keys: %w", err)
 			}
-			fmt.Printf("generated fresh keys and saved them to %s\n", *keysFile)
-		}
-	}
-	var uploads []pisd.Upload
-	if !*attach && !*dynamic {
-		// Attach mode issues trapdoors only; no uploads are (re)hashed.
-		// Dynamic mode builds its own uploads over the population (the
-		// spare churn profiles stay out of the initial index).
-		uploads = make([]pisd.Upload, len(ds.Profiles))
-		for i, p := range ds.Profiles {
-			uploads[i] = pisd.Upload{ID: uint64(i + 1), Profile: p, Meta: sf.ComputeMeta(p)}
+			fmt.Fprintf(out, "generated fresh keys and saved them to %s\n", *keysFile)
 		}
 	}
 
@@ -194,156 +188,143 @@ func run() error {
 	if len(addrs)%*replicas != 0 {
 		return fmt.Errorf("%d cloud addresses do not divide into groups of %d replicas", len(addrs), *replicas)
 	}
+	if *attach && *dynamic {
+		return errors.New("-attach does not support -dynamic")
+	}
+	if *attach && len(addrs) > 1 {
+		return errors.New("-attach supports a single cloud server")
+	}
+	fl, err := newFleet(addrs, *conns, *replicas)
+	if err != nil {
+		return err
+	}
+	defer fl.close()
 	if *dynamic {
-		if *attach {
-			return errors.New("-attach does not support -dynamic")
-		}
 		opts := dynOptions{
 			subscribe:       *subscribe,
 			subscribeFrames: *subFrames,
 			churn:           *churn,
 			notifyOut:       *notifyOut,
-			conns:           *conns,
-			replicas:        *replicas,
 			serving:         servingCfg,
 		}
-		if err := runDynamic(sf, ds, addrs, *users, *k, *discover, opts); err != nil {
-			return err
-		}
-		return lingerIfObs(*obsAddr)
-	}
-	if len(addrs) > 1 {
-		if *attach {
-			return errors.New("-attach supports a single cloud server")
-		}
-		if err := runSharded(sf, ds, uploads, addrs, *k, *discover, *conns, *replicas, *probeIvl, *waves, servingCfg); err != nil {
-			return err
-		}
-		return lingerIfObs(*obsAddr)
-	}
-
-	client, err := pisd.DialCloud(addrs[0])
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
-	if *attach {
-		if err := sf.AttachSegmented(*users); err != nil {
-			return err
-		}
-		fmt.Printf("attached to segmented index over %d users at %s\n", *users, addrs[0])
+		err = runDynamic(out, sf, ds, fl, *users, *k, *discover, opts)
 	} else {
-		buildStart := time.Now()
-		idx, encProfiles, err := sf.BuildIndex(uploads)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("built secure index over %d users in %s (%.1f MB)\n",
-			len(uploads), time.Since(buildStart).Round(time.Millisecond),
-			float64(idx.SizeBytes())/(1<<20))
-		if err := client.InstallIndex(idx); err != nil {
-			return err
-		}
-		if err := client.PutProfiles(encProfiles); err != nil {
-			return err
-		}
-		fmt.Printf("outsourced index and %d encrypted profiles to %s\n", len(encProfiles), *cloudAddr)
+		err = runStatic(out, sf, ds, fl, *attach, *users, *k, *discover, *probeIvl, *waves, servingCfg)
 	}
-
-	targets, err := parseTargets(*discover, len(ds.Profiles))
 	if err != nil {
 		return err
 	}
-	serving, err := sf.NewServing(pisd.SingleFanout{S: client}, servingCfg)
-	if err != nil {
-		return err
-	}
-	if err := discoverServing(serving, ds, targets, *k); err != nil {
-		return err
-	}
-	sent, recv := client.Traffic()
-	fmt.Printf("\ntotal traffic: %.1f KB sent, %.1f KB received\n",
-		float64(sent)/1024, float64(recv)/1024)
-	return lingerIfObs(*obsAddr)
+	fl.printTraffic(out)
+	return lingerIfObs(out, *obsAddr)
 }
 
 // lingerIfObs keeps the process alive until interrupted when the
 // observability endpoint is enabled, so /metrics stays scrapeable after
 // the discoveries complete (the CI smoke step depends on this).
-func lingerIfObs(obsAddr string) error {
+func lingerIfObs(out io.Writer, obsAddr string) error {
 	if obsAddr == "" {
 		return nil
 	}
-	fmt.Println("\nobservability endpoint active; press Ctrl-C to exit")
+	fmt.Fprintln(out, "\nobservability endpoint active; press Ctrl-C to exit")
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	return nil
 }
 
-// runSharded is the multi-shard deployment path: one projected index per
-// partition, discoveries fanned out to all partitions in parallel. With
-// replicas > 1 the address list is grouped into consecutive runs of R
-// addresses; each run becomes one failover replica group behind the pool,
-// with a background health prober driving demotion and re-admission.
-func runSharded(sf *pisd.Frontend, ds *dataset.Dataset, uploads []pisd.Upload, addrs []string, k int, discover string, conns, replicas int, probeIvl time.Duration, waves int, servingCfg pisd.ServingConfig) error {
-	partitions := len(addrs) / replicas
-	remotes := make([]*pisd.RemoteShard, len(addrs))
-	for i, addr := range addrs {
+// fleet is the cloud tier the -cloud list names: one RemoteShard per
+// address and, with R replicas, one ReplicaGroup per consecutive run of R
+// addresses. nodes[s] is partition s either way, so a single address is a
+// one-partition fleet. The static and the dynamic path both run over it.
+type fleet struct {
+	addrs    []string
+	replicas int
+	remotes  []*pisd.RemoteShard
+	groups   []*pisd.ReplicaGroup // nil without replication
+	nodes    []pisd.ShardNode
+	prober   *pisd.HealthProber
+}
+
+func newFleet(addrs []string, conns, replicas int) (*fleet, error) {
+	fl := &fleet{addrs: addrs, replicas: replicas}
+	for _, addr := range addrs {
 		r := pisd.NewRemoteShard(addr)
 		r.SetConns(conns)
-		defer r.Close()
-		remotes[i] = r
-	}
-	nodes := make([]pisd.ShardNode, partitions)
-	if replicas == 1 {
-		for i, r := range remotes {
-			nodes[i] = r
+		fl.remotes = append(fl.remotes, r)
+		if replicas == 1 {
+			fl.nodes = append(fl.nodes, r)
 		}
-	} else {
-		groups := make([]*pisd.ReplicaGroup, partitions)
-		for g := 0; g < partitions; g++ {
-			members := make([]pisd.ReplicaNode, replicas)
-			for r := 0; r < replicas; r++ {
-				members[r] = remotes[g*replicas+r]
-			}
-			grp, err := pisd.NewReplicaGroup(g, pisd.ReplicaGroupConfig{}, members...)
-			if err != nil {
-				return err
-			}
-			groups[g] = grp
-			nodes[g] = grp
+	}
+	for g := 0; replicas > 1 && g < len(addrs)/replicas; g++ {
+		members := make([]pisd.ReplicaNode, replicas)
+		for i := range members {
+			members[i] = fl.remotes[g*replicas+i]
 		}
-		prober := pisd.NewHealthProber(pisd.HealthProberConfig{Interval: probeIvl}, groups...)
-		prober.Start()
-		defer prober.Stop()
-		fmt.Printf("replicated fleet: %d partitions x %d replicas, probing every %s\n",
-			partitions, replicas, probeIvl)
+		grp, err := pisd.NewReplicaGroup(g, pisd.ReplicaGroupConfig{}, members...)
+		if err != nil {
+			fl.close()
+			return nil, err
+		}
+		fl.groups = append(fl.groups, grp)
+		fl.nodes = append(fl.nodes, grp)
 	}
-	pool, err := pisd.NewShardPool(pisd.DefaultShardPoolConfig(), nodes...)
-	if err != nil {
-		return err
-	}
+	return fl, nil
+}
 
-	buildStart := time.Now()
-	shards, err := sf.BuildShardedIndex(uploads, partitions, nil)
+// probe starts the health prober over the replica groups, if any.
+func (fl *fleet) probe(out io.Writer, interval time.Duration) {
+	if fl.groups == nil {
+		return
+	}
+	fl.prober = pisd.NewHealthProber(pisd.HealthProberConfig{Interval: interval}, fl.groups...)
+	fl.prober.Start()
+	fmt.Fprintf(out, "replicated fleet: %d partitions x %d replicas, probing every %s\n",
+		len(fl.groups), fl.replicas, interval)
+}
+
+// servers names partition s's addresses.
+func (fl *fleet) servers(s int) string {
+	return strings.Join(fl.addrs[s*fl.replicas:(s+1)*fl.replicas], ",")
+}
+
+func (fl *fleet) printTraffic(out io.Writer) {
+	var sent, recv int64
+	for _, r := range fl.remotes {
+		s, rv := r.Traffic()
+		sent += s
+		recv += rv
+	}
+	fmt.Fprintf(out, "\ntotal traffic: %.1f KB sent, %.1f KB received across %d cloud server(s)\n",
+		float64(sent)/1024, float64(recv)/1024, len(fl.addrs))
+}
+
+func (fl *fleet) close() {
+	if fl.prober != nil {
+		fl.prober.Stop()
+	}
+	for _, r := range fl.remotes {
+		r.Close()
+	}
+}
+
+// runStatic is the static deployment path: one projected index per
+// partition, discoveries fanned out to all partitions in parallel. With
+// attach it builds nothing and serves the segmented index a single server
+// already holds. With replica groups a background health prober drives
+// demotion and re-admission.
+func runStatic(out io.Writer, sf *pisd.Frontend, ds *dataset.Dataset, fl *fleet, attach bool, users, k int, discover string, probeIvl time.Duration, waves int, servingCfg pisd.ServingConfig) error {
+	fl.probe(out, probeIvl)
+	pool, err := pisd.NewShardPool(pisd.DefaultShardPoolConfig(), fl.nodes...)
 	if err != nil {
 		return err
 	}
-	var indexBytes int
-	for _, sh := range shards {
-		indexBytes += sh.Index.SizeBytes()
-	}
-	fmt.Printf("built %d-shard secure index over %d users in %s (%.1f MB total)\n",
-		len(shards), len(uploads), time.Since(buildStart).Round(time.Millisecond),
-		float64(indexBytes)/(1<<20))
-	for s, sh := range shards {
-		if err := pool.InstallShard(s, sh.Index, sh.EncProfiles); err != nil {
+	if attach {
+		if err := sf.AttachSegmented(users); err != nil {
 			return err
 		}
-		fmt.Printf("shard %d: outsourced index and %d encrypted profiles to %s\n",
-			s, len(sh.EncProfiles), strings.Join(addrs[s*replicas:(s+1)*replicas], ","))
+		fmt.Fprintf(out, "attached to segmented index over %d users at %s\n", users, fl.servers(0))
+	} else if err := buildStatic(out, sf, ds, fl, pool); err != nil {
+		return err
 	}
 
 	targets, err := parseTargets(discover, len(ds.Profiles))
@@ -356,20 +337,41 @@ func runSharded(sf *pisd.Frontend, ds *dataset.Dataset, uploads []pisd.Upload, a
 	}
 	for w := 0; w < waves; w++ {
 		if waves > 1 {
-			fmt.Printf("\n--- wave %d/%d ---\n", w+1, waves)
+			fmt.Fprintf(out, "\n--- wave %d/%d ---\n", w+1, waves)
 		}
-		if err := discoverServing(serving, ds, targets, k); err != nil {
+		if err := discoverServing(out, serving, ds, targets, k); err != nil {
 			return err
 		}
 	}
-	var sent, recv int64
-	for _, r := range remotes {
-		s, rv := r.Traffic()
-		sent += s
-		recv += rv
+	return nil
+}
+
+// buildStatic builds the partitioned index over the whole population and
+// installs each partition's index and profiles.
+func buildStatic(out io.Writer, sf *pisd.Frontend, ds *dataset.Dataset, fl *fleet, pool *pisd.ShardPool) error {
+	uploads := make([]pisd.Upload, len(ds.Profiles))
+	for i, p := range ds.Profiles {
+		uploads[i] = pisd.Upload{ID: uint64(i + 1), Profile: p, Meta: sf.ComputeMeta(p)}
 	}
-	fmt.Printf("\ntotal traffic: %.1f KB sent, %.1f KB received across %d shards\n",
-		float64(sent)/1024, float64(recv)/1024, len(addrs))
+	buildStart := time.Now()
+	shards, err := sf.BuildShardedIndex(uploads, len(fl.nodes), nil)
+	if err != nil {
+		return err
+	}
+	var indexBytes int
+	for _, sh := range shards {
+		indexBytes += sh.Index.SizeBytes()
+	}
+	fmt.Fprintf(out, "built %d-shard secure index over %d users in %s (%.1f MB total)\n",
+		len(shards), len(uploads), time.Since(buildStart).Round(time.Millisecond),
+		float64(indexBytes)/(1<<20))
+	for s, sh := range shards {
+		if err := pool.InstallShard(s, sh.Index, sh.EncProfiles); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "shard %d: outsourced index and %d encrypted profiles to %s\n",
+			s, len(sh.EncProfiles), fl.servers(s))
+	}
 	return nil
 }
 
@@ -378,7 +380,7 @@ func runSharded(sf *pisd.Frontend, ds *dataset.Dataset, uploads []pisd.Upload, a
 // issued in a second wave so they demonstrably hit the search-pattern
 // result cache.
 // Results are printed in target order.
-func discoverServing(serving *pisd.Serving, ds *dataset.Dataset, targets []uint64, k int) error {
+func discoverServing(out io.Writer, serving *pisd.Serving, ds *dataset.Dataset, targets []uint64, k int) error {
 	type outcome struct {
 		matches []pisd.Match
 		partial bool
@@ -413,7 +415,7 @@ func discoverServing(serving *pisd.Serving, ds *dataset.Dataset, targets []uint6
 	}
 	runWave(firstWave)
 	runWave(repeatWave)
-	fmt.Printf("\nserving-path discovery for %d users took %s:\n",
+	fmt.Fprintf(out, "\nserving-path discovery for %d users took %s:\n",
 		len(targets), time.Since(start).Round(time.Microsecond))
 	for i, id := range targets {
 		o := outs[i]
@@ -424,16 +426,16 @@ func discoverServing(serving *pisd.Serving, ds *dataset.Dataset, targets []uint6
 		if o.partial {
 			note = " [PARTIAL: one or more shards unreachable]"
 		}
-		fmt.Printf("\nuser %d (topics %v) in %s%s:\n",
+		fmt.Fprintf(out, "\nuser %d (topics %v) in %s%s:\n",
 			id, ds.UserTopics[id-1], o.took.Round(time.Microsecond), note)
-		printMatches(ds, o.matches)
+		printMatches(out, ds, o.matches)
 	}
 	return nil
 }
 
-func printMatches(ds *dataset.Dataset, matches []pisd.Match) {
+func printMatches(out io.Writer, ds *dataset.Dataset, matches []pisd.Match) {
 	for rank, m := range matches {
-		fmt.Printf("  %d. user %-6d distance %.4f topics %v\n",
+		fmt.Fprintf(out, "  %d. user %-6d distance %.4f topics %v\n",
 			rank+1, m.ID, m.Distance, ds.UserTopics[m.ID-1])
 	}
 }

@@ -264,18 +264,14 @@ func BuildDynamic(keys *crypt.KeySet, items []Item, p Params) (*DynIndex, *DynCl
 	if err != nil {
 		return nil, nil, err
 	}
-	placer, err := newPlacer(keys, p)
+	pl, err := NewPlacement(keys, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, it := range items {
-		if it.ID == bottomID {
-			return nil, nil, fmt.Errorf("core: identifier %d is reserved", it.ID)
-		}
-		if err := placer.Insert(it.ID, it.Meta); err != nil {
-			return nil, nil, fmt.Errorf("core: dynamic build insert %d: %w", it.ID, err)
-		}
+	if err := pl.Insert(items); err != nil {
+		return nil, nil, err
 	}
+	placer := pl.placer
 	w := placer.Width()
 	idx := &DynIndex{params: p, width: w, tables: make([][]DynBucket, p.Tables)}
 	empty := encodeDynPayload(bottomID, nil, p.Tables)

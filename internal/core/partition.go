@@ -1,13 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"pisd/internal/crypt"
-	"pisd/internal/cuckoo"
 )
 
 // DefaultOwner returns the canonical user→shard assignment, id mod shards.
@@ -35,36 +33,21 @@ func BuildPartitioned(keys *crypt.KeySet, items []Item, p Params, shards int, ow
 	if shards < 1 {
 		return nil, fmt.Errorf("core: shard count must be >= 1, got %d", shards)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(keys, p); err != nil {
-		return nil, err
-	}
 	if owner == nil {
 		owner = DefaultOwner(shards)
 	}
-	placer, err := newPlacer(keys, p)
+	for _, it := range items {
+		if s := owner(it.ID); s < 0 || s >= shards {
+			return nil, fmt.Errorf("core: owner(%d) = %d out of range [0,%d)", it.ID, s, shards)
+		}
+	}
+	pl, err := NewPlacement(keys, p)
 	if err != nil {
 		return nil, err
 	}
-	counts := make([]int, shards)
 	insertStart := time.Now()
-	for _, it := range items {
-		if it.ID == bottomID {
-			return nil, fmt.Errorf("core: identifier %d is reserved", it.ID)
-		}
-		s := owner(it.ID)
-		if s < 0 || s >= shards {
-			return nil, fmt.Errorf("core: owner(%d) = %d out of range [0,%d)", it.ID, s, shards)
-		}
-		counts[s]++
-		if err := placer.Insert(it.ID, it.Meta); err != nil {
-			if errors.Is(err, cuckoo.ErrFull) {
-				return nil, fmt.Errorf("%w: %v", ErrNeedRehash, err)
-			}
-			return nil, fmt.Errorf("core: insert %d: %w", it.ID, err)
-		}
+	if err := pl.Insert(items); err != nil {
+		return nil, err
 	}
 	insertNanos := time.Since(insertStart).Nanoseconds()
 
@@ -75,10 +58,7 @@ func BuildPartitioned(keys *crypt.KeySet, items []Item, p Params, shards int, ow
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			encStart := time.Now()
-			idx, err := encryptStatic(keys, placer, p, counts[s], func(id uint64) bool {
-				return owner(id) == s
-			})
+			idx, err := pl.project(func(id uint64) bool { return owner(id) == s })
 			if err != nil {
 				errs[s] = fmt.Errorf("core: shard %d: %w", s, err)
 				return
@@ -86,7 +66,6 @@ func BuildPartitioned(keys *crypt.KeySet, items []Item, p Params, shards int, ow
 			// Placement cost is shared by all shards; the encryption
 			// phase is the shard's own.
 			idx.stats.InsertNanos = insertNanos
-			idx.stats.EncryptNanos = time.Since(encStart).Nanoseconds()
 			idxs[s] = idx
 		}(s)
 	}

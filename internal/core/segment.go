@@ -9,19 +9,18 @@ import (
 	"pisd/internal/cuckoo"
 )
 
-// Placement is the streaming-build variant of Build: the caller feeds
-// core.Item batches into one global cuckoo placement — identical, for the
-// same keys, items (in order) and params, to the placement Build computes —
-// and, once every item is placed, projects it onto encrypted segments one
-// identifier range at a time. A segment is a full-width Index whose buckets
-// mask exactly the placed identifiers in its range, with random padding
-// everywhere else, so the union over a partition of ranges recovers, for
-// every trapdoor, exactly what the monolithic index recovers (the sharded
-// build's equivalence argument, DESIGN.md §9, applied to ranges).
+// Placement is the one static build (ConSecIdx, Algorithm 1): the caller
+// feeds core.Item batches into one global cuckoo placement and, once every
+// item is placed, projects it onto encrypted indexes — a shard's users
+// (BuildPartitioned, and Build as its one-shard case) or an identifier
+// range (EncryptRange, a segment). Each projection is a full-width Index
+// whose buckets mask exactly its placed identifiers, with random padding
+// everywhere else, so the union over any partition recovers, for every
+// trapdoor, exactly what the whole placement's index recovers (DESIGN.md
+// §9).
 //
-// The point of the split is memory: Build materializes items, placement and
-// the full encrypted index at once, while a Placement needs only the
-// placement state (identifier + metadata per item) plus one segment's
+// Streaming is the point of the split: a Placement needs only the
+// placement state (identifier + metadata per item) plus one projection's
 // bucket arrays at a time. The million-profile build path in
 // internal/segstore is built on it.
 type Placement struct {
@@ -57,10 +56,9 @@ func (pl *Placement) Stats() cuckoo.Stats { return pl.placer.Stats() }
 // Len returns the number of items inserted so far.
 func (pl *Placement) Len() int { return pl.n }
 
-// Insert places a batch of items. Feeding Build's item slice through any
-// chunking of Insert calls (in order) reproduces Build's placement exactly.
-// ErrNeedRehash reports a kick budget exhaustion, as in Build; the caller
-// rehashes metadata and starts a fresh Placement.
+// Insert places a batch of items; any chunking of the same items (in
+// order) yields the same placement. ErrNeedRehash reports a kick budget
+// exhaustion: the caller rehashes metadata and starts a fresh Placement.
 func (pl *Placement) Insert(items []Item) error {
 	for _, it := range items {
 		if it.ID == bottomID {
@@ -92,37 +90,20 @@ func (pl *Placement) EncryptRange(lo, hi uint64) (*Index, error) {
 	if lo >= hi {
 		return nil, fmt.Errorf("core: empty segment range [%d, %d)", lo, hi)
 	}
-	include := func(id uint64) bool { return id >= lo && id < hi }
-	count := 0
-	pl.placer.Walk(func(_, _ int, id uint64) {
-		if include(id) {
-			count++
-		}
-	})
-	pl.placer.WalkStash(func(_ int, id uint64) {
-		if include(id) {
-			count++
-		}
-	})
-	encStart := time.Now()
-	idx, err := encryptStatic(pl.keys, pl.placer, pl.p, count, include)
-	if err != nil {
-		return nil, err
-	}
-	idx.stats.EncryptNanos = time.Since(encStart).Nanoseconds()
-	return idx, nil
+	return pl.project(func(id uint64) bool { return id >= lo && id < hi })
 }
 
-// EncryptAll projects the whole placement into one index — byte-identical
-// buckets, for the same keys, items and params, to what Build returns
-// (padding differs per call: it is freshly drawn randomness in both paths).
-func (pl *Placement) EncryptAll() (*Index, error) {
-	encStart := time.Now()
-	idx, err := encryptStatic(pl.keys, pl.placer, pl.p, pl.n, nil)
+// project encrypts the placement's identifiers that include accepts (nil:
+// all of them) into a full-width index, the one projection behind shards
+// and segments alike. It is safe to run concurrently once insertion is
+// done.
+func (pl *Placement) project(include func(uint64) bool) (*Index, error) {
+	start := time.Now()
+	idx, err := encryptStatic(pl.keys, pl.placer, pl.p, include)
 	if err != nil {
 		return nil, err
 	}
-	idx.stats.EncryptNanos = time.Since(encStart).Nanoseconds()
+	idx.stats.EncryptNanos = time.Since(start).Nanoseconds()
 	return idx, nil
 }
 

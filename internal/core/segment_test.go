@@ -7,8 +7,8 @@ import (
 
 // TestPlacementMatchesBuild pins the streaming build's core contract: for
 // the same keys, items (in order) and params, a Placement fed in chunks
-// reproduces Build's placement, so EncryptAll answers every trapdoor with
-// the exact identifier sequence of the monolithic index.
+// reproduces Build's placement, so its whole projection answers every
+// trapdoor with the exact identifier sequence of the monolithic index.
 func TestPlacementMatchesBuild(t *testing.T) {
 	const n = 2500
 	keys := testKeys(t, 5)
@@ -35,9 +35,9 @@ func TestPlacementMatchesBuild(t *testing.T) {
 	if pl.Len() != n {
 		t.Fatalf("placement holds %d items, want %d", pl.Len(), n)
 	}
-	streamed, err := pl.EncryptAll()
+	streamed, err := pl.project(nil)
 	if err != nil {
-		t.Fatalf("EncryptAll: %v", err)
+		t.Fatalf("project: %v", err)
 	}
 	if streamed.Width() != single.Width() || streamed.Len() != single.Len() {
 		t.Fatalf("shape mismatch: streamed (w=%d n=%d), built (w=%d n=%d)",

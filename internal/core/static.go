@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"pisd/internal/crypt"
 	"pisd/internal/cuckoo"
@@ -56,43 +55,17 @@ type BuildStats struct {
 // Build implements ConSecIdx(K, S, V) for the identifier/metadata part: it
 // places every item with primary insertion, random probing and cuckoo
 // kick-aways (Algorithms 1–3), then encrypts occupied buckets with PRF
-// masks and fills empty buckets with random padding.
+// masks and fills empty buckets with random padding. It is the one-shard
+// BuildPartitioned.
 //
 // Profile encryption (S* = Enc(ks, S)) is a separate concern; see
 // crypt.EncProfile and the frontend package.
 func Build(keys *crypt.KeySet, items []Item, p Params) (*Index, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(keys, p); err != nil {
-		return nil, err
-	}
-	placer, err := newPlacer(keys, p)
+	idxs, err := BuildPartitioned(keys, items, p, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	insertStart := time.Now()
-	for _, it := range items {
-		if it.ID == bottomID {
-			return nil, fmt.Errorf("core: identifier %d is reserved", it.ID)
-		}
-		if err := placer.Insert(it.ID, it.Meta); err != nil {
-			if errors.Is(err, cuckoo.ErrFull) {
-				return nil, fmt.Errorf("%w: %v", ErrNeedRehash, err)
-			}
-			return nil, fmt.Errorf("core: insert %d: %w", it.ID, err)
-		}
-	}
-	insertNanos := time.Since(insertStart).Nanoseconds()
-
-	encStart := time.Now()
-	idx, err := encryptStatic(keys, placer, p, len(items), nil)
-	if err != nil {
-		return nil, err
-	}
-	idx.stats.InsertNanos = insertNanos
-	idx.stats.EncryptNanos = time.Since(encStart).Nanoseconds()
-	return idx, nil
+	return idxs[0], nil
 }
 
 // newPlacer constructs the shared cuckoo engine with PRF addressing. The
@@ -122,11 +95,12 @@ func newPlacer(keys *crypt.KeySet, p Params) (*cuckoo.Index, error) {
 // placer: masked buckets for occupied slots, random padding elsewhere.
 // Padding and mask derivation are independent per table, so the phase
 // fans out across CPUs. A non-nil include filter restricts the encrypted
-// identifiers to a subset of the placement (the sharded build); excluded
-// slots stay random padding, indistinguishable from empty buckets.
-func encryptStatic(keys *crypt.KeySet, placer *cuckoo.Index, p Params, n int, include func(uint64) bool) (*Index, error) {
+// identifiers to a subset of the placement (a shard or a segment); excluded
+// slots stay random padding, indistinguishable from empty buckets. The
+// index's item count is the number of included identifiers the walks meet.
+func encryptStatic(keys *crypt.KeySet, placer *cuckoo.Index, p Params, include func(uint64) bool) (*Index, error) {
 	w := placer.Width()
-	idx := &Index{params: p, width: w, n: n}
+	idx := &Index{params: p, width: w}
 	st := placer.Stats()
 	idx.stats.Kicks = st.Kicks
 	idx.stats.PrimaryHits = st.PrimaryHits
@@ -143,6 +117,7 @@ func encryptStatic(keys *crypt.KeySet, placer *cuckoo.Index, p Params, n int, in
 		if include != nil && !include(id) {
 			return
 		}
+		idx.n++
 		occupied[table] = append(occupied[table], struct {
 			pos int
 			id  uint64
@@ -216,6 +191,7 @@ func encryptStatic(keys *crypt.KeySet, placer *cuckoo.Index, p Params, n int, in
 		if include != nil && !include(id) {
 			return
 		}
+		idx.n++
 		payload := encodePayload(id)
 		stashMaskInto(mask[:], keys, p.Tables, pos)
 		crypt.XOR(idx.stash[pos], mask[:], payload[:])

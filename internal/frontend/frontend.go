@@ -235,84 +235,63 @@ func (f *Frontend) DecryptProfile(ct []byte) ([]float64, error) {
 }
 
 // prepare derives index params and items for the given uploads, hashing
-// profiles whose metadata is absent or stale (after a rehash).
+// profiles whose metadata is absent or stale (after a rehash). Every
+// profile's dimension is checked, supplied metadata or not: a wrong-length
+// profile would be stored as a ciphertext of a different length.
 func (f *Frontend) prepare(uploads []Upload, forceRehash bool) ([]core.Item, core.Params, error) {
 	items := make([]core.Item, len(uploads))
 	for i, u := range uploads {
-		if len(u.Profile) != f.cfg.LSH.Dim && (u.Meta == nil || forceRehash) {
-			return nil, core.Params{}, fmt.Errorf("frontend: upload %d profile dim %d, want %d", u.ID, len(u.Profile), f.cfg.LSH.Dim)
-		}
 		meta := u.Meta
-		if meta == nil || forceRehash {
-			meta = f.family.Hash(u.Profile)
+		if meta == nil || forceRehash || len(u.Profile) != f.cfg.LSH.Dim {
+			var err error
+			if meta, err = f.hash(u.Profile); err != nil {
+				return nil, core.Params{}, fmt.Errorf("frontend: upload %d: %w", u.ID, err)
+			}
 		}
 		items[i] = core.Item{ID: u.ID, Meta: meta}
 	}
-	p := core.Params{
+	return items, f.indexParams(len(uploads), 0), nil
+}
+
+// indexParams derives the parameters of an index over n uploads with the
+// given stash: the one formula behind monolithic, sharded and streamed
+// builds, so a trapdoor addresses every one of them alike.
+func (f *Frontend) indexParams(n, stash int) core.Params {
+	return core.Params{
 		Tables:     f.cfg.LSH.Tables,
-		Capacity:   core.CapacityFor(len(uploads), f.cfg.LoadFactor),
+		Capacity:   core.CapacityFor(n, f.cfg.LoadFactor),
 		ProbeRange: f.cfg.ProbeRange,
 		MaxLoop:    f.cfg.MaxLoop,
 		Seed:       f.cfg.Seed,
+		StashSize:  stash,
 	}
-	return items, p, nil
 }
 
-// buildLoop runs the rehash() step of Algorithm 1 around an index build:
-// when build reports core.ErrNeedRehash it draws fresh LSH parameters,
-// recomputes every upload's metadata and retries, up to MaxRehash times.
-// It returns the index parameters the successful build used.
-func (f *Frontend) buildLoop(uploads []Upload, build func(items []core.Item, p core.Params) error) (core.Params, error) {
-	items, p, err := f.prepare(uploads, false)
-	if err != nil {
-		return core.Params{}, err
+// errProfileDim reports a profile whose length is not the configured
+// dimension.
+var errProfileDim = errors.New("frontend: profile dimension mismatch")
+
+// hash is V = ComputeLSH(S, h) at the SF boundary: it refuses a profile of
+// the wrong dimension, which the LSH projections would otherwise silently
+// truncate or ignore the tail of.
+func (f *Frontend) hash(profile []float64) (lsh.Metadata, error) {
+	if len(profile) != f.cfg.LSH.Dim {
+		return nil, fmt.Errorf("%w: got %d, want %d", errProfileDim, len(profile), f.cfg.LSH.Dim)
 	}
-	for attempt := 0; ; attempt++ {
-		err = build(items, p)
-		if err == nil {
-			f.rehashed = attempt > 0
-			return p, nil
-		}
-		if !errors.Is(err, core.ErrNeedRehash) || attempt >= f.cfg.MaxRehash {
-			return core.Params{}, fmt.Errorf("frontend: build index: %w", err)
-		}
-		family, rerr := f.family.Rehash(f.cfg.LSH.Seed + int64(attempt) + 1)
-		if rerr != nil {
-			return core.Params{}, fmt.Errorf("frontend: rehash: %w", rerr)
-		}
-		f.family = family
-		if items, p, err = f.prepare(uploads, true); err != nil {
-			return core.Params{}, err
-		}
-	}
+	return f.family.Hash(profile), nil
 }
 
 // BuildIndex implements ConSecIdx over the uploads: it builds the static
 // secure index I and the encrypted profile set {S*}. When cuckoo insertion
 // fails it performs the rehash() step of Algorithm 1 — fresh LSH
 // parameters, recomputed metadata, full rebuild — up to MaxRehash times.
+// It is the 1-shard case of BuildShardedIndex.
 func (f *Frontend) BuildIndex(uploads []Upload) (*core.Index, map[uint64][]byte, error) {
-	var idx *core.Index
-	p, err := f.buildLoop(uploads, func(items []core.Item, p core.Params) error {
-		var berr error
-		idx, berr = core.Build(f.keys, items, p)
-		return berr
-	})
+	shards, err := f.BuildShardedIndex(uploads, 1, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	f.params = p
-	f.built = true
-
-	cts, err := f.encryptProfileSlice(uploads)
-	if err != nil {
-		return nil, nil, err
-	}
-	encProfiles := make(map[uint64][]byte, len(uploads))
-	for i, u := range uploads {
-		encProfiles[u.ID] = cts[i]
-	}
-	return idx, encProfiles, nil
+	return shards[0].Index, shards[0].EncProfiles, nil
 }
 
 // encryptProfileSlice produces {S*} aligned with uploads; each encryption
@@ -346,7 +325,11 @@ func (f *Frontend) BuildDynamicIndex(uploads []Upload) (*core.DynIndex, *core.Dy
 // Trapdoor issues the secure discovery trapdoor t = GenTpdr(K, V) for a
 // target profile.
 func (f *Frontend) Trapdoor(profile []float64) (*core.Trapdoor, error) {
-	return f.TrapdoorForMeta(f.family.Hash(profile))
+	meta, err := f.hash(profile)
+	if err != nil {
+		return nil, err
+	}
+	return f.TrapdoorForMeta(meta)
 }
 
 // TrapdoorForMeta issues a trapdoor from precomputed metadata.
@@ -420,7 +403,6 @@ func (f *Frontend) RestoreIndexParams(p core.Params) error {
 	if p.Tables != f.cfg.LSH.Tables {
 		return fmt.Errorf("frontend: index covers %d tables, config has %d", p.Tables, f.cfg.LSH.Tables)
 	}
-	f.params = p
-	f.built = true
+	f.params, f.built = p, true
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"pisd/internal/fof"
 	"pisd/internal/lsh"
 	"pisd/internal/shard"
+	"pisd/internal/subs"
 	"pisd/internal/vec"
 )
 
@@ -324,6 +325,49 @@ func TestBuildIndexDimMismatch(t *testing.T) {
 	_, _, err = f.BuildIndex([]Upload{{ID: 1, Profile: make([]float64, 3)}})
 	if err == nil {
 		t.Error("dim mismatch accepted")
+	}
+}
+
+// TestWrongDimensionRejected drives a profile one entry short through every
+// SF entry point that hashes it. Each must refuse with errProfileDim before
+// anything reaches the cloud: the LSH projections would otherwise truncate
+// it silently, and a stored ciphertext of another length would make |S*|
+// depend on the profile.
+func TestWrongDimensionRejected(t *testing.T) {
+	st := newStaticDeployment(t, 60, 1)
+	dyn := newDynDeployment(t, 60, 2)
+	serv := dyn.serving(t)
+	serv.AttachSubscriptions(func(subs.Notification) {})
+	short := st.profiles[0][:len(st.profiles[0])-1]
+	node := poolNode{pool: st.pool}
+	rows := []struct {
+		name string
+		run  func() error
+	}{
+		{"BuildIndex with metadata", func() error {
+			ups := uploadsFrom(testPopulation(t, 60), st.f)
+			ups[3].Profile = ups[3].Profile[1:]
+			_, _, err := st.f.BuildIndex(ups)
+			return err
+		}},
+		{"Trapdoor", func() error { _, err := st.f.Trapdoor(short); return err }},
+		{"DiscoverMultiProbe", func() error { _, err := st.f.DiscoverMultiProbe(node, short, 5, 0, 2); return err }},
+		{"DiscoverWithDecoys", func() error {
+			_, err := st.f.DiscoverWithDecoys(node, [][]float64{st.profiles[1], short}, 5, 2, rand.New(rand.NewSource(1)))
+			return err
+		}},
+		{"DynServing.Search", func() error { _, _, err := serv.Search(short, 5, 0); return err }},
+		{"DynServing.Insert", func() error { return serv.Insert(1000, short) }},
+		{"DynServing.Delete", func() error { return serv.Delete(1, short) }},
+		{"DynServing.Subscribe", func() error { _, err := serv.Subscribe(1, short, 5); return err }},
+	}
+	for _, r := range rows {
+		if err := r.run(); !errors.Is(err, errProfileDim) {
+			t.Errorf("%s: err = %v, want errProfileDim", r.name, err)
+		}
+	}
+	if got := totalFetches(dyn.counters); got != 0 {
+		t.Errorf("dynamic entry points fetched %d buckets before refusing", got)
 	}
 }
 

@@ -131,3 +131,42 @@ func (p subsetPool) SecRecBatch(ctx context.Context, tds []*core.Trapdoor) ([][]
 	}
 	return ids, profiles, p.mask != 1<<len(p.nodes)-1, nil
 }
+
+// TestRehashedBuildMatchesOracle forces Algorithm 1's rehash() step: a
+// two-bucket probe window and a 20-kick budget saturate the first LSH
+// family's placement of this population, and a fresh family places it.
+// The single-node build must then answer exactly as the oracle replaying
+// that rehashed placement.
+func TestRehashedBuildMatchesOracle(t *testing.T) {
+	cfg := testConfig()
+	cfg.ProbeRange, cfg.MaxLoop = 2, 20
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := testPopulation(t, 200)
+	uploads := uploadsFrom(ds, f)
+	idx, encProfiles, err := f.BuildIndex(uploads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.rehashed {
+		t.Fatal("build placed the first family; the test no longer reaches rehash()")
+	}
+	cs := cloud.New()
+	cs.SetIndex(idx)
+	cs.PutProfiles(encProfiles)
+	oracle, err := f.BuildOracle(uploads)
+	if err != nil {
+		t.Fatalf("BuildOracle: %v", err)
+	}
+	for q := 0; q < 20; q++ {
+		got, err := f.Discover(cs, ds.Profiles[q], 5, uint64(q+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := EqualMatches(got, oracle.Discover(ds.Profiles[q], 5, uint64(q+1))); err != nil {
+			t.Fatalf("query %d: %v", q, err)
+		}
+	}
+}

@@ -93,9 +93,13 @@ func (f *Frontend) DiscoverMultiProbe(server BatchDiscoveryServer, targetProfile
 	if variants < 0 {
 		return nil, fmt.Errorf("frontend: negative variant count")
 	}
+	meta, err := f.hash(targetProfile)
+	if err != nil {
+		return nil, err
+	}
 	var sp obs.Span
 	sp.Start()
-	metas := []lsh.Metadata{f.family.Hash(targetProfile)}
+	metas := []lsh.Metadata{meta}
 	for _, pv := range f.family.ProbeSequence(targetProfile, variants) {
 		metas = append(metas, pv.Meta)
 	}
@@ -153,7 +157,10 @@ func (f *Frontend) DiscoverWithDecoys(server BatchDiscoveryServer, targets [][]f
 	metas := make([]lsh.Metadata, len(targets)+decoys)
 	for i := range metas {
 		if i < len(targets) {
-			metas[i] = f.family.Hash(targets[i])
+			var err error
+			if metas[i], err = f.hash(targets[i]); err != nil {
+				return nil, fmt.Errorf("frontend: target %d: %w", i, err)
+			}
 			continue
 		}
 		metas[i] = make(lsh.Metadata, f.cfg.LSH.Tables)

@@ -25,21 +25,14 @@ import (
 // surfaces an error, and such a stream must be re-run with a different
 // LSH seed.
 
-// SegmentParams derives the index parameters a build over n uploads uses.
-// It is prepare()'s formula with the population size supplied explicitly,
-// shared by the streaming builder and the attach path.
+// SegmentParams derives the index parameters a build over n uploads uses:
+// prepare()'s indexParams with the streamed stash, shared by the streaming
+// builder and the attach path.
 func (f *Frontend) SegmentParams(n int) (core.Params, error) {
 	if n < 1 {
 		return core.Params{}, fmt.Errorf("frontend: population size must be >= 1, got %d", n)
 	}
-	return core.Params{
-		Tables:     f.cfg.LSH.Tables,
-		Capacity:   core.CapacityFor(n, f.cfg.LoadFactor),
-		ProbeRange: f.cfg.ProbeRange,
-		MaxLoop:    f.cfg.MaxLoop,
-		Seed:       f.cfg.Seed,
-		StashSize:  streamStashSize(n),
-	}, nil
+	return f.indexParams(n, streamStashSize(n)), nil
 }
 
 // streamStashSize is the stash capacity of a streamed index over n
@@ -105,9 +98,7 @@ func (sb *SegmentBuilder) Finish() ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("frontend: %w", err)
 	}
-	sb.f.params = sb.p
-	sb.f.built = true
-	sb.f.rehashed = false
+	sb.f.params, sb.f.built, sb.f.rehashed = sb.p, true, false
 	return paths, nil
 }
 

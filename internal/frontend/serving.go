@@ -172,9 +172,13 @@ func (s *DynServing) Search(targetProfile []float64, k int, excludeID uint64) ([
 	defer s.gate.Release()
 	s.churn.RLock()
 	defer s.churn.RUnlock()
+	meta, err := s.f.hash(targetProfile)
+	if err != nil {
+		return nil, false, err
+	}
 	var sp obs.Span
 	sp.Start()
-	c, err := s.candidates(s.f.family.Hash(targetProfile), &sp)
+	c, err := s.candidates(meta, &sp)
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"errors"
 	"fmt"
 
 	"pisd/internal/core"
@@ -28,8 +29,11 @@ type DynShard struct {
 // BuildShardedIndex implements ConSecIdx for an S-shard cloud tier: it
 // runs the single global cuckoo placement of core.BuildPartitioned and
 // derives one secure index per shard, each a projection of the single-node
-// index onto the users owner assigns to it. The per-shard encryptions run
-// in parallel. A nil owner means core.DefaultOwner (id mod shards).
+// index onto the users owner assigns to it, plus each shard's encrypted
+// profiles. The per-shard encryptions run in parallel. A nil owner means
+// core.DefaultOwner (id mod shards). When cuckoo insertion fails it
+// performs the rehash() step of Algorithm 1 — fresh LSH parameters,
+// recomputed metadata, full rebuild — up to MaxRehash times.
 //
 // Because placement, parameters and keys are global, one trapdoor serves
 // every shard and the union of the shards' SecRec results equals the
@@ -41,28 +45,33 @@ func (f *Frontend) BuildShardedIndex(uploads []Upload, shards int, owner func(ui
 	if owner == nil {
 		owner = core.DefaultOwner(shards)
 	}
-	var idxs []*core.Index
-	p, err := f.buildLoop(uploads, func(items []core.Item, p core.Params) error {
-		var berr error
-		idxs, berr = core.BuildPartitioned(f.keys, items, p, shards, owner)
-		return berr
-	})
+	items, p, err := f.prepare(uploads, false)
 	if err != nil {
 		return nil, err
 	}
-	f.params = p
-	f.built = true
-
+	idxs, err := core.BuildPartitioned(f.keys, items, p, shards, owner)
+	attempt := 0
+	for ; err != nil; attempt++ {
+		if !errors.Is(err, core.ErrNeedRehash) || attempt >= f.cfg.MaxRehash {
+			return nil, fmt.Errorf("frontend: build index: %w", err)
+		}
+		family, rerr := f.family.Rehash(f.cfg.LSH.Seed + int64(attempt) + 1)
+		if rerr != nil {
+			return nil, fmt.Errorf("frontend: rehash: %w", rerr)
+		}
+		f.family = family
+		if items, p, err = f.prepare(uploads, true); err == nil {
+			idxs, err = core.BuildPartitioned(f.keys, items, p, shards, owner)
+		}
+	}
+	f.params, f.built, f.rehashed = p, true, attempt > 0
+	profiles, err := f.encryptByOwner(uploads, shards, owner)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Shard, shards)
 	for s := range out {
-		out[s] = Shard{Index: idxs[s], EncProfiles: make(map[uint64][]byte)}
-	}
-	cts, err := f.encryptProfileSlice(uploads)
-	if err != nil {
-		return nil, err
-	}
-	for i, u := range uploads {
-		out[owner(u.ID)].EncProfiles[u.ID] = cts[i]
+		out[s] = Shard{Index: idxs[s], EncProfiles: profiles[s]}
 	}
 	return out, nil
 }
@@ -91,29 +100,42 @@ func (f *Frontend) BuildShardedDynamicIndex(uploads []Upload, shards int, owner 
 		}
 		parts[s] = append(parts[s], it)
 	}
-
 	out := make([]DynShard, shards)
-	for s, err := range perShard(shards, func(s int) error {
-		idx, client, err := core.BuildDynamic(f.keys, parts[s], p)
-		out[s] = DynShard{Index: idx, Client: client, EncProfiles: make(map[uint64][]byte)}
+	for s, err := range perShard(shards, func(s int) (err error) {
+		out[s].Index, out[s].Client, err = core.BuildDynamic(f.keys, parts[s], p)
 		return err
 	}) {
 		if err != nil {
 			return nil, fmt.Errorf("frontend: build dynamic shard %d: %w", s, err)
 		}
 	}
-	f.params = p
-	f.built = true
-	f.rehashed = false
+	f.params, f.built, f.rehashed = p, true, false
+	profiles, err := f.encryptByOwner(uploads, shards, owner)
+	if err != nil {
+		return nil, err
+	}
+	for s := range out {
+		out[s].EncProfiles = profiles[s]
+	}
+	return out, nil
+}
 
+// encryptByOwner produces {S*} and files each ciphertext under its user's
+// shard: profiles[s] is what shard s stores. The build already checked
+// every owner(id) against the shard range.
+func (f *Frontend) encryptByOwner(uploads []Upload, shards int, owner func(uint64) int) ([]map[uint64][]byte, error) {
 	cts, err := f.encryptProfileSlice(uploads)
 	if err != nil {
 		return nil, err
 	}
-	for i, u := range uploads {
-		out[owner(u.ID)].EncProfiles[u.ID] = cts[i]
+	profiles := make([]map[uint64][]byte, shards)
+	for s := range profiles {
+		profiles[s] = make(map[uint64][]byte, len(uploads)/shards)
 	}
-	return out, nil
+	for i, u := range uploads {
+		profiles[owner(u.ID)][u.ID] = cts[i]
+	}
+	return profiles, nil
 }
 
 // DynNode is the per-shard cloud surface sharded dynamic operations
@@ -143,7 +165,9 @@ func (s *DynServing) prepareUpdate(id uint64, profile []float64) (dynUpdate, err
 	if err != nil {
 		return dynUpdate{}, err
 	}
-	return dynUpdate{id: id, shard: sh, meta: s.f.family.Hash(profile)}, nil
+	u := dynUpdate{id: id, shard: sh}
+	u.meta, err = s.f.hash(profile)
+	return u, err
 }
 
 // prepareInsert is prepareUpdate plus the profile's encryption.

@@ -207,18 +207,6 @@ func (o *SubOracle) TopK(subID uint64) ([]subs.Entry, bool) {
 	return s.entries(), true
 }
 
-// SubIDs returns the live subscription ids, ascending.
-func (o *SubOracle) SubIDs() []uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]uint64, 0, len(o.subs))
-	for id := range o.subs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 func (o *SubOracle) sorted() []*oracleSub {
 	out := make([]*oracleSub, 0, len(o.subs))
 	for _, s := range o.subs {

@@ -42,9 +42,12 @@ func (s *DynServing) Subscribe(subID uint64, profile []float64, k int) ([]subs.E
 	if s.subsm == nil {
 		return nil, fmt.Errorf("frontend: no subscription manager attached")
 	}
+	meta, err := s.f.hash(profile)
+	if err != nil {
+		return nil, err
+	}
 	s.churn.Lock()
 	defer s.churn.Unlock()
-	meta := s.f.family.Hash(profile)
 	refs, err := s.subRefs(meta)
 	if err != nil {
 		return nil, err

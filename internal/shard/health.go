@@ -52,10 +52,7 @@ func (c ProberConfig) withDefaults() ProberConfig {
 type Prober struct {
 	cfg    ProberConfig
 	groups []*ReplicaGroup
-
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
+	bg     loop
 }
 
 // NewProber assembles a prober over the given groups.
@@ -149,36 +146,51 @@ func (p *Prober) probeReplica(ctx context.Context, g *ReplicaGroup, i int) {
 // Start launches the background probe loop; Stop ends it. Start after
 // Stop restarts it.
 func (p *Prober) Start() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stop != nil {
-		return
-	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(p.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				p.ProbeOnce(context.Background())
-			}
-		}
-	}(p.stop, p.done)
+	p.bg.start(p.cfg.Interval, func() { p.ProbeOnce(context.Background()) })
 }
 
 // Stop ends the background probe loop and waits for it to exit.
-func (p *Prober) Stop() {
-	p.mu.Lock()
-	stop, done := p.stop, p.done
-	p.stop, p.done = nil, nil
-	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
+func (p *Prober) Stop() { p.bg.stop() }
+
+// loop runs one round every interval on a background goroutine between
+// start and stop: the loop behind both the Prober and the Repairer. A
+// second start while running is a no-op; start after stop restarts it.
+type loop struct {
+	mu   sync.Mutex
+	quit chan struct{}
+	done chan struct{}
+}
+
+func (l *loop) start(interval time.Duration, round func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.quit != nil {
+		return
+	}
+	l.quit, l.done = make(chan struct{}), make(chan struct{})
+	go func(quit, done chan struct{}) {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				round()
+			}
+		}
+	}(l.quit, l.done)
+}
+
+// stop ends the loop, if running, and waits for its goroutine to exit.
+func (l *loop) stop() {
+	l.mu.Lock()
+	quit, done := l.quit, l.done
+	l.quit, l.done = nil, nil
+	l.mu.Unlock()
+	if quit != nil {
+		close(quit)
 		<-done
 	}
 }
@@ -209,10 +221,7 @@ type Repairer struct {
 	cfg    RepairerConfig
 	repair RepairFunc
 	groups []*ReplicaGroup
-
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
+	bg     loop
 }
 
 // RepairerConfig tunes the anti-entropy loop.
@@ -328,36 +337,8 @@ func (r *Repairer) repairGroup(ctx context.Context, g *ReplicaGroup) int {
 
 // Start launches the background anti-entropy loop; Stop ends it.
 func (r *Repairer) Start() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stop != nil {
-		return
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(r.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.RepairOnce(context.Background())
-			}
-		}
-	}(r.stop, r.done)
+	r.bg.start(r.cfg.Interval, func() { r.RepairOnce(context.Background()) })
 }
 
 // Stop ends the background loop and waits for it to exit.
-func (r *Repairer) Stop() {
-	r.mu.Lock()
-	stop, done := r.stop, r.done
-	r.stop, r.done = nil, nil
-	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
+func (r *Repairer) Stop() { r.bg.stop() }

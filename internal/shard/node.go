@@ -1,15 +1,18 @@
-// Package shard implements the sharded cloud tier of the system: the
-// front end partitions users across S cloud shards (one secure index and
-// one encrypted-profile store per shard, built from a single global cuckoo
+// Package shard implements the cloud tier of the system: the front end
+// partitions users across S cloud shards (one secure index and one
+// encrypted-profile store per shard, built from a single global cuckoo
 // placement — see core.BuildPartitioned), and a Pool fans every discovery
 // trapdoor out to all shards concurrently, applies per-shard deadlines and
 // a bounded retry, and merges the returned encrypted matches for the front
-// end's ranking path.
+// end's ranking path. A single cloud node is the one-shard Pool: it runs
+// the same build, install and fan-out path as S > 1.
 //
 // Because every shard index is a projection of the single-node index, the
 // merged SecRec result is exactly the single-node result; a shard that is
 // down degrades the answer to a flagged partial result instead of failing
-// the discovery. Dynamic updates route to the owning shard only.
+// the discovery. Dynamic updates route to the owning shard only. A shard
+// may be a ReplicaGroup of failover members; a Prober and a Repairer keep
+// those healthy, both driven by the same background loop.
 //
 // Security: sharding does not change what the honest-but-curious cloud
 // learns. Each shard observes the same trapdoor a single cloud node would

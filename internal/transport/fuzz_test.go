@@ -5,11 +5,15 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"pisd/internal/binfmt"
+	"pisd/internal/cloud"
 	"pisd/internal/core"
+	"pisd/internal/crypt"
+	"pisd/internal/lsh"
 )
 
 // encodeFrames encodes the given messages into one contiguous wire stream,
@@ -250,6 +254,64 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzServerAnswer feeds an arbitrary (type, payload) request through the
+// server's request path against a real cloud server holding a small index,
+// profiles and a dynamic index. Any answer must be one well-formed response
+// frame, and none may carry the recovered-panic refusal: dispatch's recover
+// keeps a panicking handler from killing the server, and this target keeps
+// it from hiding one.
+func FuzzServerAnswer(f *testing.F) {
+	for _, m := range sampleMessages() {
+		if m.typ&respBit == 0 {
+			f.Add(byte(m.typ), rawBody(encodeFrames(f, m))[1:])
+		}
+	}
+	srv := NewServer(fuzzCloud(f))
+	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
+		ex := &exchange{typ: msgType(typ), payload: payload, arrival: time.Now()}
+		var out bytes.Buffer
+		if err := srv.answer(ex, &frameWriter{w: &out}); err != nil {
+			t.Fatalf("answer: %v", err)
+		}
+		fr := newFrameReader(&out)
+		rtyp, body, err := fr.next(nil)
+		if err != nil {
+			t.Fatalf("answer wrote no readable frame: %v", err)
+		}
+		var resp message
+		if err := decode(rtyp, body, &resp); err != nil {
+			t.Fatalf("answer frame does not decode: %v", err)
+		}
+		if strings.HasPrefix(resp.errMsg, handlerPanic) {
+			t.Fatalf("%v handler panicked: %s", msgType(typ), resp.errMsg)
+		}
+	})
+}
+
+// fuzzCloud is a cloud server with something behind every handler: a
+// static index, a dynamic index and a few profiles.
+func fuzzCloud(tb testing.TB) *cloud.Server {
+	keys, err := crypt.GenDeterministic("fuzz-server", 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := core.Params{Tables: 2, Capacity: 16, ProbeRange: 1, MaxLoop: 50, Seed: 1, StashSize: 2}
+	items := []core.Item{{ID: 1, Meta: lsh.Metadata{1, 2}}, {ID: 2, Meta: lsh.Metadata{3, 4}}}
+	idx, err := core.Build(keys, items, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dyn, _, err := core.BuildDynamic(keys, items, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cs := cloud.New()
+	cs.SetIndex(idx)
+	cs.SetDynIndex(dyn)
+	cs.PutProfiles(map[uint64][]byte{1: []byte("ct-1"), 2: []byte("ct-2")})
+	return cs
 }
 
 // TestLyingLengthIsNotAllocated pins the reader's allocation bound: a

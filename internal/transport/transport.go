@@ -313,9 +313,21 @@ func (m *message) refuse(err error) {
 	*m = message{typ: m.typ, id: m.id, status: statusRemote, errMsg: err.Error()}
 }
 
+// handlerPanic opens the refusal text of a request whose handler
+// panicked. The fuzz target fails on any answer carrying it, so the
+// recover below never hides a handler bug from it.
+const handlerPanic = "transport: handler panic: "
+
 // dispatch executes one request against the cloud server, filling resp's
-// body; an error is the application's refusal.
+// body; an error is the application's refusal. A panicking handler fails
+// only its own request: the connection, and every other request on the
+// server, carries on.
 func (s *Server) dispatch(req, resp *message) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%s%v", handlerPanic, r)
+		}
+	}()
 	switch req.typ {
 	case msgPing:
 	case msgInstallIndex:

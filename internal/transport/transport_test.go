@@ -468,6 +468,31 @@ func TestRemoteErrorIsNotConnError(t *testing.T) {
 	}
 }
 
+// TestHandlerPanicFailsOneRequest runs a server over a nil cloud server, so
+// the SecRecBatch handler panics. The panic must come back as that
+// request's RemoteError, and the same connection must go on serving.
+func TestHandlerPanicFailsOneRequest(t *testing.T) {
+	srv := NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	_, _, err = client.SecRecBatch(context.Background(), []*core.Trapdoor{{}})
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.HasPrefix(re.Msg, handlerPanic) {
+		t.Fatalf("panicking handler answered %T (%v), want a RemoteError naming the panic", err, err)
+	}
+	if err := client.Ping(context.Background()); err != nil {
+		t.Fatalf("ping on the same connection after the panic: %v", err)
+	}
+}
+
 func TestContextDeadlineBoundsCall(t *testing.T) {
 	// A server that accepts but never answers: a per-call context deadline
 	// must interrupt the exchange and classify it as retryable.
